@@ -1,12 +1,13 @@
 // Package repro's root benchmark harness regenerates every table and
-// figure of the paper's evaluation (see DESIGN.md's experiment index):
+// figure of the paper's evaluation (see the README's architecture map):
 //
 //	go test -bench=. -benchmem
 //
 // Each benchmark runs the corresponding experiment at paper scale
 // (180 s captures) and prints the rows/series the paper reports on its
-// first iteration, so a bench run doubles as the reproduction log
-// recorded in EXPERIMENTS.md.
+// first iteration, so a bench run doubles as the reproduction log; the
+// small-scale artifacts are pinned under
+// internal/experiments/testdata/golden.
 package repro
 
 import (

@@ -21,7 +21,6 @@ import (
 	"time"
 
 	"repro/internal/analysis"
-	"repro/internal/core"
 	"repro/internal/trace"
 )
 
@@ -49,11 +48,11 @@ func main() {
 		KnownDuration: time.Duration(*duration * float64(time.Second)),
 		KnownRate:     *rate * 1e6,
 	}
-	// The re-export rides the same packet stream as the analyzer via a
-	// live PcapSink — one read of the input, two consumers, O(1)
-	// memory even for multi-GB captures.
-	var extra []trace.Sink
-	var ps *trace.PcapSink
+	// The analyzer and the optional re-export ride one packet stream
+	// through a sink fan-out: one read of the input, two consumers,
+	// O(1) memory even for multi-GB captures.
+	stream := analysis.NewStreaming(cfg)
+	sinks := []trace.Sink{stream}
 	var out *os.File
 	tmpOut := *pcapOut + ".tmp"
 	if *pcapOut != "" {
@@ -63,24 +62,27 @@ func main() {
 		if err != nil {
 			fatalf("creating pcap: %v", err)
 		}
-		ps, err = trace.NewPcapSink(out, 0)
+		ps, err := trace.NewPcapSink(out, 0)
 		if err != nil {
 			fatalf("starting pcap stream: %v", err)
 		}
-		extra = append(extra, ps)
+		sinks = append(sinks, ps)
 	}
-	a, err := core.ClassifyPcapStream(f, addr, cfg, extra...)
-	if err != nil {
+	abort := func(format string, args ...any) {
 		if out != nil {
 			out.Close()
 			os.Remove(tmpOut)
 		}
-		fatalf("%v", err)
+		fatalf(format, args...)
 	}
-	if ps != nil {
-		if err := ps.Close(); err != nil {
-			fatalf("writing pcap: %v", err)
-		}
+	sink := trace.Fanout(sinks...)
+	if err := trace.StreamPcap(f, addr, sink); err != nil {
+		abort("reading capture: %v", err)
+	}
+	if err := sink.Close(); err != nil {
+		abort("writing pcap: %v", err)
+	}
+	if out != nil {
 		if err := out.Close(); err != nil {
 			fatalf("closing pcap: %v", err)
 		}
@@ -88,6 +90,7 @@ func main() {
 			fatalf("finalizing pcap: %v", err)
 		}
 	}
+	a := stream.Result()
 	fmt.Printf("strategy          : %s\n", a.Strategy)
 	fmt.Printf("connections       : %d\n", a.ConnCount)
 	fmt.Printf("total downstream  : %.2f MB over %.1f s\n", float64(a.TotalBytes)/1e6, a.Duration.Seconds())

@@ -5,7 +5,7 @@
 // statistics — per-tier utilization, per-client QoE quantiles, and
 // the aggregation-link burstiness the paper's closing argument is
 // about. Memory is O(clients), never O(packets), and results are
-// bit-identical for any -workers, -shards or -distributed value.
+// bit-identical for any -workers or -distributed value.
 //
 // Usage:
 //
@@ -49,7 +49,6 @@ func main() {
 	duration := flag.Float64("duration", 120, "horizon seconds")
 	warmup := flag.Float64("warmup", 0, "statistics warm-up seconds (0 = duration/4)")
 	seed := flag.Int64("seed", 1, "random seed")
-	shards := flag.Int("shards", 1, "deprecated execution hint; results never depend on it")
 	workers := flag.Int("workers", 0, "cell worker pool (0 = one per CPU); results identical for any value")
 	perAgg := flag.Int("peragg", 0, "clients per aggregation link (0 = 32)")
 	bin := flag.Float64("bin", 1, "utilization bin seconds")
@@ -66,7 +65,7 @@ func main() {
 	aqm := flag.String("aqm", "", "queue policy on aggregation+access downstream links: droptail, red or codel (empty = droptail)")
 	distributed := flag.Int("distributed", 0, "fork the run across N OS processes (merged result is bit-identical to -distributed 0)")
 	cellRange := flag.String("cells", "", "child mode: run cells lo:hi and stream serialized per-cell results to stdout")
-	resultOut := flag.String("result-out", "", "write the serialized FleetResult to this file (bit-identical across -workers/-shards/-distributed)")
+	resultOut := flag.String("result-out", "", "write the serialized FleetResult to this file (bit-identical across -workers/-distributed)")
 	freshWorlds := flag.Bool("fresh-worlds", false, "build a fresh cell world per cell instead of recycling one per worker (slow; results are bit-identical either way)")
 	memstats := flag.Bool("memstats", false, "print Go runtime memory statistics (HeapAlloc/TotalAlloc/NumGC) after the run")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -112,7 +111,6 @@ func main() {
 		Duration: dur,
 		Warmup:   time.Duration(*warmup * float64(time.Second)),
 		Seed:     *seed,
-		Shards:   *shards,
 		Down:     dyn,
 		UtilBin:  time.Duration(*bin * float64(time.Second)),
 		Arrival:  scenario.Arrival{Kind: kind, Window: time.Duration(*window * float64(time.Second))},

@@ -24,7 +24,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/analysis"
 	"repro/internal/experiments"
 	"repro/internal/netem"
 	"repro/internal/runner"
@@ -140,8 +139,8 @@ func main() {
 		"session", "start", "downloaded", "strategy", "blocks", "medianKB", "retrans")
 	if *shared {
 		res := scenario.RunShared(sp)
-		for _, o := range res.Outcomes {
-			printRow(o.Index, o.Start, o.Downloaded, o.Analysis)
+		for i, r := range res.Outcomes {
+			printRow(i, r)
 		}
 		fmt.Printf("bottleneck: offered %d, dropped %d (%.3f%%, %d in outages), unrouted %d, aggregate %.1f Mbps\n",
 			res.Offered, res.Dropped, res.InducedLoss*100, res.OutageDrops, res.Unrouted, res.AggregateMbps)
@@ -150,15 +149,16 @@ func main() {
 	}
 	results := scenario.RunIsolated(runner.Options{Workers: *workers}, sp)
 	for i, r := range results {
-		printRow(i, r.Config.StartAt, r.Downloaded, r.Analysis)
+		printRow(i, r)
 	}
 }
 
 // printRow renders one session's outcome line.
-func printRow(i int, start time.Duration, downloaded int64, a *analysis.Result) {
+func printRow(i int, r *session.Result) {
+	a := r.Analysis
 	fmt.Printf("%-8d %-10v %-14s %-16s %-8d %-10.0f %.2f%%\n",
-		i, start.Round(time.Millisecond),
-		fmt.Sprintf("%.2f MB", float64(downloaded)/1e6),
+		i, r.Config.StartAt.Round(time.Millisecond),
+		fmt.Sprintf("%.2f MB", float64(r.Downloaded)/1e6),
 		a.Strategy, len(a.Blocks), float64(a.MedianBlock())/1e3, a.RetransRate*100)
 }
 

@@ -3,9 +3,13 @@
 // after 180 seconds" loop — and writes the capture plus an analysis
 // summary.
 //
+// The -app names are the scenario player kinds (vsession -list prints
+// them with their service). The browser is a label only for the Flash
+// plugin, so one "flash" kind stands for the paper's three Flash rows.
+//
 // Usage:
 //
-//	vsession -app flash-ie -network Research -rate 1.0 -dur 300 \
+//	vsession -app flash -network Research -rate 1.0 -dur 300 \
 //	         -capture 180 -pcap session.pcap -csv series.csv
 package main
 
@@ -17,13 +21,14 @@ import (
 	"strconv"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/media"
 	"repro/internal/netem"
+	"repro/internal/scenario"
+	"repro/internal/session"
 )
 
 func main() {
-	app := flag.String("app", "flash-ie", "application (see -list)")
+	app := flag.String("app", "flash", "player kind (see -list)")
 	network := flag.String("network", "Research", "vantage network: Research, Residence, Academic, Home")
 	rate := flag.Float64("rate", 1.0, "video encoding rate in Mbps")
 	dur := flag.Float64("dur", 300, "video duration in seconds")
@@ -31,49 +36,48 @@ func main() {
 	seed := flag.Int64("seed", 1, "random seed")
 	pcapPath := flag.String("pcap", "", "write the capture to this pcap file")
 	csvPath := flag.String("csv", "", "write the cumulative download series to this CSV file")
-	list := flag.Bool("list", false, "list application keys and exit")
+	list := flag.Bool("list", false, "list player kinds with their service and exit")
 	flag.Parse()
 
 	if *list {
-		for _, a := range core.Applications() {
-			fmt.Println(a)
+		for _, k := range scenario.PlayerKinds() {
+			fmt.Printf("%-16s %s\n", k, k.Service())
 		}
 		return
+	}
+	kind, ok := scenario.PlayerKindByName(*app)
+	if !ok {
+		fatalf("unknown player kind %q (see -list)", *app)
 	}
 	prof, ok := netem.ProfileByName(*network)
 	if !ok {
 		fatalf("unknown network %q", *network)
-	}
-	container := media.Flash
-	resolution := "360p"
-	switch *app {
-	case "html5-ie", "html5-firefox", "html5-chrome", "youtube-android", "youtube-ipad":
-		container = media.HTML5
-	case "netflix-pc", "netflix-ipad", "netflix-android":
-		container = media.Silverlight
-		resolution = "adaptive"
 	}
 	v := media.Video{
 		ID:           1,
 		Title:        "cli-video",
 		EncodingRate: *rate * 1e6,
 		Duration:     time.Duration(*dur * float64(time.Second)),
-		Container:    container,
-		Resolution:   resolution,
+		Container:    kind.NativeContainer(),
+		Resolution:   "360p",
 	}
-	res, err := core.Stream(core.StreamConfig{
-		Video: v, App: core.Application(*app), Network: prof,
-		Seed: *seed, DurationSeconds: *capture,
+	if kind.Service() == session.Netflix {
+		v.Resolution = "adaptive"
+	}
+	res := session.Run(session.Config{
+		Video:    v,
+		Service:  kind.Service(),
+		Player:   kind.New(),
+		Network:  prof,
+		Duration: time.Duration(*capture * float64(time.Second)),
+		Seed:     *seed,
 		// Streaming capture by default; buffer only what the output
 		// flags actually need.
 		Buffered: *pcapPath != "",
 		Series:   *csvPath != "",
 	})
-	if err != nil {
-		fatalf("%v", err)
-	}
 	a := res.Analysis
-	fmt.Printf("session : %s on %s, %s\n", *app, prof.Name, v)
+	fmt.Printf("session : %s on %s, %s\n", kind, prof.Name, v)
 	fmt.Printf("capture : %d packets, %.2f MB down, %d connections\n",
 		res.Packets, float64(a.TotalBytes)/1e6, a.ConnCount)
 	fmt.Printf("result  : %s\n", a)

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/core"
 	"repro/internal/model"
 )
 
@@ -40,7 +39,7 @@ func main() {
 		p := base
 		p.MeanRate *= sc.scale
 		fmt.Printf("%-22s %-12.1f %-12.1f %-10.3f\n",
-			sc.label, core.AggregateMean(p)/1e6, core.DimensionLink(p, 2)/1e6, model.CoV(p))
+			sc.label, model.MeanAggregate(p)/1e6, model.Dimension(p, 2)/1e6, model.CoV(p))
 	}
 	fmt.Println()
 	fmt.Println("E[R] grows linearly with the encoding rate while the coefficient of")
@@ -66,5 +65,5 @@ func main() {
 		fmt.Printf("  %-14s mean %6.1f Mbps  std %6.1f Mbps\n", s, r.Mean/1e6, math.Sqrt(r.Var)/1e6)
 	}
 	fmt.Printf("  %-14s mean %6.1f Mbps  std %6.1f Mbps\n", "closed form",
-		core.AggregateMean(base)/1e6, math.Sqrt(core.AggregateVar(base))/1e6)
+		model.MeanAggregate(base)/1e6, math.Sqrt(model.VarAggregate(base))/1e6)
 }

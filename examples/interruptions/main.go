@@ -12,10 +12,11 @@ import (
 	"math/rand"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/media"
 	"repro/internal/model"
 	"repro/internal/netem"
+	"repro/internal/scenario"
+	"repro/internal/session"
 )
 
 func main() {
@@ -25,7 +26,7 @@ func main() {
 	// Worked example (eq. 7): with YouTube Flash parameters, videos
 	// shorter than ~53 s are fully downloaded even by viewers who quit
 	// after 20%.
-	th := core.FullDownloadThreshold(40, 1.25, 0.2)
+	th := model.InterruptionThreshold(40, 1.25, 0.2)
 	fmt.Printf("eq. 7 worked example: B'=40 s, k=1.25, beta=0.2 -> L = %.1f s (paper: 53.3 s)\n\n", th)
 
 	// Measured waste: stream the same 400 s video with each strategy
@@ -40,21 +41,19 @@ func main() {
 	fmt.Printf("%-34s %-14s %-12s\n", "application", "downloaded", "wasted MB")
 	cases := []struct {
 		label string
-		app   core.Application
+		kind  scenario.PlayerKind
 		video media.Video
 	}{
-		{"Firefox/HTML5 (no ON-OFF)", core.HTML5Firefox, video},
-		{"Chrome/HTML5 (long ON-OFF)", core.HTML5Chrome, video},
-		{"Flash (short ON-OFF)", core.FlashIE, flashVideo},
+		{"Firefox/HTML5 (no ON-OFF)", scenario.FirefoxHtml5, video},
+		{"Chrome/HTML5 (long ON-OFF)", scenario.ChromeHtml5, video},
+		{"Flash (short ON-OFF)", scenario.Flash, flashVideo},
 	}
 	for i, c := range cases {
-		res, err := core.Stream(core.StreamConfig{
-			Video: c.video, App: c.app, Network: netem.Research,
-			Seed: int64(20 + i), DurationSeconds: cut,
+		res := session.Run(session.Config{
+			Video: c.video, Service: c.kind.Service(), Player: c.kind.New(),
+			Network: netem.Research, Seed: int64(20 + i),
+			Duration: time.Duration(cut * float64(time.Second)),
 		})
-		if err != nil {
-			panic(err)
-		}
 		total := float64(res.Analysis.TotalBytes)
 		waste := total - watched
 		if waste < 0 {

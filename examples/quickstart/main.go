@@ -7,12 +7,12 @@ package main
 
 import (
 	"fmt"
-	"log"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/media"
 	"repro/internal/netem"
+	"repro/internal/scenario"
+	"repro/internal/session"
 )
 
 func main() {
@@ -25,15 +25,13 @@ func main() {
 		Resolution:   "360p",
 	}
 
-	res, err := core.Stream(core.StreamConfig{
+	res := session.Run(session.Config{
 		Video:   video,
-		App:     core.FlashIE,
+		Service: scenario.Flash.Service(),
+		Player:  scenario.Flash.New(),
 		Network: netem.Research,
 		Seed:    42,
 	})
-	if err != nil {
-		log.Fatal(err)
-	}
 
 	a := res.Analysis
 	fmt.Println("=== quickstart: one Flash streaming session (Figure 1 anatomy) ===")

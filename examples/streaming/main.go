@@ -3,7 +3,7 @@
 // every client's capture flows through an online analysis.Streaming
 // sink attached at the tap, so the run holds per-flow state and a few
 // fixed-width series bins instead of hundreds of thousands of buffered
-// packets (Outcome.Trace stays nil — nothing to buffer). This is the
+// packets (each outcome's Trace stays nil — nothing to buffer). This is the
 // sink pipeline the experiments run on by default; tcpdump mode is one
 // Spec.Buffered flag away when a pcap is actually wanted.
 //
@@ -45,10 +45,10 @@ func main() {
 	fmt.Printf("strategies : %s\n\n", res.StrategyMix())
 
 	fmt.Printf("%-3s %-8s %-9s %-14s %-10s %s\n", "id", "start", "packets", "strategy", "MB down", "buffered trace?")
-	for _, o := range res.Outcomes {
+	for i, o := range res.Outcomes {
 		a := o.Analysis
 		fmt.Printf("%-3d %-8s %-9d %-14s %-10.2f %v\n",
-			o.Index, o.Start.Round(time.Second), o.Packets, a.Strategy,
+			i, o.Config.StartAt.Round(time.Second), o.Packets, a.Strategy,
 			float64(a.TotalBytes)/1e6, o.Trace != nil)
 	}
 

@@ -16,8 +16,9 @@ import (
 	"repro/internal/trace"
 )
 
-// Ablation experiments for the design choices DESIGN.md calls out.
-// They operate at the substrate level (raw TCP over netem) or via
+// Ablation experiments for the simulator's design choices: server idle
+// reset, delayed ACKs, the receive buffer and loss (the README's
+// architecture map lists them under internal/experiments). They operate at the substrate level (raw TCP over netem) or via
 // session overrides, isolating one mechanism each.
 
 // AblationIdleResetResult compares the first-RTT burst with and

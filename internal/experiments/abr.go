@@ -52,7 +52,6 @@ func abrFleet(kind scenario.PlayerKind, o Options) scenario.Fleet {
 		Name:     "abr-ratedrop/" + kind.String(),
 		Mix:      []scenario.MixEntry{{Player: kind, Weight: 1}},
 		Clients:  o.N * 32,
-		Shards:   o.N,
 		Duration: o.Duration,
 		Arrival:  scenario.Arrival{Kind: scenario.Staggered, Window: o.Duration / 6},
 		Down:     netem.Dynamics{}.Then(netem.RateStep(o.Duration/3, abrDropMbps*netem.Mbps)),

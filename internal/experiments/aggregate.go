@@ -12,6 +12,7 @@ import (
 	"repro/internal/player"
 	"repro/internal/runner"
 	"repro/internal/service"
+	"repro/internal/session"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/tcp"
@@ -89,7 +90,7 @@ func AggregateLoss(o Options) *AggregateLossResult {
 	// run concurrently on the pool.
 	res.Rows = runner.Map(o.pool(), cases, func(ci int, c aggCase) AggregateRow {
 		sch := sim.NewScheduler(o.Seed + int64(ci))
-		server := tcp.NewHost(sch, 203, 0, 113, 10)
+		server := tcp.NewHost(sch, session.ServerAddr[0], session.ServerAddr[1], session.ServerAddr[2], session.ServerAddr[3])
 		// The only tap is the streaming rateMeter (nothing retains
 		// segments past capture), so every stack in the case can recycle
 		// segments through one pool — without it each packet allocates,
@@ -102,10 +103,11 @@ func AggregateLoss(o Options) *AggregateLossResult {
 			Name: "bottleneck", Down: 100 * netem.Mbps, Up: 100 * netem.Mbps,
 			RTT: 40 * time.Millisecond, Queue: 384 << 10,
 		}
-		db := netem.NewDumbbell(sch, prof, server)
-		server.SetLink(db.Down)
+		sw := netem.NewSwitch()
+		path := netem.NewPath(sch, prof, sw, server)
+		server.SetLink(path.Down)
 		meter := &rateMeter{bucket: time.Second, buckets: map[int]int64{}}
-		db.Down.AddTap(meter)
+		path.Down.AddTap(meter)
 
 		var vids []media.Video
 		for i := 0; i < n; i++ {
@@ -120,11 +122,12 @@ func AggregateLoss(o Options) *AggregateLossResult {
 		service.NewYouTube(server, tcp.Config{}, vids)
 		for i := 0; i < n; i++ {
 			i := i
-			addr := [4]byte{10, 0, byte(i >> 8), byte(i + 1)}
+			addr := session.ClientAddrOf(i)
 			client := tcp.NewHost(sch, addr[0], addr[1], addr[2], addr[3])
 			client.SetSegmentPool(pool)
-			client.SetLink(db.Attach(addr, client))
-			env := &player.Env{Sch: sch, Host: client, Server: packet.EP(203, 0, 113, 10, 80)}
+			client.SetLink(path.Up)
+			sw.Route(addr, client)
+			env := &player.Env{Sch: sch, Host: client, Server: packet.Endpoint{Addr: session.ServerAddr, Port: 80}}
 			p := c.mk()
 			// Staggered arrivals over the warm-up window.
 			sch.At(time.Duration(sch.Rand().Int63n(int64(warm))), func() {
@@ -133,10 +136,10 @@ func AggregateLoss(o Options) *AggregateLossResult {
 		}
 		sch.RunUntil(horizon)
 
-		offered := db.Down.Sent + db.Down.Dropped
+		offered := path.Down.Sent + path.Down.Dropped
 		loss := 0.0
 		if offered > 0 {
-			loss = float64(db.Down.Dropped) / float64(offered)
+			loss = float64(path.Down.Dropped) / float64(offered)
 		}
 		series := meter.series(warm, horizon)
 		mean := stats.Mean(series)

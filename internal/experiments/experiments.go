@@ -1,5 +1,6 @@
 // Package experiments contains one runner per table and figure of the
-// paper's evaluation (see DESIGN.md's experiment index). Each runner
+// paper's evaluation (see the README's architecture map; small-scale
+// artifacts are pinned under testdata/golden). Each runner
 // executes the necessary simulated sessions, computes the paper's
 // metric, and returns both a printable artifact (the rows/series the
 // paper reports) and structured values that the tests and benches

@@ -1,15 +1,13 @@
 package netem
 
-import (
-	"repro/internal/packet"
-	"repro/internal/sim"
-)
+import "repro/internal/packet"
 
 // Switch routes delivered packets to receivers by destination address,
 // letting many client hosts share one bottleneck link — the topology
 // needed to study how concurrent streaming sessions interact (the
 // aggregate-traffic experiments and the paper's future-work question
-// about strategy-induced loss).
+// about strategy-induced loss). A shared bottleneck is a Path whose
+// client side is a Switch: NewPath(sch, p, sw, server).
 type Switch struct {
 	routes map[[4]byte]Receiver
 	// Unrouted counts packets with no matching destination.
@@ -39,46 +37,3 @@ func (s *Switch) Deliver(seg *packet.Segment) {
 	}
 	s.Unrouted++
 }
-
-// Dumbbell is a shared-bottleneck topology: every client reaches the
-// server through one downstream/upstream link pair, so concurrent
-// sessions compete for the same drop-tail queue — where strategy
-// burstiness turns into loss.
-type Dumbbell struct {
-	Down *Link // server -> clients (shared)
-	Up   *Link // clients -> server (shared)
-	sw   *Switch
-}
-
-// NewDumbbell builds the topology with the profile's rates, queue and
-// loss. Clients are attached with Attach; the server receives
-// everything sent on Up.
-func NewDumbbell(sch *sim.Scheduler, p Profile, server Receiver) *Dumbbell {
-	sw := NewSwitch()
-	half := p.RTT / 2
-	d := &Dumbbell{
-		sw:   sw,
-		Down: NewLink(sch, p.Down, half, p.Queue, RandomLoss{Rate: p.Loss}, sw),
-		Up:   NewLink(sch, p.Up, half, p.Queue, RandomLoss{Rate: p.UpLossRate()}, server),
-	}
-	d.Down.SetAQM(p.AQM.New(p.Queue))
-	d.Up.SetAQM(p.AQM.New(p.Queue))
-	return d
-}
-
-// Attach registers a client receiver for its address and returns the
-// link it must transmit on (the shared Up link).
-func (d *Dumbbell) Attach(addr [4]byte, client Receiver) *Link {
-	d.sw.Route(addr, client)
-	return d.Up
-}
-
-// AddTaps attaches one capture tap per direction on the shared links,
-// mirroring Path.AddTaps.
-func (d *Dumbbell) AddTaps(down, up Tap) {
-	d.Down.AddTap(down)
-	d.Up.AddTap(up)
-}
-
-// Unrouted exposes the switch's unrouted-packet counter.
-func (d *Dumbbell) Unrouted() int { return d.sw.Unrouted }

@@ -73,31 +73,29 @@ func TestSwitchRouteOverwrite(t *testing.T) {
 	}
 }
 
-// TestDumbbellSharedQueue: clients attached to a dumbbell share the
-// downstream link's queue and counters, and detached destinations are
-// accounted as unrouted.
-func TestDumbbellSharedQueue(t *testing.T) {
+// TestPathSwitchSharedQueue: clients behind a Switch on a path's
+// client side share the downstream link's queue and counters, and
+// unknown destinations are accounted as unrouted.
+func TestPathSwitchSharedQueue(t *testing.T) {
 	sch := sim.NewScheduler(1)
 	server := &collector{sch: sch}
 	a := &collector{sch: sch}
 	b := &collector{sch: sch}
 	prof := Profile{Name: "test", Down: 8 * Mbps, Up: 8 * Mbps, RTT: 10 * time.Millisecond}
-	db := NewDumbbell(sch, prof, server)
+	sw := NewSwitch()
+	path := NewPath(sch, prof, sw, server)
 	addrA, addrB := [4]byte{10, 0, 0, 1}, [4]byte{10, 0, 0, 2}
-	upA := db.Attach(addrA, a)
-	if upA != db.Up {
-		t.Fatal("Attach must hand back the shared up link")
-	}
-	db.Attach(addrB, b)
-	db.Down.Send(segTo(addrA, 960))
-	db.Down.Send(segTo(addrB, 960))
-	db.Down.Send(segTo([4]byte{10, 0, 0, 3}, 960)) // never attached
+	sw.Route(addrA, a)
+	sw.Route(addrB, b)
+	path.Down.Send(segTo(addrA, 960))
+	path.Down.Send(segTo(addrB, 960))
+	path.Down.Send(segTo([4]byte{10, 0, 0, 3}, 960)) // never routed
 	sch.Run()
 	if len(a.segs) != 1 || len(b.segs) != 1 {
 		t.Fatalf("a=%d b=%d, want 1 each", len(a.segs), len(b.segs))
 	}
-	if db.Unrouted() != 1 {
-		t.Fatalf("Unrouted = %d, want 1", db.Unrouted())
+	if sw.Unrouted != 1 {
+		t.Fatalf("Unrouted = %d, want 1", sw.Unrouted)
 	}
 	// Shared serialization: b's packet queued behind a's (1 ms each at
 	// 8 Mbps) before the common 5 ms propagation.
@@ -106,5 +104,8 @@ func TestDumbbellSharedQueue(t *testing.T) {
 	}
 	if a.at[0] != 6*time.Millisecond || b.at[0] != 7*time.Millisecond {
 		t.Fatalf("arrivals %v / %v, want 6ms / 7ms (shared queue)", a.at[0], b.at[0])
+	}
+	if path.Down.Sent != 3 {
+		t.Fatalf("shared down link sent %d, want 3", path.Down.Sent)
 	}
 }

@@ -123,7 +123,7 @@ func TestScenarioRateDropArtifactByteIdentical(t *testing.T) {
 }
 
 // TestScenarioFlashCrowdArtifactByteIdentical covers the
-// shared-bottleneck (netem.Dumbbell) path: each strategy is one
+// shared-bottleneck (session.Shared) path: each strategy is one
 // single-threaded simulation, fanned out per strategy, so the crowd
 // artifact must also be pool-size independent.
 func TestScenarioFlashCrowdArtifactByteIdentical(t *testing.T) {
@@ -137,8 +137,8 @@ func TestScenarioFlashCrowdArtifactByteIdentical(t *testing.T) {
 	}
 }
 
-// TestAggregateLossArtifactByteIdentical closes the Dumbbell coverage
-// gap: before this PR only flat-link experiments were diffed across
+// TestAggregateLossArtifactByteIdentical covers the hand-wired shared
+// bottleneck (a netem.Path with a Switch on its client side) across
 // worker counts.
 func TestAggregateLossArtifactByteIdentical(t *testing.T) {
 	if testing.Short() {

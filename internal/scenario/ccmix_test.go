@@ -58,24 +58,13 @@ func TestFleetMixedCCDeterministic(t *testing.T) {
 	}
 }
 
-// TestFleetMixedCCShardInvariant: the deprecated Shards hint and the
-// serialized distributed path (WriteFleetCells streams merged with
-// MergeFleetCellStreams, what `vfleet -distributed` children emit)
-// must both reproduce the single-process mixed-CC result bit for bit.
-func TestFleetMixedCCShardInvariant(t *testing.T) {
+// TestFleetMixedCCDistributedInvariant: the serialized distributed
+// path (WriteFleetCells streams merged with MergeFleetCellStreams, what
+// `vfleet -distributed` children emit) must reproduce the
+// single-process mixed-CC result bit for bit.
+func TestFleetMixedCCDistributedInvariant(t *testing.T) {
 	f := ccMixFleet()
-	f.Shards = 1
 	single := RunFleet(runner.Options{Workers: 1}, f)
-	f.Shards = 5
-	resharded := RunFleet(runner.Options{Workers: 2}, f)
-	single.Fleet.Shards = 0
-	resharded.Fleet.Shards = 0
-	if !reflect.DeepEqual(single, resharded) {
-		t.Fatalf("shard hint changed the mixed-CC result:\n1: %s\n5: %s",
-			single.Render(), resharded.Render())
-	}
-
-	f.Shards = 0
 	singleBytes, _ := single.MarshalBinary()
 	cells := f.Cells()
 	if cells < 2 {
@@ -94,7 +83,6 @@ func TestFleetMixedCCShardInvariant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	merged.Fleet.Shards = 0
 	if !reflect.DeepEqual(merged, single) {
 		t.Fatalf("merged mixed-CC cells differ from single-process run:\nmerged: %s\nsingle: %s",
 			merged.Render(), single.Render())

@@ -102,7 +102,8 @@ func newCellWorld(f Fleet) *cellWorld {
 		// same no matter which cell, worker or process serves it.
 		ccmix := f.CCMix
 		w.server.SetAcceptConfig(func(peer packet.Endpoint, cfg tcp.Config) tcp.Config {
-			cfg.CC = ccmix[clientIndex(peer.Addr)%len(ccmix)]
+			i, _ := session.ClientIndex(peer.Addr)
+			cfg.CC = ccmix[i%len(ccmix)]
 			return cfg
 		})
 	}
@@ -135,7 +136,7 @@ func (w *cellWorld) run(from, to int) *FleetResult {
 	w.server.Reset(session.ServerAddr[0], session.ServerAddr[1], session.ServerAddr[2], session.ServerAddr[3])
 	for j, h := range w.hosts {
 		if j < n {
-			addr := clientAddr(from + j)
+			addr := session.ClientAddrOf(from + j)
 			h.Reset(addr[0], addr[1], addr[2], addr[3])
 		} else {
 			// Spare slot from a fuller previous cell: return its conns
@@ -180,7 +181,7 @@ func (w *cellWorld) run(from, to int) *FleetResult {
 	players := w.players[:n]
 	groups := 0
 	for j := 0; j < n; j++ {
-		addr := clientAddr(from + j)
+		addr := session.ClientAddrOf(from + j)
 		if j == len(w.hosts) {
 			host := tcp.NewHost(w.sch, addr[0], addr[1], addr[2], addr[3])
 			host.SetSegmentPool(w.segPool)

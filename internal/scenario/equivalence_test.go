@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/analysis"
+	"repro/internal/netem"
 	"repro/internal/session"
 	"repro/internal/trace"
 )
@@ -142,5 +143,54 @@ func TestStreamingMatchesBufferedPcapRoundTrip(t *testing.T) {
 	}
 	if materialized.Strategy != r.Analysis.Strategy {
 		t.Fatalf("strategy from pcap = %v, live = %v", materialized.Strategy, r.Analysis.Strategy)
+	}
+	junk := []byte("junk....................")
+	if err := trace.StreamPcap(bytes.NewReader(junk), session.ClientAddr, analysis.NewStreaming(cfg)); err == nil {
+		t.Fatal("a capture with no pcap header must error")
+	}
+}
+
+// TestSharedOneClientMatchesSessionRun: a one-session shared run and
+// session.Run of the same config are the same simulation. An
+// all-at-once arrival draws nothing from the rng, so the shared run's
+// only client must see exactly what the plain session sees, on a lossy
+// profile with a dynamics timeline, for both services and an ABR kind.
+func TestSharedOneClientMatchesSessionRun(t *testing.T) {
+	for _, k := range []PlayerKind{Flash, SilverlightPC, AbrRate} {
+		k := k
+		t.Run(k.String(), func(t *testing.T) {
+			t.Parallel()
+			sp := Spec{
+				Profile:  netem.Residence,
+				Player:   k,
+				Sessions: 1,
+				Duration: 45 * time.Second,
+				Seed:     21,
+				Down:     netem.Dynamics{}.Then(netem.RateStep(20*time.Second, 3*netem.Mbps)),
+			}
+			shared := RunShared(sp).Outcomes[0]
+			full := sp.withDefaults()
+			plain := session.Run(session.Config{
+				Video:        full.video(0),
+				Service:      full.Service(),
+				Player:       k.New(),
+				Network:      full.Profile,
+				Duration:     full.Duration,
+				Seed:         full.Seed,
+				DownDynamics: full.Down,
+			})
+			if !reflect.DeepEqual(shared.Analysis, plain.Analysis) {
+				t.Fatalf("analysis differs\nshared: %+v\nplain:  %+v", shared.Analysis, plain.Analysis)
+			}
+			if !reflect.DeepEqual(shared.QoE, plain.QoE) {
+				t.Fatalf("QoE differs\nshared: %+v\nplain:  %+v", shared.QoE, plain.QoE)
+			}
+			if shared.Packets != plain.Packets || shared.Downloaded != plain.Downloaded {
+				t.Fatalf("packets %d/%d, downloaded %d/%d", shared.Packets, plain.Packets, shared.Downloaded, plain.Downloaded)
+			}
+			if plain.Packets == 0 {
+				t.Fatal("session captured nothing")
+			}
+		})
 	}
 }

@@ -63,16 +63,8 @@ type Fleet struct {
 	// burstiness; 0 → Duration/4.
 	Warmup time.Duration
 	Seed   int64
-	// Shards is a deprecated execution hint. The simulation unit is
-	// now always one cell — a single aggregation group of
-	// Tree.ClientsPerAgg clients with its own core uplink — so results
-	// are bit-identical for any shard, worker, and process count;
-	// parallelism comes from runner.Options alone. The field is still
-	// validated (a spec asking for more shards than clients was always
-	// a bug) but otherwise ignored.
-	Shards int
 	// Down is a dynamics timeline applied to every aggregation
-	// downstream link of every shard — the fleet-scale form of the
+	// downstream link of every cell — the fleet-scale form of the
 	// PR 2 rate-drop scenarios (mid-run congestion at the contended
 	// tier). Empty leaves the links frozen.
 	Down netem.Dynamics
@@ -160,9 +152,6 @@ func (f Fleet) withDefaults() Fleet {
 	if f.Seed == 0 {
 		f.Seed = 1
 	}
-	if f.Shards <= 0 {
-		f.Shards = 1
-	}
 	if f.UtilBin <= 0 {
 		f.UtilBin = time.Second
 	}
@@ -204,9 +193,6 @@ func (f Fleet) Validate() error {
 	}
 	if f.Clients > maxFleetClients {
 		return fmt.Errorf("fleet %q: %d clients exceeds the 10.0.0.0/8 address plan", f.Name, f.Clients)
-	}
-	if f.Shards > f.Clients {
-		return fmt.Errorf("fleet %q: %d shards for %d clients", f.Name, f.Shards, f.Clients)
 	}
 	if f.Warmup >= f.Duration {
 		return fmt.Errorf("fleet %q: warmup %v >= duration %v", f.Name, f.Warmup, f.Duration)
@@ -260,7 +246,7 @@ func ParseCCMix(s string) ([]string, error) {
 }
 
 // maxFleetClients is the capacity of the 10.0.0.0/8 client address
-// plan: clientAddr maps indices injectively into three octets.
+// plan: session.ClientAddrOf maps indices injectively into three octets.
 const maxFleetClients = 1<<24 - 2
 
 // cells returns the number of simulation cells the fleet splits into:

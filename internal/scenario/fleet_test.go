@@ -19,8 +19,7 @@ import (
 // detFleet is the fleet the determinism suite runs: the acceptance
 // scale (1,000 clients outside -race) on the default multi-tier tree,
 // spanning dozens of cells so the merge path actually exercises
-// cross-cell folding. Shards is set (and ignored) on purpose: results
-// must not depend on it.
+// cross-cell folding.
 func detFleet() Fleet {
 	return Fleet{
 		Mix:      []MixEntry{{Player: Flash, Weight: 1}, {Player: FirefoxHtml5, Weight: 1}},
@@ -28,28 +27,10 @@ func detFleet() Fleet {
 		Duration: 15 * time.Second,
 		Arrival:  Arrival{Kind: Staggered, Window: 8 * time.Second},
 		Seed:     11,
-		Shards:   4,
 	}
 }
 
-// TestFleetShardCountInvariant pins the tentpole guarantee directly:
-// the deprecated Shards hint must not influence a single byte of the
-// result.
-func TestFleetShardCountInvariant(t *testing.T) {
-	f := detFleet()
-	f.Clients = 100 // 4 cells, one ragged
-	f.Shards = 1
-	a := RunFleet(runner.Options{Workers: 1}, f)
-	f.Shards = 7
-	b := RunFleet(runner.Options{Workers: 3}, f)
-	a.Fleet.Shards = 0 // resolved specs differ only in the ignored hint
-	b.Fleet.Shards = 0
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("shard hint changed the result:\n1 shard: %s\n7 shards: %s", a.Render(), b.Render())
-	}
-}
-
-// TestFleetDeterministicAcrossWorkers: a sharded fleet produces a
+// TestFleetDeterministicAcrossWorkers: a multi-cell fleet produces a
 // bit-identical FleetResult for one worker and one worker per CPU —
 // the runner determinism guarantee extended to the fleet merge path.
 func TestFleetDeterministicAcrossWorkers(t *testing.T) {
@@ -91,7 +72,6 @@ func TestFleetAbrDeterministicAcrossWorkers(t *testing.T) {
 		Arrival:  Arrival{Kind: Staggered, Window: 8 * time.Second},
 		Down:     netem.Dynamics{}.Then(netem.RateStep(10*time.Second, 20*netem.Mbps)),
 		Seed:     17,
-		Shards:   4,
 	}
 	seq := RunFleet(runner.Options{Workers: 1}, f)
 	par := RunFleet(runner.Options{Workers: runtime.NumCPU() + 3}, f)
@@ -145,7 +125,6 @@ func TestFleetGOMAXPROCSInvariant(t *testing.T) {
 func TestFleetRerunIdentical(t *testing.T) {
 	f := detFleet()
 	f.Clients = 64
-	f.Shards = 2
 	a := RunFleet(runner.Options{Workers: 1}, f)
 	b := RunFleet(runner.Options{Workers: 2}, f)
 	if !reflect.DeepEqual(a, b) {
@@ -283,7 +262,6 @@ func TestFleetValidate(t *testing.T) {
 		{Mix: []MixEntry{{Player: Flash, Weight: 0}}},
 		{Mix: []MixEntry{{Player: Flash, Weight: 1}, {Player: NetflixIPad, Weight: 1}}},
 		{Clients: 17_000_000},
-		{Clients: 4, Shards: 8},
 		{Duration: 10 * time.Second, Warmup: 10 * time.Second},
 	}
 	for i, f := range bad {

@@ -19,7 +19,7 @@ import (
 // bit for bit. The Fleet spec itself is NOT part of the encoding —
 // every process already has it from its own flags — which also keeps
 // the artifact comparable across runs that differ only in execution
-// shape (workers, shards, processes).
+// shape (workers, processes).
 
 // fleetResultMagic versions the encoding ("FLR1").
 const fleetResultMagic = 0x31524c46

@@ -11,9 +11,9 @@
 //   - Isolated: every session gets its own path (the paper's one
 //     player per vantage methodology), expanded into seeded
 //     session.Configs and fanned out on the runner pool.
-//   - Shared: all sessions join one netem.Dumbbell bottleneck in a
-//     single deterministic simulation, with per-client captures taken
-//     by address-filtering taps on the shared links.
+//   - Shared: all sessions join one bottleneck path in a single
+//     deterministic simulation (session.Shared), with per-client
+//     captures split off the shared links by client address.
 //
 // Both shapes are bit-reproducible for any worker count: isolated
 // batches carry per-session seeds and are consumed in submission
@@ -28,14 +28,9 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/media"
 	"repro/internal/netem"
-	"repro/internal/packet"
-	"repro/internal/player"
 	"repro/internal/runner"
-	"repro/internal/service"
 	"repro/internal/session"
-	"repro/internal/sim"
 	"repro/internal/tcp"
-	"repro/internal/trace"
 )
 
 // Spec declares one scenario. The zero value of every optional field
@@ -168,24 +163,12 @@ func RunIsolated(o runner.Options, s Spec) []*session.Result {
 	return runner.Sessions(o, s.Configs())
 }
 
-// Outcome is one session's result inside a shared-bottleneck run.
-type Outcome struct {
-	Index      int
-	Start      time.Duration
-	Downloaded int64
-	// Packets counts this client's captured packets (both directions).
-	Packets int
-	// Trace is the buffered capture; nil unless Spec.Buffered.
-	Trace    *trace.Trace
-	Analysis *analysis.Result
-	// QoE is the client's playback-buffer outcome at the horizon.
-	QoE player.Metrics
-}
-
 // SharedResult is everything a shared-bottleneck run produced.
 type SharedResult struct {
-	Spec     Spec
-	Outcomes []Outcome
+	Spec Spec
+	// Outcomes holds one result per session, by client index (arrival
+	// offsets are in Config.StartAt).
+	Outcomes []*session.Result
 	// Bottleneck accounting (shared downstream link).
 	Offered     int
 	Dropped     int
@@ -199,44 +182,10 @@ type SharedResult struct {
 	AggregateMbps float64
 }
 
-// dispatchTap splits a shared link's packets into per-client captures
-// by address in O(1) per packet (one map lookup, not a scan over N
-// per-client filters), so each session's trace looks exactly like
-// tcpdump on that client.
-type dispatchTap struct {
-	down   bool // key on Dst (downstream) instead of Src (upstream)
-	byAddr map[[4]byte]netem.Tap
-}
-
-// Capture implements netem.Tap.
-func (t *dispatchTap) Capture(at time.Duration, seg *packet.Segment) {
-	a := seg.Src.Addr
-	if t.down {
-		a = seg.Dst.Addr
-	}
-	if inner, ok := t.byAddr[a]; ok {
-		inner.Capture(at, seg)
-	}
-}
-
-// clientAddr numbers clients from 10.0.0.1 upward across the whole
-// 10.0.0.0/8 plan: three octets of i+1, injective below 2^24-1 and
-// identical to the historical 10.0/16 numbering for the first 65535
-// clients, so group-aligned fleet runs keep their exact addresses.
-func clientAddr(i int) [4]byte {
-	return [4]byte{10, byte((i + 1) >> 16), byte((i + 1) >> 8), byte(i + 1)}
-}
-
-// clientIndex inverts clientAddr: the global client index behind an
-// address in the 10.0.0.0/8 plan.
-func clientIndex(addr [4]byte) int {
-	return int(addr[1])<<16 | int(addr[2])<<8 | int(addr[3]) - 1
-}
-
 // RunShared executes every session of the spec on one shared
-// netem.Dumbbell bottleneck in a single deterministic simulation:
-// sessions join at their arrival offsets and compete for the same
-// drop-tail queue while the spec's dynamics play out on the shared
+// bottleneck (a session.Shared run) in a single deterministic
+// simulation: sessions join at their arrival offsets and compete for
+// the same queue while the spec's dynamics play out on the shared
 // links. Each client's capture is analyzed individually through its
 // own streaming sink (or a buffered trace when Spec.Buffered asks for
 // tcpdump mode).
@@ -245,91 +194,42 @@ func RunShared(s Spec) *SharedResult {
 	if err := s.Validate(); err != nil {
 		panic("scenario: " + err.Error())
 	}
-	sch := sim.NewScheduler(s.Seed)
-	server := tcp.NewHost(sch, session.ServerAddr[0], session.ServerAddr[1], session.ServerAddr[2], session.ServerAddr[3])
-	db := netem.NewDumbbell(sch, s.Profile, server)
-	server.SetLink(db.Down)
-	s.Down.Apply(sch, db.Down)
-	s.Up.Apply(sch, db.Up)
-
-	// One shared pool for every stack on the dumbbell: with only
-	// streaming sinks attached, no segment survives its delivery.
-	var pool *packet.Pool
-	if !s.Buffered {
-		pool = &packet.Pool{}
-		server.SetSegmentPool(pool)
+	base := session.Config{
+		Service:      s.Service(),
+		Network:      s.Profile,
+		Duration:     s.Duration,
+		Seed:         s.Seed,
+		ServerTCP:    s.ServerTCP,
+		DownDynamics: s.Down,
+		UpDynamics:   s.Up,
+		Buffered:     s.Buffered,
+		SeriesBin:    s.SeriesBin,
 	}
-
-	vids := make([]media.Video, s.Sessions)
-	for i := range vids {
-		vids[i] = s.video(i)
+	sh := session.NewShared(base)
+	// Arrival offsets come from the simulation's own rng, drawn before
+	// any player starts.
+	for i, at := range s.Arrival.Times(s.Sessions, sh.Rand()) {
+		c := base
+		c.Video = s.video(i)
+		c.Player = s.Player.New()
+		c.StartAt = at
+		sh.Add(c)
 	}
-	switch s.Service() {
-	case session.YouTube:
-		service.NewYouTube(server, s.ServerTCP, vids)
-	case session.Netflix:
-		service.NewNetflix(server, s.ServerTCP, vids)
-	}
-
-	starts := s.Arrival.Times(s.Sessions, sch.Rand())
-	res := &SharedResult{Spec: s, Outcomes: make([]Outcome, s.Sessions)}
-	players := make([]player.Player, s.Sessions)
-	streams := make([]*analysis.Streaming, s.Sessions)
-	downTap := &dispatchTap{down: true, byAddr: make(map[[4]byte]netem.Tap, s.Sessions)}
-	upTap := &dispatchTap{byAddr: make(map[[4]byte]netem.Tap, s.Sessions)}
-	db.AddTaps(downTap, upTap)
-	for i := 0; i < s.Sessions; i++ {
-		i := i
-		addr := clientAddr(i)
-		client := tcp.NewHost(sch, addr[0], addr[1], addr[2], addr[3])
-		client.SetLink(db.Attach(addr, client))
-		if pool != nil {
-			client.SetSegmentPool(pool)
-		}
-		streams[i] = analysis.NewStreaming(analysis.Config{
-			KnownDuration: vids[i].Duration,
-			KnownRate:     vids[i].EncodingRate,
-			SeriesBin:     s.SeriesBin,
-		})
-		sinks := []trace.Sink{streams[i]}
-		var tr *trace.Trace
-		if s.Buffered {
-			tr = &trace.Trace{}
-			sinks = append(sinks, tr)
-		}
-		sink := trace.Fanout(sinks...)
-		downTap.byAddr[addr] = trace.SinkTap(sink, trace.Down)
-		upTap.byAddr[addr] = trace.SinkTap(sink, trace.Up)
-		res.Outcomes[i] = Outcome{Index: i, Start: starts[i], Trace: tr}
-		env := &player.Env{Sch: sch, Host: client, Server: packet.Endpoint{Addr: session.ServerAddr, Port: 80}}
-		p := s.Player.New()
-		players[i] = p
-		start := func() { p.Start(env, vids[i]) }
-		if starts[i] > 0 {
-			sch.At(starts[i], start)
-		} else {
-			start()
-		}
-	}
-	sch.RunUntil(s.Duration)
+	res := &SharedResult{Spec: s, Outcomes: sh.Run()}
 
 	var aggregate int64
-	for i := range res.Outcomes {
-		o := &res.Outcomes[i]
-		o.Downloaded = players[i].Downloaded()
-		o.QoE = players[i].QoE(sch.Now())
-		o.Analysis = streams[i].Result()
-		o.Packets = o.Analysis.Packets
+	for _, o := range res.Outcomes {
 		aggregate += o.Analysis.TotalBytes
 	}
-	res.Offered = db.Down.Sent + db.Down.Dropped
-	res.Dropped = db.Down.Dropped
-	res.OutageDrops = db.Down.OutageDrops
-	res.AqmDrops = db.Down.AqmDrops
+	down := sh.Path.Down
+	res.Offered = down.Sent + down.Dropped
+	res.Dropped = down.Dropped
+	res.OutageDrops = down.OutageDrops
+	res.AqmDrops = down.AqmDrops
 	if res.Offered > 0 {
 		res.InducedLoss = float64(res.Dropped) / float64(res.Offered)
 	}
-	res.Unrouted = db.Unrouted()
+	res.Unrouted = sh.Switch.Unrouted
 	if s.Duration > 0 {
 		res.AggregateMbps = float64(aggregate) * 8 / s.Duration.Seconds() / 1e6
 	}

@@ -180,7 +180,7 @@ func TestRunSharedDeterminism(t *testing.T) {
 	}
 	for i := range a.Outcomes {
 		x, y := a.Outcomes[i], b.Outcomes[i]
-		if x.Start != y.Start || x.Downloaded != y.Downloaded || x.Packets != y.Packets {
+		if x.Config.StartAt != y.Config.StartAt || x.Downloaded != y.Downloaded || x.Packets != y.Packets {
 			t.Fatalf("outcome %d differs between identical runs", i)
 		}
 		if x.Downloaded == 0 {
@@ -191,7 +191,7 @@ func TestRunSharedDeterminism(t *testing.T) {
 		}
 	}
 	if a.Unrouted != 0 {
-		t.Fatalf("%d unrouted packets in a fully attached dumbbell", a.Unrouted)
+		t.Fatalf("%d unrouted packets with every client attached", a.Unrouted)
 	}
 }
 
@@ -215,7 +215,7 @@ func TestRunSharedPerClientCaptures(t *testing.T) {
 		}
 		sum += down
 		// Every record in a client's capture must involve its address.
-		addr := clientAddr(i)
+		addr := session.ClientAddrOf(i)
 		for _, rec := range o.Trace.Records {
 			if rec.Seg.Src.Addr != addr && rec.Seg.Dst.Addr != addr {
 				t.Fatalf("client %d capture contains foreign packet", i)

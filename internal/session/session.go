@@ -5,11 +5,16 @@
 // online analyzer (analysis.Streaming) observes the packets — O(flows)
 // state, with segment structs recycled through a pool — while Buffered
 // retains the full trace.Trace for pcap export and offline tooling.
+//
+// Shared is the one wiring: any number of such clients behind one
+// bottleneck path to one server, each captured on its own. Run, the
+// paper's isolated measurement, is its one-client case.
 package session
 
 import (
 	"errors"
 	"io"
+	"math/rand"
 	"time"
 
 	"repro/internal/analysis"
@@ -102,11 +107,27 @@ type Result struct {
 	Elapsed time.Duration
 }
 
-// ClientAddr is the measurement vantage address used in captures.
-var ClientAddr = [4]byte{10, 0, 0, 1}
-
 // ServerAddr is the service address.
 var ServerAddr = [4]byte{203, 0, 113, 10}
+
+// ClientAddr is the measurement vantage address used in captures: the
+// address of client 0, the only client of a plain session.
+var ClientAddr = ClientAddrOf(0)
+
+// ClientAddrOf numbers clients from 10.0.0.1 upward across the whole
+// 10.0.0.0/8 plan: three octets of i+1, injective below 2^24-1 and
+// identical to the historical 10.0/16 numbering for the first 65535
+// clients. Shared runs and fleet cells address their clients with it.
+func ClientAddrOf(i int) [4]byte {
+	return [4]byte{10, byte((i + 1) >> 16), byte((i + 1) >> 8), byte(i + 1)}
+}
+
+// ClientIndex inverts ClientAddrOf: the client index behind an address
+// in the 10.0.0.0/8 plan. ok is false for any other address.
+func ClientIndex(addr [4]byte) (i int, ok bool) {
+	i = int(addr[1])<<16 | int(addr[2])<<8 | int(addr[3]) - 1
+	return i, addr[0] == 10 && i >= 0
+}
 
 // AnalysisConfig returns the analyzer configuration a session derives
 // from its video metadata (also used by the equivalence tests to
@@ -119,73 +140,175 @@ func (cfg Config) AnalysisConfig() analysis.Config {
 	}
 }
 
-// Run executes the session and analyzes the capture.
+// Run executes the session and analyzes the capture: the one-client
+// case of a Shared run.
 func Run(cfg Config) *Result {
+	s := NewShared(cfg)
+	s.Add(cfg)
+	return s.Run()[0]
+}
+
+// Shared is one deterministic simulation in which clients share a path
+// to one server: the server sends on Path.Down into Switch, which
+// routes by client address, and every client sends on Path.Up. Each
+// client is captured on its own, as if tcpdump ran on it. A plain
+// session (Run) is the one-client case.
+//
+// Use it in three steps: NewShared, then Add every client in index
+// order, then Run. Apart from the dynamics timelines, nothing draws
+// from the scheduler's rng or schedules an event until the players
+// start in Run, so draws the caller makes from Rand before then
+// (arrival offsets, say) come first in the rng stream.
+type Shared struct {
+	// Path is the shared bottleneck; Switch is its client side.
+	Path   *netem.Path
+	Switch *netem.Switch
+
+	cfg     Config // the shared part; see NewShared
+	sch     *sim.Scheduler
+	server  *tcp.Host
+	catalog interface{ AddVideo(media.Video) }
+	clients []client
+	sinks   []trace.Sink // per-client capture, by client index
+	// buffered is set when any client retains its trace.
+	buffered bool
+}
+
+// client is one Add-ed session inside a Shared run.
+type client struct {
+	cfg    Config
+	host   *tcp.Host
+	stream *analysis.Streaming
+	series *trace.Series
+	trace  *trace.Trace
+}
+
+// NewShared builds the shared part of a run from cfg's Seed, Network,
+// Service, ServerTCP, dynamics timelines and Duration (0 means
+// DefaultDuration): the scheduler, the server and its service, and the
+// path with a Switch on its client side. The dynamics are applied
+// here, so they schedule ahead of every player start.
+func NewShared(cfg Config) *Shared {
 	if cfg.Duration <= 0 {
 		cfg.Duration = DefaultDuration
 	}
 	sch := sim.NewScheduler(cfg.Seed)
-	client := tcp.NewHost(sch, ClientAddr[0], ClientAddr[1], ClientAddr[2], ClientAddr[3])
 	server := tcp.NewHost(sch, ServerAddr[0], ServerAddr[1], ServerAddr[2], ServerAddr[3])
-	path := netem.NewPath(sch, cfg.Network, client, server)
-	client.SetLink(path.Up)
+	sw := netem.NewSwitch()
+	path := netem.NewPath(sch, cfg.Network, sw, server)
 	server.SetLink(path.Down)
 	cfg.DownDynamics.Apply(sch, path.Down)
 	cfg.UpDynamics.Apply(sch, path.Up)
+	s := &Shared{Path: path, Switch: sw, cfg: cfg, sch: sch, server: server}
+	if cfg.Service == Netflix {
+		s.catalog = service.NewNetflix(server, cfg.ServerTCP, nil)
+	} else {
+		s.catalog = service.NewYouTube(server, cfg.ServerTCP, nil)
+	}
+	return s
+}
+
+// Rand is the simulation's rng, for draws the caller must make before
+// any player starts.
+func (s *Shared) Rand() *rand.Rand { return s.sch.Rand() }
+
+// Add wires the next client, numbered len(clients) in the address plan
+// (ClientAddrOf): a host sending on Path.Up and routed by Switch, its
+// video in the service catalog, and its capture sinks. It reads the
+// per-client fields of cfg: Video, Player, StartAt, Buffered, Series
+// and SeriesBin. The player starts in Run.
+func (s *Shared) Add(cfg Config) {
+	addr := ClientAddrOf(len(s.clients))
+	host := tcp.NewHost(s.sch, addr[0], addr[1], addr[2], addr[3])
+	host.SetLink(s.Path.Up)
+	s.Switch.Route(addr, host)
+	s.catalog.AddVideo(cfg.Video)
+	cfg.Duration = s.cfg.Duration
 
 	// tcpdump at the client vantage point: a fan-out of streaming
 	// sinks, plus the buffered trace when asked for.
-	stream := analysis.NewStreaming(cfg.AnalysisConfig())
-	sinks := []trace.Sink{stream}
-	var series *trace.Series
+	c := client{cfg: cfg, host: host, stream: analysis.NewStreaming(cfg.AnalysisConfig())}
+	sinks := []trace.Sink{c.stream}
 	if cfg.Series {
-		series = &trace.Series{}
-		sinks = append(sinks, series)
+		c.series = &trace.Series{}
+		sinks = append(sinks, c.series)
 	}
-	var tr *trace.Trace
 	if cfg.Buffered {
-		tr = &trace.Trace{}
-		sinks = append(sinks, tr)
-	} else {
+		c.trace = &trace.Trace{}
+		sinks = append(sinks, c.trace)
+		s.buffered = true
+	}
+	s.clients = append(s.clients, c)
+	s.sinks = append(s.sinks, trace.Fanout(sinks...))
+}
+
+// Run attaches the captures, starts every player in index order, runs
+// to the horizon and returns one Result per client, by index.
+func (s *Shared) Run() []*Result {
+	if !s.buffered {
 		// Streaming-only capture: nothing retains segments past the
-		// tap, so both stacks can recycle them through one pool.
+		// tap, so every stack can recycle them through one pool.
 		pool := &packet.Pool{}
-		client.SetSegmentPool(pool)
-		server.SetSegmentPool(pool)
+		s.server.SetSegmentPool(pool)
+		for i := range s.clients {
+			s.clients[i].host.SetSegmentPool(pool)
+		}
 	}
-	sink := trace.Fanout(sinks...)
-	path.AddTaps(trace.SinkTap(sink, trace.Down), trace.SinkTap(sink, trace.Up))
+	s.Path.AddTaps(&clientTap{dir: trace.Down, sinks: s.sinks}, &clientTap{dir: trace.Up, sinks: s.sinks})
 
-	switch cfg.Service {
-	case YouTube:
-		service.NewYouTube(server, cfg.ServerTCP, []media.Video{cfg.Video})
-	case Netflix:
-		service.NewNetflix(server, cfg.ServerTCP, []media.Video{cfg.Video})
+	for i := range s.clients {
+		c := &s.clients[i]
+		env := &player.Env{Sch: s.sch, Host: c.host, Server: packet.Endpoint{Addr: ServerAddr, Port: 80}}
+		p, v := c.cfg.Player, c.cfg.Video
+		if c.cfg.StartAt > 0 {
+			s.sch.At(c.cfg.StartAt, func() { p.Start(env, v) })
+		} else {
+			p.Start(env, v)
+		}
 	}
+	s.sch.RunUntil(s.cfg.Duration)
 
-	env := &player.Env{Sch: sch, Host: client, Server: packet.Endpoint{Addr: ServerAddr, Port: 80}}
-	if cfg.StartAt > 0 {
-		sch.At(cfg.StartAt, func() { cfg.Player.Start(env, cfg.Video) })
-	} else {
-		cfg.Player.Start(env, cfg.Video)
+	out := make([]*Result, len(s.clients))
+	for i := range s.clients {
+		c := &s.clients[i]
+		_ = s.sinks[i].Close()
+		r := &Result{
+			Config:     c.cfg,
+			Analysis:   c.stream.Result(),
+			Trace:      c.trace,
+			Downloaded: c.cfg.Player.Downloaded(),
+			QoE:        c.cfg.Player.QoE(s.sch.Now()),
+			Elapsed:    s.sch.Now(),
+		}
+		r.Packets = r.Analysis.Packets
+		if c.series != nil {
+			r.Download = c.series.Download
+			r.Windows = c.series.Windows
+		}
+		out[i] = r
 	}
-	sch.RunUntil(cfg.Duration)
-	_ = sink.Close()
+	return out
+}
 
-	res := &Result{
-		Config:     cfg,
-		Analysis:   stream.Result(),
-		Trace:      tr,
-		Downloaded: cfg.Player.Downloaded(),
-		QoE:        cfg.Player.QoE(sch.Now()),
-		Elapsed:    sch.Now(),
+// clientTap hands a shared link's packets to the per-client capture
+// sinks, looked up by the client index the address plan encodes: O(1)
+// per packet and no hashing. Downstream packets are keyed on their
+// destination, upstream ones on their source; packets of no client are
+// skipped.
+type clientTap struct {
+	dir   trace.Dir
+	sinks []trace.Sink
+}
+
+// Capture implements netem.Tap.
+func (t *clientTap) Capture(at time.Duration, seg *packet.Segment) {
+	addr := seg.Src.Addr
+	if t.dir == trace.Down {
+		addr = seg.Dst.Addr
 	}
-	res.Packets = res.Analysis.Packets
-	if series != nil {
-		res.Download = series.Download
-		res.Windows = series.Windows
+	if i, ok := ClientIndex(addr); ok && i < len(t.sinks) {
+		t.sinks[i].Capture(at, t.dir, seg)
 	}
-	return res
 }
 
 // ErrNotBuffered is returned when pcap export is requested from a

@@ -8,6 +8,7 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/media"
 	"repro/internal/netem"
+	"repro/internal/packet"
 	"repro/internal/player"
 	"repro/internal/trace"
 )
@@ -344,6 +345,48 @@ func TestDynamicsReachSession(t *testing.T) {
 	}
 	if r.Downloaded == 0 {
 		t.Fatal("transfer must resume after the outage")
+	}
+}
+
+// countSink counts the packets a capture sink observes.
+type countSink struct{ n int }
+
+func (c *countSink) Capture(time.Duration, trace.Dir, *packet.Segment) { c.n++ }
+func (c *countSink) Close() error                                      { return nil }
+
+// TestClientTapSkipsNonClients: the per-client dispatch indexes a slice
+// by the address plan, so it must skip every address outside the plan —
+// the server's 203.0.113.10 (whose low 24 bits would read as client
+// 28937), 10.0.0.0 (index -1) — and clients past the slice.
+func TestClientTapSkipsNonClients(t *testing.T) {
+	srvIdx := int(ServerAddr[1])<<16 | int(ServerAddr[2])<<8 | int(ServerAddr[3]) - 1
+	sinks := make([]trace.Sink, srvIdx+1)
+	counts := make([]countSink, len(sinks))
+	for i := range sinks {
+		sinks[i] = &counts[i]
+	}
+	seg := func(src, dst [4]byte) *packet.Segment {
+		return &packet.Segment{Flow: packet.Flow{Src: packet.Endpoint{Addr: src, Port: 80}, Dst: packet.Endpoint{Addr: dst, Port: 40000}}}
+	}
+	down := &clientTap{dir: trace.Down, sinks: sinks}
+	up := &clientTap{dir: trace.Up, sinks: sinks}
+	for _, addr := range [][4]byte{ServerAddr, {10, 0, 0, 0}, ClientAddrOf(len(sinks)), {192, 168, 0, 1}} {
+		down.Capture(0, seg(ClientAddr, addr))
+		up.Capture(0, seg(addr, ClientAddr))
+	}
+	for i := range counts {
+		if counts[i].n != 0 {
+			t.Fatalf("sink %d captured %d packets of no client", i, counts[i].n)
+		}
+	}
+	last := ClientAddrOf(srvIdx)
+	down.Capture(0, seg(ServerAddr, last))
+	up.Capture(0, seg(last, ServerAddr))
+	if counts[srvIdx].n != 2 {
+		t.Fatalf("client %d captured %d packets, want 2", srvIdx, counts[srvIdx].n)
+	}
+	if i, ok := ClientIndex(ClientAddr); !ok || i != 0 {
+		t.Fatalf("ClientIndex(ClientAddr) = %d, %v; want 0, true", i, ok)
 	}
 }
 
