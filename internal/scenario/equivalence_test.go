@@ -144,8 +144,34 @@ func TestStreamingMatchesBufferedPcapRoundTrip(t *testing.T) {
 	if materialized.Strategy != r.Analysis.Strategy {
 		t.Fatalf("strategy from pcap = %v, live = %v", materialized.Strategy, r.Analysis.Strategy)
 	}
+}
+
+// TestClassifyPcapRoundTrip classifies a saved capture the way vanalyze
+// does — StreamPcap into the online analyzer, with no out-of-band
+// metadata — and expects the strategy the live session saw. A file with
+// no pcap header must error rather than classify as empty.
+func TestClassifyPcapRoundTrip(t *testing.T) {
+	sp := Spec{
+		Profile:  netem.Research,
+		Player:   Flash,
+		Sessions: 1,
+		Duration: 60 * time.Second,
+		Seed:     2,
+	}
+	r := runOne(t, sp, true)
+	var buf bytes.Buffer
+	if err := r.WritePcap(&buf); err != nil {
+		t.Fatal(err)
+	}
+	st := analysis.NewStreaming(analysis.Config{})
+	if err := trace.StreamPcap(&buf, session.ClientAddr, st); err != nil {
+		t.Fatal(err)
+	}
+	if a := st.Result(); a.Strategy != r.Analysis.Strategy {
+		t.Fatalf("pcap classify %v, live %v", a.Strategy, r.Analysis.Strategy)
+	}
 	junk := []byte("junk....................")
-	if err := trace.StreamPcap(bytes.NewReader(junk), session.ClientAddr, analysis.NewStreaming(cfg)); err == nil {
+	if err := trace.StreamPcap(bytes.NewReader(junk), session.ClientAddr, analysis.NewStreaming(analysis.Config{})); err == nil {
 		t.Fatal("a capture with no pcap header must error")
 	}
 }
