@@ -12,6 +12,7 @@ package repro
 
 import (
 	"fmt"
+	"io"
 	"runtime"
 	"sync"
 	"testing"
@@ -25,6 +26,7 @@ import (
 	"repro/internal/scenario"
 	"repro/internal/session"
 	"repro/internal/tcp"
+	"repro/internal/trace"
 )
 
 // benchOpts is the paper-scale configuration: 180 s captures, a
@@ -46,9 +48,8 @@ func emit(b *testing.B, artifact fmt.Stringer) {
 
 // BenchmarkSingleSession tracks the per-session hot-path cost
 // (scheduler + link + TCP event machinery) with allocation stats: one
-// 180 s Flash capture on the Research profile, in the default
-// streaming-capture mode (online analyzer at the tap, segment pool
-// on, no buffered trace).
+// 180 s Flash capture on the Research profile: the online analyzer at
+// the tap, segment pool on, no Capture sink attached.
 func BenchmarkSingleSession(b *testing.B) {
 	v := media.Video{ID: 99, EncodingRate: 1e6, Duration: 300 * time.Second, Container: media.Flash, Resolution: "360p"}
 	b.ReportAllocs()
@@ -82,19 +83,26 @@ func BenchmarkSingleSessionCubic(b *testing.B) { benchSingleSessionCC(b, tcp.CCC
 
 func BenchmarkSingleSessionBbr(b *testing.B) { benchSingleSessionCC(b, tcp.CCBbr) }
 
-// BenchmarkSingleSessionBuffered is the same session in
-// tcpdump-then-analyze mode: the full trace is retained (pinning every
-// segment, pool off) and analyzed by replay. The B/op gap between this
-// and BenchmarkSingleSession is the memory win of the sink pipeline.
-func BenchmarkSingleSessionBuffered(b *testing.B) {
+// BenchmarkSingleSessionPcap is the same session exporting its capture:
+// a trace.PcapSink on io.Discard rides the tap after the analyzer, so
+// the B/op and allocs/op gap to BenchmarkSingleSession is the cost of
+// pcap export.
+func BenchmarkSingleSessionPcap(b *testing.B) {
 	v := media.Video{ID: 99, EncodingRate: 1e6, Duration: 300 * time.Second, Container: media.Flash, Resolution: "360p"}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
+		ps, err := trace.NewPcapSink(io.Discard, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
 		session.Run(session.Config{
 			Video: v, Service: session.YouTube,
 			Player:  player.NewFlashPlayer("Internet Explorer"),
-			Network: netem.Research, Seed: 7, Buffered: true,
+			Network: netem.Research, Seed: 7, Capture: ps,
 		})
+		if err := ps.Close(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -1,7 +1,8 @@
 // Command vsession runs one simulated streaming session — the
 // equivalent of the paper's "start tcpdump, load the video URL, stop
-// after 180 seconds" loop — and writes the capture plus an analysis
-// summary.
+// after 180 seconds" loop — and prints an analysis summary. -pcap
+// streams the capture to a pcap file as the session runs, and -csv
+// writes the cumulative download series; neither buffers the packets.
 //
 // The -app names are the scenario player kinds (vsession -list prints
 // them with their service). The browser is a label only for the Flash
@@ -25,6 +26,7 @@ import (
 	"repro/internal/netem"
 	"repro/internal/scenario"
 	"repro/internal/session"
+	"repro/internal/trace"
 )
 
 func main() {
@@ -64,6 +66,26 @@ func main() {
 	if kind.Service() == session.Netflix {
 		v.Resolution = "adaptive"
 	}
+	// Attach only the sinks the output flags ask for.
+	var sinks []trace.Sink
+	var pcapFile *os.File
+	if *pcapPath != "" {
+		f, err := os.Create(*pcapPath)
+		if err != nil {
+			fatalf("creating pcap: %v", err)
+		}
+		ps, err := trace.NewPcapSink(f, 0)
+		if err != nil {
+			fatalf("writing pcap: %v", err)
+		}
+		pcapFile = f
+		sinks = append(sinks, ps)
+	}
+	series := &trace.Series{}
+	if *csvPath != "" {
+		sinks = append(sinks, series)
+	}
+	sink := trace.Fanout(sinks...)
 	res := session.Run(session.Config{
 		Video:    v,
 		Service:  kind.Service(),
@@ -71,11 +93,11 @@ func main() {
 		Network:  prof,
 		Duration: time.Duration(*capture * float64(time.Second)),
 		Seed:     *seed,
-		// Streaming capture by default; buffer only what the output
-		// flags actually need.
-		Buffered: *pcapPath != "",
-		Series:   *csvPath != "",
+		Capture:  sink,
 	})
+	if err := sink.Close(); err != nil {
+		fatalf("writing pcap: %v", err)
+	}
 	a := res.Analysis
 	fmt.Printf("session : %s on %s, %s\n", kind, prof.Name, v)
 	fmt.Printf("capture : %d packets, %.2f MB down, %d connections\n",
@@ -89,15 +111,8 @@ func main() {
 			len(a.Rungs), a.RungSwitches)
 	}
 
-	if *pcapPath != "" {
-		f, err := os.Create(*pcapPath)
-		if err != nil {
-			fatalf("creating pcap: %v", err)
-		}
-		if err := res.WritePcap(f); err != nil {
-			fatalf("writing pcap: %v", err)
-		}
-		if err := f.Close(); err != nil {
+	if pcapFile != nil {
+		if err := pcapFile.Close(); err != nil {
 			fatalf("closing pcap: %v", err)
 		}
 		fmt.Printf("pcap    : %s\n", *pcapPath)
@@ -109,7 +124,7 @@ func main() {
 		}
 		w := csv.NewWriter(f)
 		_ = w.Write([]string{"t_seconds", "bytes"})
-		for _, p := range res.Download {
+		for _, p := range series.Download {
 			_ = w.Write([]string{
 				strconv.FormatFloat(p.TS.Seconds(), 'f', 6, 64),
 				strconv.FormatInt(p.Bytes, 10),

@@ -3,9 +3,9 @@
 // every client's capture flows through an online analysis.Streaming
 // sink attached at the tap, so the run holds per-flow state and a few
 // fixed-width series bins instead of hundreds of thousands of buffered
-// packets (each outcome's Trace stays nil — nothing to buffer). This is the
-// sink pipeline the experiments run on by default; tcpdump mode is one
-// Spec.Buffered flag away when a pcap is actually wanted.
+// packets. Every session runs on this sink pipeline; a pcap export is
+// one more sink (trace.PcapSink as session.Config.Capture), written
+// while the session runs.
 //
 //	go run ./examples/streaming
 package main
@@ -44,12 +44,12 @@ func main() {
 		res.Offered, res.InducedLoss*100, res.AggregateMbps)
 	fmt.Printf("strategies : %s\n\n", res.StrategyMix())
 
-	fmt.Printf("%-3s %-8s %-9s %-14s %-10s %s\n", "id", "start", "packets", "strategy", "MB down", "buffered trace?")
+	fmt.Printf("%-3s %-8s %-9s %-14s %s\n", "id", "start", "packets", "strategy", "MB down")
 	for i, o := range res.Outcomes {
 		a := o.Analysis
-		fmt.Printf("%-3d %-8s %-9d %-14s %-10.2f %v\n",
+		fmt.Printf("%-3d %-8s %-9d %-14s %.2f\n",
 			i, o.Config.StartAt.Round(time.Second), o.Packets, a.Strategy,
-			float64(a.TotalBytes)/1e6, o.Trace != nil)
+			float64(a.TotalBytes)/1e6)
 	}
 
 	// The binned download curve of the first arrival: each row is one
@@ -65,7 +65,7 @@ func main() {
 	fmt.Println("Every number above came out of sinks that never stored a packet:")
 	fmt.Println("the analyzer keeps per-flow counters, the cycle list, and these")
 	fmt.Println("bins, while segment structs are recycled through a pool the moment")
-	fmt.Println("they are delivered. Set Spec.Buffered to flip the same run back to")
-	fmt.Println("tcpdump-then-analyze and export pcaps — the classifier output is")
-	fmt.Println("bit-identical either way (enforced by the equivalence test suite).")
+	fmt.Println("they are delivered. A pcap export is one more sink on the same tap")
+	fmt.Println("(trace.PcapSink), and replaying that pcap through the analyzer gives")
+	fmt.Println("bit-identical results (enforced by the equivalence test suite).")
 }

@@ -13,9 +13,10 @@
 //     Figure 9), and
 //   - the streaming-strategy classifier (2.5 MB block threshold).
 //
-// The core is Streaming, an online trace.Sink holding O(flows) state;
-// Analyze replays a buffered Trace through the same core, so buffered
-// and streaming sessions produce bit-identical Results.
+// The core is Streaming, an online trace.Sink holding O(flows) state.
+// A saved capture is analyzed by streaming it through the same core
+// (trace.StreamPcap, or Trace.Replay of a recording), so live and
+// offline analysis produce bit-identical Results.
 package analysis
 
 import (
@@ -25,7 +26,6 @@ import (
 
 	"repro/internal/media"
 	"repro/internal/stats"
-	"repro/internal/trace"
 )
 
 // LongCycleBytes is the paper's block-size boundary between short and
@@ -175,16 +175,6 @@ type Result struct {
 	// RungSwitches counts rendition changes between adjacent spans.
 	Rungs        []RungSpan
 	RungSwitches int
-}
-
-// Analyze runs the full pipeline on a buffered trace by replaying it
-// through the streaming core.
-func Analyze(t *trace.Trace, cfg Config) *Result {
-	s := NewStreaming(cfg)
-	for _, rec := range t.Records {
-		s.Capture(rec.TS, rec.Dir, rec.Seg)
-	}
-	return s.Result()
 }
 
 // mediaFromStream recovers content metadata from the reassembled

@@ -22,7 +22,7 @@ func TestProbeFilteredFromCycles(t *testing.T) {
 	}
 	s.idle(time.Second)
 	s.data(nil, 512<<10, 120*time.Microsecond)
-	r := Analyze(s.tr, Config{})
+	r := replay(s.tr, Config{})
 	if len(r.Cycles) != 2 {
 		t.Fatalf("cycles = %d, want 2 (probes must not split the OFF period)", len(r.Cycles))
 	}
@@ -38,7 +38,7 @@ func TestSmallSegmentsInsideOnPeriodCount(t *testing.T) {
 	s.data(nil, 64<<10, 120*time.Microsecond)
 	s.data([]byte("tiny"), 0, 120*time.Microsecond)
 	s.data(nil, 64<<10, 120*time.Microsecond)
-	r := Analyze(s.tr, Config{})
+	r := replay(s.tr, Config{})
 	if len(r.Cycles) != 1 {
 		t.Fatalf("cycles = %d, want 1", len(r.Cycles))
 	}
@@ -54,7 +54,7 @@ func TestNearContinuousTransferIsBulk(t *testing.T) {
 	s.data(nil, 20<<20, 120*time.Microsecond)
 	s.idle(300 * time.Millisecond) // an RTO-backoff stall
 	s.data(nil, 30<<20, 120*time.Microsecond)
-	r := Analyze(s.tr, Config{})
+	r := replay(s.tr, Config{})
 	if r.Strategy != NoOnOff {
 		t.Fatalf("strategy = %v, want No ON-OFF (stall << active span)", r.Strategy)
 	}
@@ -77,7 +77,7 @@ func TestMultiFlowAggregation(t *testing.T) {
 		}
 		now += 2 * time.Second
 	}
-	r := Analyze(tr, Config{})
+	r := replay(tr, Config{})
 	if r.ConnCount != 6 {
 		t.Fatalf("conn count = %d", r.ConnCount)
 	}
@@ -95,11 +95,11 @@ func TestOffThresholdConfigurable(t *testing.T) {
 	s.idle(200 * time.Millisecond)
 	s.data(nil, 64<<10, 120*time.Microsecond)
 	// Default threshold 150 ms: split into two cycles.
-	if r := Analyze(s.tr, Config{}); len(r.Cycles) != 2 {
+	if r := replay(s.tr, Config{}); len(r.Cycles) != 2 {
 		t.Fatalf("default threshold cycles = %d", len(r.Cycles))
 	}
 	// A 300 ms threshold merges them.
-	if r := Analyze(s.tr, Config{OffThreshold: 300 * time.Millisecond}); len(r.Cycles) != 1 {
+	if r := replay(s.tr, Config{OffThreshold: 300 * time.Millisecond}); len(r.Cycles) != 1 {
 		t.Fatalf("relaxed threshold cycles = %d", len(r.Cycles))
 	}
 }
@@ -120,7 +120,7 @@ func TestPropertyCycleInvariants(t *testing.T) {
 		if total == 0 {
 			return true
 		}
-		r := Analyze(s.tr, Config{})
+		r := replay(s.tr, Config{})
 		var sum int64
 		for i, c := range r.Cycles {
 			sum += c.Bytes
@@ -154,8 +154,8 @@ func TestPropertyClassificationMonotone(t *testing.T) {
 		}
 		return s.tr
 	}
-	small := Analyze(build(5), Config{})
-	big := Analyze(build(50), Config{})
+	small := replay(build(5), Config{})
+	big := replay(build(50), Config{})
 	if small.Strategy != ShortOnOff || big.Strategy != ShortOnOff {
 		t.Fatalf("strategies: %v, %v", small.Strategy, big.Strategy)
 	}
@@ -168,7 +168,7 @@ func TestRTTFallbackWithoutHandshake(t *testing.T) {
 	tr := &trace.Trace{}
 	dt := tr.Tap(trace.Down)
 	dt.Capture(time.Millisecond, &packet.Segment{Flow: down, Seq: 1, Flags: packet.FlagACK, PayloadLen: 1460})
-	r := Analyze(tr, Config{})
+	r := replay(tr, Config{})
 	if r.RTT != 40*time.Millisecond {
 		t.Fatalf("fallback RTT = %v", r.RTT)
 	}

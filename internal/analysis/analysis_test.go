@@ -55,6 +55,14 @@ func (s *synth) data(payload []byte, n int, gap time.Duration) {
 
 func (s *synth) idle(d time.Duration) { s.now += d }
 
+// replay analyzes a recorded trace the way the live tap would have:
+// every record through the streaming core, in capture order.
+func replay(tr *trace.Trace, cfg Config) *Result {
+	s := NewStreaming(cfg)
+	tr.Replay(s)
+	return s.Result()
+}
+
 func httpHead(contentLength int64) []byte {
 	return []byte(fmt.Sprintf("HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n", contentLength))
 }
@@ -78,7 +86,7 @@ func buildFlashLike() *trace.Trace {
 }
 
 func TestAnalyzeFlashShortOnOff(t *testing.T) {
-	r := Analyze(buildFlashLike(), Config{})
+	r := replay(buildFlashLike(), Config{})
 	if r.Strategy != ShortOnOff {
 		t.Fatalf("strategy = %v, want Short ON-OFF", r.Strategy)
 	}
@@ -111,7 +119,7 @@ func TestAnalyzeNoOnOff(t *testing.T) {
 	v := flashVideo()
 	s.data(append(httpHead(v.Size()), media.EncodeFLVHeader(v)...), 0, time.Millisecond)
 	s.data(nil, 20<<20, 120*time.Microsecond) // whole video at line rate
-	r := Analyze(s.tr, Config{})
+	r := replay(s.tr, Config{})
 	if r.Strategy != NoOnOff {
 		t.Fatalf("strategy = %v, want No ON-OFF", r.Strategy)
 	}
@@ -132,7 +140,7 @@ func TestAnalyzeLongOnOff(t *testing.T) {
 		s.idle(30 * time.Second)
 		s.data(nil, 6<<20, 120*time.Microsecond) // blocks > 2.5 MB
 	}
-	r := Analyze(s.tr, Config{})
+	r := replay(s.tr, Config{})
 	if r.Strategy != LongOnOff {
 		t.Fatalf("strategy = %v, want Long ON-OFF", r.Strategy)
 	}
@@ -161,7 +169,7 @@ func TestAnalyzeMultipleStrategy(t *testing.T) {
 			s.data(nil, 5<<20, 120*time.Microsecond)
 		}
 	}
-	r := Analyze(s.tr, Config{})
+	r := replay(s.tr, Config{})
 	if r.Strategy != MultipleOnOff {
 		t.Fatalf("strategy = %v, want Multiple", r.Strategy)
 	}
@@ -174,7 +182,7 @@ func TestSegmentationOffDurations(t *testing.T) {
 	s.data(nil, 64<<10, 120*time.Microsecond)
 	s.idle(3 * time.Second)
 	s.data(nil, 64<<10, 120*time.Microsecond)
-	r := Analyze(s.tr, Config{})
+	r := replay(s.tr, Config{})
 	if len(r.Cycles) != 3 {
 		t.Fatalf("cycles = %d, want 3", len(r.Cycles))
 	}
@@ -195,7 +203,7 @@ func TestSlowStartGapsDoNotSplitBuffering(t *testing.T) {
 		s.idle(80 * time.Millisecond) // RTT-spaced
 	}
 	s.data(nil, 2<<20, 120*time.Microsecond)
-	r := Analyze(s.tr, Config{})
+	r := replay(s.tr, Config{})
 	if len(r.Cycles) != 1 {
 		t.Fatalf("slow-start gaps split the buffering phase into %d cycles", len(r.Cycles))
 	}
@@ -210,7 +218,7 @@ func TestAckClockSamples(t *testing.T) {
 	s.data(nil, 64<<10, 100*time.Microsecond) // 45 segs * 0.1ms = 4.5ms < RTT
 	s.idle(5 * time.Second)
 	s.data(nil, 64<<10, 5*time.Millisecond) // spread over 220ms >> RTT
-	r := Analyze(s.tr, Config{})
+	r := replay(s.tr, Config{})
 	if len(r.FirstRTTBytes) != 2 {
 		t.Fatalf("ack clock samples = %d", len(r.FirstRTTBytes))
 	}
@@ -224,7 +232,7 @@ func TestAckClockSamples(t *testing.T) {
 }
 
 func TestEmptyTrace(t *testing.T) {
-	r := Analyze(&trace.Trace{}, Config{})
+	r := replay(&trace.Trace{}, Config{})
 	if r.Strategy != StrategyUnknown {
 		t.Fatalf("strategy = %v", r.Strategy)
 	}
@@ -239,7 +247,7 @@ func TestKnownRateFallback(t *testing.T) {
 	s.data(nil, 1<<20, 120*time.Microsecond)
 	s.idle(time.Second)
 	s.data(nil, 64<<10, 120*time.Microsecond)
-	r := Analyze(s.tr, Config{KnownRate: 2e6})
+	r := replay(s.tr, Config{KnownRate: 2e6})
 	if r.Media.RateSource != "known" || r.Media.EncodingRate != 2e6 {
 		t.Fatalf("media = %+v", r.Media)
 	}
@@ -249,7 +257,7 @@ func TestKnownRateFallback(t *testing.T) {
 }
 
 func TestPlaybackBuffered(t *testing.T) {
-	r := Analyze(buildFlashLike(), Config{})
+	r := replay(buildFlashLike(), Config{})
 	// ~5 MB at 1 Mbps ≈ 40 s of playback.
 	if pb := r.PlaybackBuffered(); pb < 38 || pb > 46 {
 		t.Fatalf("playback buffered = %.1fs, want ~40s", pb)
@@ -269,7 +277,7 @@ func TestStrategyStrings(t *testing.T) {
 }
 
 func TestResultString(t *testing.T) {
-	if Analyze(buildFlashLike(), Config{}).String() == "" {
+	if replay(buildFlashLike(), Config{}).String() == "" {
 		t.Fatal("String must be non-empty")
 	}
 }

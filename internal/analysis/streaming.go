@@ -14,8 +14,8 @@ import (
 // sampling, retransmission counting, media extraction and strategy
 // classification — one packet at a time, holding O(flows) state
 // instead of the O(packets) buffer the tcpdump-then-analyze pipeline
-// needs. Analyze replays a buffered Trace through this same core, so
-// the two modes cannot drift apart.
+// needs. Saved captures replay through this same core, so live and
+// offline analysis cannot drift apart.
 //
 // The only unbounded inputs it keeps are (a) per-flow high-water marks
 // and (b) ACK-clock samples (16 bytes per data segment) deferred while
@@ -82,7 +82,7 @@ type ackSample struct {
 }
 
 // NewStreaming returns an online analyzer with the given config (zero
-// values take the same defaults as Analyze).
+// values take defaults; see Config).
 func NewStreaming(cfg Config) *Streaming {
 	return &Streaming{
 		cfg:   cfg.withDefaults(),

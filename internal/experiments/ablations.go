@@ -61,12 +61,14 @@ func AblationIdleReset(o Options) *AblationIdleResetResult {
 	return res
 }
 
-// lab is a bare two-host TCP testbed with a trace tap.
+// lab is a bare two-host TCP testbed whose path is tapped by the
+// online analyzer and the window series.
 type lab struct {
 	sch            *sim.Scheduler
 	client, server *tcp.Host
 	path           *netem.Path
-	tr             *trace.Trace
+	stream         *analysis.Streaming
+	series         *trace.Series
 }
 
 func newLab(seed int64, prof netem.Profile) *lab {
@@ -76,10 +78,10 @@ func newLab(seed int64, prof netem.Profile) *lab {
 	path := netem.NewPath(sch, prof, client, server)
 	client.SetLink(path.Up)
 	server.SetLink(path.Down)
-	tr := &trace.Trace{}
-	path.Down.AddTap(tr.Tap(trace.Down))
-	path.Up.AddTap(tr.Tap(trace.Up))
-	return &lab{sch: sch, client: client, server: server, path: path, tr: tr}
+	stream, series := analysis.NewStreaming(analysis.Config{}), &trace.Series{}
+	sink := trace.Fanout(stream, series)
+	path.AddTaps(trace.SinkTap(sink, trace.Down), trace.SinkTap(sink, trace.Up))
+	return &lab{sch: sch, client: client, server: server, path: path, stream: stream, series: series}
 }
 
 // AblationDelayedAckResult compares upstream ACK volume.
@@ -174,10 +176,10 @@ type labAnalysis struct {
 
 func analyzeLab(l *lab) labAnalysis {
 	var out labAnalysis
-	a := analysis.Analyze(l.tr, analysis.Config{})
+	a := l.stream.Result()
 	out.median = a.MedianBlock()
 	out.burst = a.BufferedBytes
-	for _, wp := range l.tr.ReceiveWindowSeries() {
+	for _, wp := range l.series.Windows {
 		if wp.Window == 0 {
 			out.zeroWindows++
 		}

@@ -11,11 +11,8 @@ import (
 	"repro/internal/packet"
 	"repro/internal/player"
 	"repro/internal/runner"
-	"repro/internal/service"
 	"repro/internal/session"
-	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/tcp"
 )
 
 // AggregateLossResult is the packet-level companion to the Section 6
@@ -89,57 +86,40 @@ func AggregateLoss(o Options) *AggregateLossResult {
 	// Each case owns a scheduler and a seed, so the three strategies
 	// run concurrently on the pool.
 	res.Rows = runner.Map(o.pool(), cases, func(ci int, c aggCase) AggregateRow {
-		sch := sim.NewScheduler(o.Seed + int64(ci))
-		server := tcp.NewHost(sch, session.ServerAddr[0], session.ServerAddr[1], session.ServerAddr[2], session.ServerAddr[3])
-		// The only tap is the streaming rateMeter (nothing retains
-		// segments past capture), so every stack in the case can recycle
-		// segments through one pool — without it each packet allocates,
-		// which at fleet scale dominated the benchmark's allocation
-		// profile (~5.4M allocs/op vs ≤175k for the pooled benches).
-		pool := &packet.Pool{}
-		server.SetSegmentPool(pool)
 		// A tight queue makes strategy burstiness visible as drops.
-		prof := netem.Profile{
-			Name: "bottleneck", Down: 100 * netem.Mbps, Up: 100 * netem.Mbps,
-			RTT: 40 * time.Millisecond, Queue: 384 << 10,
-		}
-		sw := netem.NewSwitch()
-		path := netem.NewPath(sch, prof, sw, server)
-		server.SetLink(path.Down)
+		sh := session.NewShared(session.Config{
+			Service: session.YouTube, Seed: o.Seed + int64(ci), Duration: horizon,
+			Network: netem.Profile{
+				Name: "bottleneck", Down: 100 * netem.Mbps, Up: 100 * netem.Mbps,
+				RTT: 40 * time.Millisecond, Queue: 384 << 10,
+			},
+		})
 		meter := &rateMeter{bucket: time.Second, buckets: map[int]int64{}}
-		path.Down.AddTap(meter)
+		sh.Path.Down.AddTap(meter)
 
-		var vids []media.Video
-		for i := 0; i < n; i++ {
-			vids = append(vids, media.Video{
+		// Every draw precedes the run: the video durations, then the
+		// staggered arrivals over the warm-up window.
+		vids := make([]media.Video, n)
+		for i := range vids {
+			vids[i] = media.Video{
 				ID:           1000 + i,
 				EncodingRate: 1.2e6,
-				Duration:     time.Duration(180+sch.Rand().Intn(240)) * time.Second,
+				Duration:     time.Duration(180+sh.Rand().Intn(240)) * time.Second,
 				Container:    c.container,
 				Resolution:   "360p",
-			})
+			}
 		}
-		service.NewYouTube(server, tcp.Config{}, vids)
-		for i := 0; i < n; i++ {
-			i := i
-			addr := session.ClientAddrOf(i)
-			client := tcp.NewHost(sch, addr[0], addr[1], addr[2], addr[3])
-			client.SetSegmentPool(pool)
-			client.SetLink(path.Up)
-			sw.Route(addr, client)
-			env := &player.Env{Sch: sch, Host: client, Server: packet.Endpoint{Addr: session.ServerAddr, Port: 80}}
-			p := c.mk()
-			// Staggered arrivals over the warm-up window.
-			sch.At(time.Duration(sch.Rand().Int63n(int64(warm))), func() {
-				p.Start(env, vids[i])
-			})
+		for _, v := range vids {
+			at := time.Duration(sh.Rand().Int63n(int64(warm)))
+			sh.Add(session.Config{Video: v, Player: c.mk(), StartAt: at})
 		}
-		sch.RunUntil(horizon)
+		sh.Run()
 
-		offered := path.Down.Sent + path.Down.Dropped
+		down := sh.Path.Down
+		offered := down.Sent + down.Dropped
 		loss := 0.0
 		if offered > 0 {
-			loss = float64(path.Down.Dropped) / float64(offered)
+			loss = float64(down.Dropped) / float64(offered)
 		}
 		series := meter.series(warm, horizon)
 		mean := stats.Mean(series)

@@ -17,6 +17,7 @@ import (
 	"repro/internal/player"
 	"repro/internal/runner"
 	"repro/internal/session"
+	"repro/internal/trace"
 )
 
 // Options scales the experiments. Zero values take defaults sized for
@@ -80,14 +81,11 @@ func runSessions(o Options, cfgs []session.Config) []*session.Result {
 	return runner.Sessions(o.pool(), cfgs)
 }
 
-// ytConfig builds one YouTube session config. Experiment sessions run
-// the streaming capture pipeline with the exact figure series enabled
-// (points, not packets), so every artifact stays identical to the
-// buffered pipeline's output.
+// ytConfig builds one YouTube session config.
 func ytConfig(v media.Video, p player.Player, net netem.Profile, seed int64, d time.Duration) session.Config {
 	return session.Config{
 		Video: v, Service: session.YouTube, Player: p,
-		Network: net, Seed: seed, Duration: d, Series: true,
+		Network: net, Seed: seed, Duration: d,
 	}
 }
 
@@ -95,8 +93,17 @@ func ytConfig(v media.Video, p player.Player, net netem.Profile, seed int64, d t
 func nfConfig(v media.Video, p player.Player, net netem.Profile, seed int64, d time.Duration) session.Config {
 	return session.Config{
 		Video: v, Service: session.Netflix, Player: p,
-		Network: net, Seed: seed, Duration: d, Series: true,
+		Network: net, Seed: seed, Duration: d,
 	}
+}
+
+// seriesOf attaches a fresh trace.Series to cfg, for a session whose
+// exact download and window curves a figure draws (points, not
+// packets). Sessions a figure only summarizes attach nothing.
+func seriesOf(cfg *session.Config) *trace.Series {
+	s := &trace.Series{}
+	cfg.Capture = s
+	return s
 }
 
 // runYouTube executes one YouTube session.

@@ -30,15 +30,17 @@ type Figure10Result struct {
 func Figure10(o Options) *Figure10Result {
 	o = o.withDefaults()
 	v := media.Video{ID: 31, EncodingRate: 3800e3, Duration: 45 * time.Minute, Container: media.Silverlight, Resolution: "adaptive"}
-	rs := runSessions(o, []session.Config{
+	cfgs := []session.Config{
 		nfConfig(v, player.NewSilverlightPC("Internet Explorer"), netem.Academic, o.Seed, o.Duration),
 		nfConfig(v, player.NewNetflixIPad(), netem.Academic, o.Seed+1, o.Duration),
 		nfConfig(v, player.NewNetflixAndroid(), netem.Academic, o.Seed+2, o.Duration),
-	})
+	}
+	pcSeries, ipSeries, anSeries := seriesOf(&cfgs[0]), seriesOf(&cfgs[1]), seriesOf(&cfgs[2])
+	rs := runSessions(o, cfgs)
 	pc, ip, an := rs[0], rs[1], rs[2]
 
 	res := &Figure10Result{
-		PC: downloadSeries(pc, 30), IPad: downloadSeries(ip, 30), Android: downloadSeries(an, 30),
+		PC: downloadSeries(pcSeries, 30), IPad: downloadSeries(ipSeries, 30), Android: downloadSeries(anSeries, 30),
 		PCStrategy: pc.Analysis.Strategy, IPadStrategy: ip.Analysis.Strategy, AndroidStrategy: an.Analysis.Strategy,
 		PCConns: pc.Analysis.ConnCount, IPadConns: ip.Analysis.ConnCount, AndConns: an.Analysis.ConnCount,
 		Artifact: Artifact{Title: "Figure 10: streaming strategies used by Netflix (Academic)"},

@@ -10,6 +10,7 @@ import (
 	"repro/internal/session"
 	"repro/internal/stats"
 	"repro/internal/tcp"
+	"repro/internal/trace"
 )
 
 // Figure1Result summarizes the phase anatomy of one session (Figure 1).
@@ -69,11 +70,12 @@ func Figure2(o Options) *Figure2Result {
 	o = o.withDefaults()
 	fv := media.Video{ID: 22, EncodingRate: 1e6, Duration: 300 * time.Second, Container: media.Flash, Resolution: "360p"}
 	hv := media.Video{ID: 23, EncodingRate: 1e6, Duration: 300 * time.Second, Container: media.HTML5, Resolution: "360p"}
-	rs := runSessions(o, []session.Config{
+	cfgs := []session.Config{
 		ytConfig(fv, player.NewFlashPlayer("Internet Explorer"), netem.Research, o.Seed, o.Duration),
 		ytConfig(hv, player.NewIEHtml5(), netem.Research, o.Seed+1, o.Duration),
-	})
-	fr, hr := rs[0], rs[1]
+	}
+	fr, hr := seriesOf(&cfgs[0]), seriesOf(&cfgs[1])
+	runSessions(o, cfgs)
 
 	res := &Figure2Result{Artifact: Artifact{Title: "Figure 2: short ON-OFF cycles (IE), download amount and TCP receive window"}}
 	res.FlashDownload = downloadSeries(fr, 40)
@@ -93,8 +95,8 @@ func Figure2(o Options) *Figure2Result {
 	return res
 }
 
-func downloadSeries(r *session.Result, points int) []SeriesPoint {
-	raw := r.Download
+func downloadSeries(s *trace.Series, points int) []SeriesPoint {
+	raw := s.Download
 	out := make([]SeriesPoint, len(raw))
 	for i, p := range raw {
 		out[i] = SeriesPoint{T: p.TS, V: float64(p.Bytes)}
@@ -102,10 +104,10 @@ func downloadSeries(r *session.Result, points int) []SeriesPoint {
 	return resample(out, points)
 }
 
-func windowSeries(r *session.Result, points int) ([]SeriesPoint, int) {
+func windowSeries(s *trace.Series, points int) ([]SeriesPoint, int) {
 	var out []SeriesPoint
 	zeroes := 0
-	for _, wp := range r.Windows {
+	for _, wp := range s.Windows {
 		out = append(out, SeriesPoint{T: wp.TS, V: float64(wp.Window)})
 		if wp.Window == 0 {
 			zeroes++
@@ -322,6 +324,7 @@ func Figure6(o Options) *Figure6Result {
 	videos := sampleVideos(media.YouHtml(o.N*4, o.Seed+2), o.N)
 	mob := sampleVideos(media.YouMob(o.N*4, o.Seed+3), o.N)
 	cfgs := []session.Config{ytConfig(tv, player.NewChromeHtml5(), netem.Research, o.Seed, o.Duration)}
+	curve := seriesOf(&cfgs[0])
 	for _, net := range netem.Profiles() {
 		for i, v := range videos {
 			cfgs = append(cfgs, ytConfig(v, player.NewChromeHtml5(), net, o.Seed+int64(i), o.Duration))
@@ -332,9 +335,8 @@ func Figure6(o Options) *Figure6Result {
 	}
 	results := runSessions(o, cfgs)
 
-	tr := results[0]
-	res.Download = downloadSeries(tr, 40)
-	res.Window, _ = windowSeries(tr, 40)
+	res.Download = downloadSeries(curve, 40)
+	res.Window, _ = windowSeries(curve, 40)
 
 	long, total := 0, 0
 	k := 1
@@ -409,15 +411,15 @@ func Figure7(o Options) *Figure7Result {
 		ytConfig(v1, player.NewIPadYouTube(), netem.Research, o.Seed, o.Duration),
 		ytConfig(v2, player.NewIPadYouTube(), netem.Research, o.Seed+1, o.Duration),
 	}
+	s1, s2 := seriesOf(&cfgs[0]), seriesOf(&cfgs[1])
 	for i, v := range sample {
 		cfgs = append(cfgs, ytConfig(v, player.NewIPadYouTube(), netem.Research, o.Seed+100+int64(i), o.Duration))
 	}
 	results := runSessions(o, cfgs)
-	r1, r2 := results[0], results[1]
-	res.Video1 = downloadSeries(r1, 30)
-	res.Video2 = downloadSeries(r2, 30)
-	res.Conns1 = r1.Analysis.ConnCount
-	res.Conns2 = r2.Analysis.ConnCount
+	res.Video1 = downloadSeries(s1, 30)
+	res.Video2 = downloadSeries(s2, 30)
+	res.Conns1 = results[0].Analysis.ConnCount
+	res.Conns2 = results[1].Analysis.ConnCount
 
 	var rates, blocks []float64
 	for i, v := range sample {

@@ -10,6 +10,7 @@ import (
 	"repro/internal/netem"
 	"repro/internal/player"
 	"repro/internal/session"
+	"repro/internal/trace"
 )
 
 // Table2Result quantifies the qualitative strategy comparison of
@@ -52,14 +53,15 @@ func Table2(o Options) *Table2Result {
 	res := &Table2Result{Artifact: Artifact{Title: "Table 2: comparison of streaming strategies (interruption at 20%)"}}
 	res.Artifact.Addf("%-28s %-18s %-16s %-14s", "Strategy", "peak ahead (MB)", "unused (MB)", "downloaded")
 	cfgs := make([]session.Config, len(cases))
+	series := make([]*trace.Series, len(cases))
 	for i, c := range cases {
 		cfgs[i] = ytConfig(c.video, c.mk(), netem.Research, o.Seed+int64(i), cut)
+		series[i] = seriesOf(&cfgs[i])
 	}
-	results := runSessions(o, cfgs)
+	runSessions(o, cfgs)
 	for i, c := range cases {
-		r := results[i]
 		var maxAhead, total float64
-		for _, p := range r.Download {
+		for _, p := range series[i].Download {
 			ahead := float64(p.Bytes) - v.EncodingRate/8*p.TS.Seconds()
 			if ahead > maxAhead {
 				maxAhead = ahead

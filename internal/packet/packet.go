@@ -10,6 +10,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // Flag bits of the TCP header we model.
@@ -115,9 +116,17 @@ func (s *Segment) Clone() *Segment {
 // Marshal serializes the segment as an IPv4 packet with a TCP header,
 // suitable for LINKTYPE_RAW pcap files. The advertised window is
 // right-shifted by WindowScale and saturates at 65535.
-func (s *Segment) Marshal() []byte {
-	n := s.Len()
-	buf := make([]byte, 40+n)
+func (s *Segment) Marshal() []byte { return s.AppendWire(nil) }
+
+// AppendWire appends the segment's wire bytes (see Marshal) to b and
+// returns the extended slice, so a caller serializing many packets can
+// reuse one buffer. The appended region is cleared first: unset header
+// fields and the uncaptured payload tail are zeros.
+func (s *Segment) AppendWire(b []byte) []byte {
+	n, off := s.Len(), len(b)
+	b = slices.Grow(b, 40+n)[:off+40+n]
+	buf := b[off:]
+	clear(buf)
 	// IPv4 header.
 	buf[0] = 0x45 // version 4, IHL 5
 	binary.BigEndian.PutUint16(buf[2:], uint16(40+n))
@@ -142,7 +151,7 @@ func (s *Segment) Marshal() []byte {
 	if s.Payload != nil {
 		copy(tcp[20:], s.Payload)
 	}
-	return buf
+	return b
 }
 
 var errShort = errors.New("packet: truncated")

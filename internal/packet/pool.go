@@ -51,8 +51,9 @@ func (p *Pool) Get() *Segment {
 }
 
 // Put recycles a segment. The caller must guarantee that no reference
-// to the struct survives — buffered capture sinks retain segments, so
-// pooling is only enabled when every attached sink is streaming.
+// to the struct survives. Capture sinks never hold one past the tap (a
+// recording keeps a copy), so pooling does not depend on which sinks a
+// session attaches.
 func (p *Pool) Put(s *Segment) {
 	if s == nil {
 		return

@@ -31,6 +31,7 @@ type Writer struct {
 	w       io.Writer
 	snaplen int
 	hdr     [16]byte
+	buf     []byte // WritePacket's wire bytes, reused across packets
 	Records int
 }
 
@@ -53,10 +54,12 @@ func NewWriter(w io.Writer, snaplen int) (*Writer, error) {
 	return &Writer{w: w, snaplen: snaplen}, nil
 }
 
-// WritePacket serializes one segment captured at virtual time ts.
+// WritePacket serializes one segment captured at virtual time ts into
+// the Writer's reused buffer, so writing a capture does not allocate
+// per packet.
 func (w *Writer) WritePacket(ts time.Duration, seg *packet.Segment) error {
-	data := seg.Marshal()
-	return w.WriteRaw(ts, data, len(data))
+	w.buf = seg.AppendWire(w.buf[:0])
+	return w.WriteRaw(ts, w.buf, len(w.buf))
 }
 
 // WriteRaw writes pre-serialized packet bytes with the given original

@@ -183,6 +183,46 @@ func TestEmptyCapture(t *testing.T) {
 	}
 }
 
+// TestWritePacketReusesClearedBuffer: the Writer serializes every
+// packet into one reused buffer, so a packet must not inherit bytes of
+// a larger one before it — a zero-filled payload (nil Payload) written
+// after a full one stays zero — and steady-state writes do not
+// allocate.
+func TestWritePacketReusesClearedBuffer(t *testing.T) {
+	full := seg(1, bytes.Repeat([]byte{0xAB}, 1460))
+	zeroFilled := seg(2, nil)
+	zeroFilled.PayloadLen = 1000
+	short := seg(3, []byte("hi"))
+	segs := []*packet.Segment{full, zeroFilled, short, full}
+	var buf bytes.Buffer
+	w, err := NewWriter(&buf, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, s := range segs {
+		if err := w.WritePacket(time.Duration(i), s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r, err := NewReader(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := r.ReadAll()
+	if err != nil || len(recs) != len(segs) {
+		t.Fatalf("read %d records (%v), want %d", len(recs), err, len(segs))
+	}
+	for i, rec := range recs {
+		if !bytes.Equal(rec.Data, segs[i].Marshal()) {
+			t.Fatalf("record %d differs from the segment's own wire bytes", i)
+		}
+	}
+	dw, _ := NewWriter(io.Discard, 0)
+	if n := testing.AllocsPerRun(100, func() { _ = dw.WritePacket(0, full) }); n != 0 {
+		t.Fatalf("WritePacket allocates %v times per packet, want 0", n)
+	}
+}
+
 func BenchmarkWritePacket(b *testing.B) {
 	w, _ := NewWriter(io.Discard, 0)
 	s := seg(1, make([]byte, 1460))

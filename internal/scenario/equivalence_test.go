@@ -1,11 +1,12 @@
 package scenario
 
-// The streaming/buffered equivalence suite: the tentpole guarantee of
-// the sink refactor is that the online analyzer (attached at the tap,
-// O(flows) state, segment pooling on) and the tcpdump-then-analyze
-// pipeline (buffered trace.Trace, pooling off, replayed through
-// analysis.Analyze) produce bit-identical Results — across every
-// player kind, both scenario shapes, and a pcap round trip.
+// The live/replay equivalence suite. Sessions have one capture path:
+// the online analyzer at the tap, with segment pooling always on. A
+// trace.Trace recording of a run — replayed through a fresh analyzer,
+// or exported through a PcapSink and streamed back — must reproduce
+// the live Result bit for bit, across every player kind, both scenario
+// shapes and a pcap round trip, and attaching it must not change the
+// run.
 
 import (
 	"bytes"
@@ -19,23 +20,63 @@ import (
 	"repro/internal/trace"
 )
 
-// runOne expands the spec to its single session config and runs it.
-func runOne(t *testing.T, sp Spec, buffered bool) *session.Result {
+// runOne expands the spec to its single session config and runs it
+// with capture attached (nil for none).
+func runOne(t *testing.T, sp Spec, capture trace.Sink) *session.Result {
 	t.Helper()
 	cfgs := sp.Configs() // fresh player instance per call
 	if len(cfgs) != 1 {
 		t.Fatalf("expected one config, got %d", len(cfgs))
 	}
 	cfg := cfgs[0]
-	cfg.Buffered = buffered
+	cfg.Capture = capture
 	return session.Run(cfg)
 }
 
+// runPcap runs the spec's single session with a PcapSink attached and
+// returns the result and the pcap bytes.
+func runPcap(t *testing.T, sp Spec) (*session.Result, []byte) {
+	t.Helper()
+	var buf bytes.Buffer
+	ps, err := trace.NewPcapSink(&buf, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := runOne(t, sp, ps)
+	if err := ps.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return r, buf.Bytes()
+}
+
+// replay analyzes a recording with a fresh analyzer.
+func replay(tr *trace.Trace, cfg analysis.Config) *analysis.Result {
+	st := analysis.NewStreaming(cfg)
+	tr.Replay(st)
+	return st.Result()
+}
+
+// recordShared wires the spec's shared shape the way RunShared does,
+// with a trace.Trace recording attached to every client, and runs it.
+func recordShared(sp Spec) (*session.Shared, []*session.Result, []*trace.Trace) {
+	s := sp.withDefaults()
+	sh := session.NewShared(session.Config{
+		Service: s.Service(), Network: s.Profile, Duration: s.Duration, Seed: s.Seed,
+		ServerTCP: s.ServerTCP, DownDynamics: s.Down, UpDynamics: s.Up,
+	})
+	var recs []*trace.Trace
+	for i, at := range s.Arrival.Times(s.Sessions, sh.Rand()) {
+		rec := &trace.Trace{}
+		recs = append(recs, rec)
+		sh.Add(session.Config{Video: s.video(i), Player: s.Player.New(), StartAt: at, SeriesBin: s.SeriesBin, Capture: rec})
+	}
+	return sh, sh.Run(), recs
+}
+
 // TestStreamingMatchesBufferedAllPlayers runs every player kind twice
-// — once buffered (no segment pool, trace retained) and once streaming
-// (pool on, nothing retained) — and demands three-way equality: the
-// live streaming analysis of the buffered run, the offline replay of
-// its trace, and the independent streaming run.
+// — once with a trace.Trace recording attached, once without — and
+// demands three-way equality: the live analysis of the recorded run,
+// the replay of its recording, and the run without one.
 func TestStreamingMatchesBufferedAllPlayers(t *testing.T) {
 	for _, k := range PlayerKinds() {
 		k := k
@@ -47,32 +88,30 @@ func TestStreamingMatchesBufferedAllPlayers(t *testing.T) {
 				Duration: 60 * time.Second,
 				Seed:     100 + int64(k),
 			}
-			buffered := runOne(t, sp, true)
-			if buffered.Trace == nil || buffered.Trace.Len() == 0 {
-				t.Fatal("buffered run captured nothing")
+			rec := &trace.Trace{}
+			recorded := runOne(t, sp, rec)
+			if rec.Len() == 0 || rec.Len() != recorded.Packets {
+				t.Fatalf("recording holds %d packets, the session captured %d", rec.Len(), recorded.Packets)
 			}
-			replay := analysis.Analyze(buffered.Trace, buffered.Config.AnalysisConfig())
-			if !reflect.DeepEqual(buffered.Analysis, replay) {
-				t.Fatalf("live streaming analysis != buffered replay\nlive:   %+v\nreplay: %+v", buffered.Analysis, replay)
+			if got := replay(rec, recorded.Config.AnalysisConfig()); !reflect.DeepEqual(recorded.Analysis, got) {
+				t.Fatalf("live analysis != replay of the recording\nlive:   %+v\nreplay: %+v", recorded.Analysis, got)
 			}
-			streaming := runOne(t, sp, false)
-			if streaming.Trace != nil {
-				t.Fatal("streaming run must not buffer a trace")
+			plain := runOne(t, sp, nil)
+			if !reflect.DeepEqual(recorded.Analysis, plain.Analysis) {
+				t.Fatalf("attaching a recording changed the run\nrecorded: %+v\nplain:    %+v", recorded.Analysis, plain.Analysis)
 			}
-			if !reflect.DeepEqual(buffered.Analysis, streaming.Analysis) {
-				t.Fatalf("streaming-mode session (segment pool on) diverged from buffered mode\nbuffered:  %+v\nstreaming: %+v", buffered.Analysis, streaming.Analysis)
-			}
-			if buffered.Downloaded != streaming.Downloaded || buffered.Packets != streaming.Packets {
+			if recorded.Downloaded != plain.Downloaded || recorded.Packets != plain.Packets {
 				t.Fatalf("session accounting diverged: downloaded %d/%d, packets %d/%d",
-					buffered.Downloaded, streaming.Downloaded, buffered.Packets, streaming.Packets)
+					recorded.Downloaded, plain.Downloaded, recorded.Packets, plain.Packets)
 			}
 		})
 	}
 }
 
 // TestStreamingMatchesBufferedShared covers the shared-bottleneck
-// shape: per-client dispatch taps feed either per-client streaming
-// sinks or per-client traces; every outcome must agree.
+// shape: a session.Shared run with a recording per client must agree
+// with RunShared client by client, and each recording must replay to
+// its client's live analysis.
 func TestStreamingMatchesBufferedShared(t *testing.T) {
 	sp := Spec{
 		Player:   IEHtml5,
@@ -81,39 +120,34 @@ func TestStreamingMatchesBufferedShared(t *testing.T) {
 		Duration: 45 * time.Second,
 		Seed:     9,
 	}
-	bs := sp
-	bs.Buffered = true
-	buffered := RunShared(bs)
-	streaming := RunShared(sp)
-
-	full := sp.withDefaults()
-	for i := range buffered.Outcomes {
-		bo, so := buffered.Outcomes[i], streaming.Outcomes[i]
-		v := full.video(i)
-		replay := analysis.Analyze(bo.Trace, analysis.Config{
-			KnownDuration: v.Duration,
-			KnownRate:     v.EncodingRate,
-		})
-		if !reflect.DeepEqual(bo.Analysis, replay) {
-			t.Fatalf("client %d: live shared analysis != buffered replay", i)
+	sh, recorded, recs := recordShared(sp)
+	plain := RunShared(sp)
+	if len(recorded) != len(plain.Outcomes) {
+		t.Fatalf("%d recorded clients, RunShared ran %d", len(recorded), len(plain.Outcomes))
+	}
+	for i, ro := range recorded {
+		po := plain.Outcomes[i]
+		if got := replay(recs[i], ro.Config.AnalysisConfig()); !reflect.DeepEqual(ro.Analysis, got) {
+			t.Fatalf("client %d: live shared analysis != replay of its recording", i)
 		}
-		if !reflect.DeepEqual(bo.Analysis, so.Analysis) {
-			t.Fatalf("client %d: streaming shared run diverged from buffered", i)
+		if !reflect.DeepEqual(ro.Analysis, po.Analysis) {
+			t.Fatalf("client %d: recorded shared run diverged from RunShared", i)
 		}
-		if so.Trace != nil {
-			t.Fatalf("client %d: streaming shared run must not buffer a trace", i)
+		if ro.Config.StartAt != po.Config.StartAt || ro.Downloaded != po.Downloaded || ro.Packets != po.Packets {
+			t.Fatalf("client %d: start %v/%v, downloaded %d/%d, packets %d/%d", i,
+				ro.Config.StartAt, po.Config.StartAt, ro.Downloaded, po.Downloaded, ro.Packets, po.Packets)
 		}
 	}
-	if buffered.Offered != streaming.Offered || buffered.Dropped != streaming.Dropped {
+	if down := sh.Path.Down; down.Sent+down.Dropped != plain.Offered || down.Dropped != plain.Dropped {
 		t.Fatalf("bottleneck accounting diverged: offered %d/%d dropped %d/%d",
-			buffered.Offered, streaming.Offered, buffered.Dropped, streaming.Dropped)
+			down.Sent+down.Dropped, plain.Offered, down.Dropped, plain.Dropped)
 	}
 }
 
-// TestStreamingMatchesBufferedPcapRoundTrip writes a buffered capture
-// to pcap and classifies it twice — materialized (ReadPcap + Analyze)
-// and streamed (StreamPcap into the online analyzer) — expecting
-// identical Results.
+// TestStreamingMatchesBufferedPcapRoundTrip exports a capture through a
+// PcapSink and classifies the file twice — materialized (StreamPcap
+// into a Trace, then replayed) and streamed (StreamPcap into the online
+// analyzer) — expecting identical Results and the live strategy.
 func TestStreamingMatchesBufferedPcapRoundTrip(t *testing.T) {
 	sp := Spec{
 		Player:   Flash,
@@ -121,20 +155,16 @@ func TestStreamingMatchesBufferedPcapRoundTrip(t *testing.T) {
 		Duration: 45 * time.Second,
 		Seed:     4,
 	}
-	r := runOne(t, sp, true)
-	var buf bytes.Buffer
-	if err := r.WritePcap(&buf); err != nil {
-		t.Fatal(err)
-	}
+	r, pcap := runPcap(t, sp)
 	cfg := analysis.Config{} // offline: no out-of-band metadata
-	tr, err := trace.ReadPcap(bytes.NewReader(buf.Bytes()), session.ClientAddr)
-	if err != nil {
+	tr := &trace.Trace{}
+	if err := trace.StreamPcap(bytes.NewReader(pcap), session.ClientAddr, tr); err != nil {
 		t.Fatal(err)
 	}
-	materialized := analysis.Analyze(tr, cfg)
+	materialized := replay(tr, cfg)
 
 	st := analysis.NewStreaming(cfg)
-	if err := trace.StreamPcap(bytes.NewReader(buf.Bytes()), session.ClientAddr, st); err != nil {
+	if err := trace.StreamPcap(bytes.NewReader(pcap), session.ClientAddr, st); err != nil {
 		t.Fatal(err)
 	}
 	streamed := st.Result()
@@ -158,13 +188,9 @@ func TestClassifyPcapRoundTrip(t *testing.T) {
 		Duration: 60 * time.Second,
 		Seed:     2,
 	}
-	r := runOne(t, sp, true)
-	var buf bytes.Buffer
-	if err := r.WritePcap(&buf); err != nil {
-		t.Fatal(err)
-	}
+	r, pcap := runPcap(t, sp)
 	st := analysis.NewStreaming(analysis.Config{})
-	if err := trace.StreamPcap(&buf, session.ClientAddr, st); err != nil {
+	if err := trace.StreamPcap(bytes.NewReader(pcap), session.ClientAddr, st); err != nil {
 		t.Fatal(err)
 	}
 	if a := st.Result(); a.Strategy != r.Analysis.Strategy {

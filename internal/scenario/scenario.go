@@ -55,9 +55,6 @@ type Spec struct {
 	Down, Up netem.Dynamics
 	// ServerTCP overrides the server's TCP configuration.
 	ServerTCP tcp.Config
-	// Buffered retains each session's full capture (tcpdump mode)
-	// instead of the default streaming sinks; see session.Config.
-	Buffered bool
 	// SeriesBin, when positive, asks the analyzer for fixed-width
 	// binned series (constant-memory download/window curves).
 	SeriesBin time.Duration
@@ -149,7 +146,6 @@ func (s Spec) Configs() []session.Config {
 			ServerTCP:    s.ServerTCP,
 			DownDynamics: s.Down,
 			UpDynamics:   s.Up,
-			Buffered:     s.Buffered,
 			SeriesBin:    s.SeriesBin,
 		}
 	}
@@ -187,8 +183,7 @@ type SharedResult struct {
 // simulation: sessions join at their arrival offsets and compete for
 // the same queue while the spec's dynamics play out on the shared
 // links. Each client's capture is analyzed individually through its
-// own streaming sink (or a buffered trace when Spec.Buffered asks for
-// tcpdump mode).
+// own streaming sink.
 func RunShared(s Spec) *SharedResult {
 	s = s.withDefaults()
 	if err := s.Validate(); err != nil {
@@ -202,7 +197,6 @@ func RunShared(s Spec) *SharedResult {
 		ServerTCP:    s.ServerTCP,
 		DownDynamics: s.Down,
 		UpDynamics:   s.Up,
-		Buffered:     s.Buffered,
 		SeriesBin:    s.SeriesBin,
 	}
 	sh := session.NewShared(base)

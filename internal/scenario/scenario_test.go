@@ -196,32 +196,32 @@ func TestRunSharedDeterminism(t *testing.T) {
 }
 
 // TestRunSharedPerClientCaptures: the address-filtering taps must
-// split the shared links into disjoint per-client traces whose byte
-// totals sum to the aggregate.
+// split the shared links into disjoint per-client recordings whose byte
+// totals sum to RunShared's aggregate.
 func TestRunSharedPerClientCaptures(t *testing.T) {
 	sp := Spec{
 		Player:   Flash,
 		Sessions: 3,
 		Duration: 30 * time.Second,
 		Seed:     2,
-		Buffered: true, // record inspection below needs the raw capture
 	}
-	res := RunShared(sp)
+	_, _, recs := recordShared(sp)
 	var sum int64
-	for i, o := range res.Outcomes {
-		down := o.Trace.DownBytes()
+	for i, rec := range recs {
+		down := rec.DownBytes()
 		if down == 0 {
 			t.Fatalf("client %d saw no downstream bytes", i)
 		}
 		sum += down
 		// Every record in a client's capture must involve its address.
 		addr := session.ClientAddrOf(i)
-		for _, rec := range o.Trace.Records {
-			if rec.Seg.Src.Addr != addr && rec.Seg.Dst.Addr != addr {
+		for _, r := range rec.Records {
+			if r.Seg.Src.Addr != addr && r.Seg.Dst.Addr != addr {
 				t.Fatalf("client %d capture contains foreign packet", i)
 			}
 		}
 	}
+	res := RunShared(sp)
 	if res.AggregateMbps <= 0 {
 		t.Fatal("aggregate rate not computed")
 	}

@@ -1,10 +1,11 @@
 // Package session orchestrates one streaming measurement exactly like
 // the paper's methodology (Section 4.2): set up a vantage network,
 // start the capture, start the player, stream for 180 seconds, stop,
-// and analyze. The capture is a sink fan-out: by default only the
-// online analyzer (analysis.Streaming) observes the packets — O(flows)
-// state, with segment structs recycled through a pool — while Buffered
-// retains the full trace.Trace for pcap export and offline tooling.
+// and analyze. The capture is streamed: the online analyzer
+// (analysis.Streaming, O(flows) state) observes every packet at the
+// tap, then the caller's Config.Capture sink, if any — a trace.Series
+// for figure curves, a trace.PcapSink for export. Nothing retains the
+// packets, so every stack recycles segment structs through a pool.
 //
 // Shared is the one wiring: any number of such clients behind one
 // bottleneck path to one server, each captured on its own. Run, the
@@ -12,8 +13,6 @@
 package session
 
 import (
-	"errors"
-	"io"
 	"math/rand"
 	"time"
 
@@ -72,15 +71,13 @@ type Config struct {
 	// the historical behaviour.
 	DownDynamics netem.Dynamics
 	UpDynamics   netem.Dynamics
-	// Buffered additionally retains the full capture in Result.Trace
-	// (tcpdump-then-analyze mode) for pcap export and offline flow
-	// inspection. It disables segment pooling, since the trace pins
-	// every segment.
-	Buffered bool
-	// Series additionally collects the exact per-packet download and
-	// receive-window series (Result.Download/Windows) that the figure
-	// experiments plot — points only, no segments.
-	Series bool
+	// Capture, when set, observes the client's capture after the
+	// analyzer: a trace.Series for the exact figure curves, a
+	// trace.PcapSink for export, a trace.Trace recording in tests. The
+	// caller owns it and closes it after the run. Segment structs are
+	// recycled once delivered, so it must not retain them (see
+	// trace.Sink).
+	Capture trace.Sink
 	// SeriesBin, when positive, makes the analyzer aggregate the
 	// capture into fixed-width bins (Result.Analysis.Bins): the
 	// constant-memory form of the series.
@@ -91,12 +88,6 @@ type Config struct {
 type Result struct {
 	Config   Config
 	Analysis *analysis.Result
-	// Trace is the buffered capture; nil unless Config.Buffered.
-	Trace *trace.Trace
-	// Download and Windows are the exact figure series; nil unless
-	// Config.Series.
-	Download []trace.DownloadPoint
-	Windows  []trace.WindowPoint
 	// Packets is the captured packet count (both directions).
 	Packets int
 	// Downloaded is the player-side consumed byte count.
@@ -130,8 +121,8 @@ func ClientIndex(addr [4]byte) (i int, ok bool) {
 }
 
 // AnalysisConfig returns the analyzer configuration a session derives
-// from its video metadata (also used by the equivalence tests to
-// re-analyze buffered captures).
+// from its video metadata, for analyzing a saved capture of the
+// session the way its live analyzer did.
 func (cfg Config) AnalysisConfig() analysis.Config {
 	return analysis.Config{
 		KnownDuration: cfg.Video.Duration,
@@ -170,8 +161,6 @@ type Shared struct {
 	catalog interface{ AddVideo(media.Video) }
 	clients []client
 	sinks   []trace.Sink // per-client capture, by client index
-	// buffered is set when any client retains its trace.
-	buffered bool
 }
 
 // client is one Add-ed session inside a Shared run.
@@ -179,8 +168,6 @@ type client struct {
 	cfg    Config
 	host   *tcp.Host
 	stream *analysis.Streaming
-	series *trace.Series
-	trace  *trace.Trace
 }
 
 // NewShared builds the shared part of a run from cfg's Seed, Network,
@@ -215,8 +202,8 @@ func (s *Shared) Rand() *rand.Rand { return s.sch.Rand() }
 // Add wires the next client, numbered len(clients) in the address plan
 // (ClientAddrOf): a host sending on Path.Up and routed by Switch, its
 // video in the service catalog, and its capture sinks. It reads the
-// per-client fields of cfg: Video, Player, StartAt, Buffered, Series
-// and SeriesBin. The player starts in Run.
+// per-client fields of cfg: Video, Player, StartAt, Capture and
+// SeriesBin. The player starts in Run.
 func (s *Shared) Add(cfg Config) {
 	addr := ClientAddrOf(len(s.clients))
 	host := tcp.NewHost(s.sch, addr[0], addr[1], addr[2], addr[3])
@@ -225,34 +212,26 @@ func (s *Shared) Add(cfg Config) {
 	s.catalog.AddVideo(cfg.Video)
 	cfg.Duration = s.cfg.Duration
 
-	// tcpdump at the client vantage point: a fan-out of streaming
-	// sinks, plus the buffered trace when asked for.
+	// tcpdump at the client vantage point: the analyzer, then the
+	// caller's sink.
 	c := client{cfg: cfg, host: host, stream: analysis.NewStreaming(cfg.AnalysisConfig())}
-	sinks := []trace.Sink{c.stream}
-	if cfg.Series {
-		c.series = &trace.Series{}
-		sinks = append(sinks, c.series)
-	}
-	if cfg.Buffered {
-		c.trace = &trace.Trace{}
-		sinks = append(sinks, c.trace)
-		s.buffered = true
+	var sink trace.Sink = c.stream
+	if cfg.Capture != nil {
+		sink = trace.Fanout(c.stream, cfg.Capture)
 	}
 	s.clients = append(s.clients, c)
-	s.sinks = append(s.sinks, trace.Fanout(sinks...))
+	s.sinks = append(s.sinks, sink)
 }
 
 // Run attaches the captures, starts every player in index order, runs
-// to the horizon and returns one Result per client, by index.
+// to the horizon and returns one Result per client, by index. Every
+// stack recycles segments through one pool: no sink retains them past
+// the tap.
 func (s *Shared) Run() []*Result {
-	if !s.buffered {
-		// Streaming-only capture: nothing retains segments past the
-		// tap, so every stack can recycle them through one pool.
-		pool := &packet.Pool{}
-		s.server.SetSegmentPool(pool)
-		for i := range s.clients {
-			s.clients[i].host.SetSegmentPool(pool)
-		}
+	pool := &packet.Pool{}
+	s.server.SetSegmentPool(pool)
+	for i := range s.clients {
+		s.clients[i].host.SetSegmentPool(pool)
 	}
 	s.Path.AddTaps(&clientTap{dir: trace.Down, sinks: s.sinks}, &clientTap{dir: trace.Up, sinks: s.sinks})
 
@@ -271,21 +250,15 @@ func (s *Shared) Run() []*Result {
 	out := make([]*Result, len(s.clients))
 	for i := range s.clients {
 		c := &s.clients[i]
-		_ = s.sinks[i].Close()
-		r := &Result{
+		a := c.stream.Result()
+		out[i] = &Result{
 			Config:     c.cfg,
-			Analysis:   c.stream.Result(),
-			Trace:      c.trace,
+			Analysis:   a,
+			Packets:    a.Packets,
 			Downloaded: c.cfg.Player.Downloaded(),
 			QoE:        c.cfg.Player.QoE(s.sch.Now()),
 			Elapsed:    s.sch.Now(),
 		}
-		r.Packets = r.Analysis.Packets
-		if c.series != nil {
-			r.Download = c.series.Download
-			r.Windows = c.series.Windows
-		}
-		out[i] = r
 	}
 	return out
 }
@@ -309,18 +282,4 @@ func (t *clientTap) Capture(at time.Duration, seg *packet.Segment) {
 	if i, ok := ClientIndex(addr); ok && i < len(t.sinks) {
 		t.sinks[i].Capture(at, t.dir, seg)
 	}
-}
-
-// ErrNotBuffered is returned when pcap export is requested from a
-// streaming-only session.
-var ErrNotBuffered = errors.New("session: capture not buffered (set Config.Buffered for pcap export)")
-
-// WritePcap saves the capture with a payload-preserving snaplen so
-// container headers survive for offline analysis. The session must
-// have run with Config.Buffered.
-func (r *Result) WritePcap(w io.Writer) error {
-	if r.Trace == nil {
-		return ErrNotBuffered
-	}
-	return r.Trace.WritePcap(w, 0)
 }

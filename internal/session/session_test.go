@@ -60,10 +60,11 @@ func TestFlashShortOnOff(t *testing.T) {
 }
 
 func TestIEHtml5ShortOnOff(t *testing.T) {
+	series := &trace.Series{}
 	r := Run(Config{
 		Video: html5Video(), Service: YouTube,
 		Player: player.NewIEHtml5(), Network: netem.Research, Seed: 2,
-		Series: true,
+		Capture: series,
 	})
 	a := r.Analysis
 	if a.Strategy != analysis.ShortOnOff {
@@ -83,7 +84,7 @@ func TestIEHtml5ShortOnOff(t *testing.T) {
 	}
 	// The receive window must oscillate to (near) zero (Figure 2b).
 	sawZero := false
-	for _, wp := range r.Windows {
+	for _, wp := range series.Windows {
 		if wp.TS > a.BufferingEnd && wp.Window == 0 {
 			sawZero = true
 			break
@@ -257,29 +258,69 @@ func TestSessionDeterministic(t *testing.T) {
 }
 
 func TestSessionPcapExport(t *testing.T) {
-	r := Run(Config{
-		Video: flashVideo(), Service: YouTube,
-		Player: player.NewFlashPlayer("x"), Network: netem.Research, Seed: 11,
-		Duration: 30 * time.Second, Buffered: true,
-	})
 	var buf bytes.Buffer
-	if err := r.WritePcap(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := trace.ReadPcap(&buf, ClientAddr)
+	ps, err := trace.NewPcapSink(&buf, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Len() != r.Trace.Len() {
-		t.Fatalf("pcap round trip: %d vs %d records", back.Len(), r.Trace.Len())
+	r := Run(Config{
+		Video: flashVideo(), Service: YouTube,
+		Player: player.NewFlashPlayer("x"), Network: netem.Research, Seed: 11,
+		Duration: 30 * time.Second, Capture: ps,
+	})
+	if err := ps.Close(); err != nil {
+		t.Fatal(err)
+	}
+	back := &trace.Trace{}
+	if err := trace.StreamPcap(&buf, ClientAddr, back); err != nil {
+		t.Fatal(err)
+	}
+	if back.Len() != r.Packets {
+		t.Fatalf("pcap round trip: %d records, session captured %d", back.Len(), r.Packets)
 	}
 	// The re-read capture must analyze identically.
-	a := analysis.Analyze(back, analysis.Config{})
+	st := analysis.NewStreaming(analysis.Config{})
+	back.Replay(st)
+	a := st.Result()
 	if a.Strategy != r.Analysis.Strategy {
 		t.Fatalf("strategy from pcap = %v, direct = %v", a.Strategy, r.Analysis.Strategy)
 	}
 	if a.Media.EncodingRate != 1e6 {
 		t.Fatalf("rate from pcap payload = %v", a.Media.EncodingRate)
+	}
+}
+
+// TestPooledPcapSinkMatchesRecording: every session recycles segment
+// structs, so a sink sees each struct only while it is in flight. The
+// pcap a PcapSink writes during a run must equal Trace.WritePcap of a
+// recording of that same run, serialized after the run ended: the
+// recording's struct copies and the payload bytes they alias both
+// survive recycling. Residence loss adds retransmissions, and the
+// Flash header makes the payload bytes matter.
+func TestPooledPcapSinkMatchesRecording(t *testing.T) {
+	var live, recorded bytes.Buffer
+	ps, err := trace.NewPcapSink(&live, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := &trace.Trace{}
+	r := Run(Config{
+		Video: flashVideo(), Service: YouTube,
+		Player: player.NewFlashPlayer("x"), Network: netem.Residence, Seed: 14,
+		Duration: 45 * time.Second, Capture: trace.Fanout(ps, rec),
+	})
+	if err := ps.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if r.Analysis.Retrans == 0 || r.Analysis.Media.RateSource != "header" {
+		t.Fatalf("want retransmissions and a header-recovered rate, got %d, %q", r.Analysis.Retrans, r.Analysis.Media.RateSource)
+	}
+	if err := rec.WritePcap(&recorded, 0); err != nil {
+		t.Fatal(err)
+	}
+	if rec.Len() != r.Packets || !bytes.Equal(live.Bytes(), recorded.Bytes()) {
+		t.Fatalf("live pcap (%d bytes) != recording's pcap (%d bytes, %d of %d packets)",
+			live.Len(), recorded.Len(), rec.Len(), r.Packets)
 	}
 }
 
@@ -308,15 +349,16 @@ func TestStartAtDelaysPlayer(t *testing.T) {
 		Player: player.NewFlashPlayer("x"), Network: netem.Research, Seed: 5,
 		Duration: 60 * time.Second,
 	})
+	rec := &trace.Trace{}
 	late := Run(Config{
 		Video: flashVideo(), Service: YouTube,
 		Player: player.NewFlashPlayer("x"), Network: netem.Research, Seed: 5,
-		Duration: 60 * time.Second, StartAt: 30 * time.Second, Buffered: true,
+		Duration: 60 * time.Second, StartAt: 30 * time.Second, Capture: rec,
 	})
-	if late.Trace.Len() == 0 {
+	if rec.Len() == 0 {
 		t.Fatal("delayed session captured nothing")
 	}
-	if first := late.Trace.Records[0].TS; first < 30*time.Second {
+	if first := rec.Records[0].TS; first < 30*time.Second {
 		t.Fatalf("first packet at %v, before the 30s arrival", first)
 	}
 	if late.Downloaded >= base.Downloaded {
@@ -327,15 +369,16 @@ func TestStartAtDelaysPlayer(t *testing.T) {
 // TestDynamicsReachSession: a session-level outage must show up in the
 // trace as a silent window on an otherwise continuously busy transfer.
 func TestDynamicsReachSession(t *testing.T) {
+	tr := &trace.Trace{}
 	cfg := Config{
 		Video: hdVideo(), Service: YouTube,
 		Player: player.NewFlashPlayer("x"), Network: netem.Research, Seed: 9,
-		Duration: 60 * time.Second, Buffered: true,
+		Duration: 60 * time.Second, Capture: tr,
 	}
 	cfg.DownDynamics = netem.Dynamics{}.Then(netem.OutageStep(20*time.Second, 5*time.Second))
 	r := Run(cfg)
 	var inWindow int
-	for _, rec := range r.Trace.Records {
+	for _, rec := range tr.Records {
 		if rec.Dir == trace.Down && rec.TS > 21*time.Second && rec.TS < 24*time.Second {
 			inWindow++
 		}

@@ -62,9 +62,8 @@ func (h *Host) SetLink(l *netem.Link) { h.out = l }
 
 // SetSegmentPool enables segment recycling: outbound segments are
 // allocated from p and inbound ones returned to it once consumed.
-// Only valid when every capture sink on the path is streaming (reads
-// packets synchronously at the tap) — a buffering sink like
-// trace.Trace retains segment pointers and must run without a pool.
+// Taps on the path must not retain segment pointers past the capture
+// call (trace.Sink's contract; a trace.Trace recording keeps copies).
 // Both ends of a path should share one pool; the simulation is
 // single-threaded, so the pool needs no locking.
 func (h *Host) SetSegmentPool(p *packet.Pool) { h.pool = p }

@@ -2,8 +2,7 @@
 // tcpdump-then-analyze; a Sink is the tcpdump-less alternative: it
 // observes each packet once, at capture time, so consumers that only
 // need derived metrics (internal/analysis.Streaming, series binning,
-// live pcap writing) never hold the packets themselves. A buffered
-// Trace is just one more Sink — the one that remembers everything.
+// live pcap writing) never hold the packets themselves.
 package trace
 
 import (
@@ -15,9 +14,10 @@ import (
 )
 
 // Sink consumes captured packets of both directions in capture order.
-// Capture must not retain seg beyond the call unless the sink is a
-// buffering sink (like Trace), in which case segment pooling must stay
-// disabled for the session. Close flushes whatever the sink buffers.
+// Capture must not retain seg beyond the call: every session recycles
+// segment structs once they are delivered. A sink that keeps packets
+// copies the struct, as Trace does; payload bytes are never recycled.
+// Close flushes whatever the sink buffers.
 type Sink interface {
 	Capture(at time.Duration, dir Dir, seg *packet.Segment)
 	Close() error

@@ -106,12 +106,13 @@ func TestPcapSinkStreamsRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(direct.Bytes(), streamed.Bytes()) {
-		t.Fatal("streamed pcap differs from buffered WritePcap output")
+		t.Fatal("streamed pcap differs from the recording's WritePcap output")
 	}
 }
 
-// TestFlowIndexIncremental: accessors must stay correct as records are
-// appended after earlier accessor calls, and survive truncation.
+// TestFlowIndexIncremental: the flow accessors must stay correct as
+// records are appended after earlier accessor calls, and after
+// truncation.
 func TestFlowIndexIncremental(t *testing.T) {
 	tr := &Trace{}
 	dt, ut := tr.Tap(Down), tr.Tap(Up)
@@ -142,5 +143,25 @@ func TestFlowIndexIncremental(t *testing.T) {
 	}
 	if flows := tr.Flows(); len(flows) != 0 {
 		t.Fatalf("Flows after truncation = %v", flows)
+	}
+}
+
+// TestTraceCaptureCopiesSegment: a recording must survive segment
+// recycling — the simulation reuses a delivered struct for the next
+// packet, and the recorded copy must keep the original header fields
+// and payload.
+func TestTraceCaptureCopiesSegment(t *testing.T) {
+	tr := &Trace{}
+	seg := dataSeg(1000, []byte("HTTP"), 0)
+	tr.Capture(time.Millisecond, Down, seg)
+	*seg = packet.Segment{Flow: up, Seq: 7} // recycled for another packet
+	got := tr.Records[0].Seg
+	if got == seg || got.Flow != down || got.Seq != 1000 || string(got.Payload) != "HTTP" {
+		t.Fatalf("recorded segment changed with the recycled struct: %+v", got)
+	}
+	var replayed countSink
+	tr.Replay(&replayed)
+	if replayed.down != 1 || replayed.up != 0 || replayed.closed != 0 {
+		t.Fatalf("Replay fed %+v, want one Down capture and no Close", replayed)
 	}
 }

@@ -1,19 +1,17 @@
-// Package trace is the measurement substrate: it records packets
-// observed at the client vantage point (like tcpdump in the paper's
-// methodology) and offers flow-level views plus TCP payload
-// reassembly, so internal/analysis can recompute the paper's metrics
-// from the captured segments alone. Trace is the buffering Sink; see
-// sink.go for the streaming counterparts that avoid holding packets.
+// Package trace is the capture layer: packets observed at the client
+// vantage point (like tcpdump in the paper's methodology) flow through
+// Sinks (sink.go) — the online analyzer, figure series, live pcap
+// export. Trace is the one Sink that keeps every packet: a reference
+// recording with flow-level views and TCP payload reassembly, for
+// tests that replay or inspect a capture after the run.
 package trace
 
 import (
-	"fmt"
 	"io"
 	"sort"
 	"time"
 
 	"repro/internal/packet"
-	"repro/internal/pcap"
 )
 
 // Dir is the packet direction relative to the measured client.
@@ -39,81 +37,30 @@ type Record struct {
 	Seg *packet.Segment
 }
 
-// Trace is an append-only capture: the Sink that buffers everything,
-// retained for pcap export and offline flow inspection. Flow-level
-// accessors are backed by an incrementally built per-flow index, so
-// repeated Flows/FlowRecords/DownBytes calls do not rescan Records.
-//
-// Records must be treated as append-only once any flow accessor has
-// run: the staleness check only detects a shrunken slice, so
-// truncating and refilling Records back to (or past) its indexed
-// length would silently serve the old index. Replace the Trace, don't
-// recycle it.
+// Trace is the reference recording: a Sink that keeps every packet,
+// so tests can replay a capture, write it as pcap, or inspect its
+// flows after the run. Sessions never need one; they stream.
 type Trace struct {
 	Records []Record
-	idx     flowIndex
 }
 
-// flowIndex accelerates the flow-level accessors. It is (re)built
-// lazily: records appended since the last accessor call are folded in,
-// and a shrunken Records slice triggers a full rebuild.
-type flowIndex struct {
-	n         int // Records[:n] have been indexed
-	flows     []packet.Flow
-	byFlow    map[packet.Flow]*flowLists
-	downBytes int64
-}
-
-// flowLists holds the record indices of one Down flow and its reverse.
-type flowLists struct {
-	down, up []int32
-}
-
-func (t *Trace) reindex() {
-	if t.idx.n > len(t.Records) {
-		t.idx = flowIndex{} // Records were truncated; start over
-	}
-	if t.idx.byFlow == nil {
-		t.idx.byFlow = make(map[packet.Flow]*flowLists)
-	}
-	for i := t.idx.n; i < len(t.Records); i++ {
-		r := t.Records[i]
-		if r.Dir == Down {
-			f := r.Seg.Flow
-			l := t.idx.byFlow[f]
-			if l == nil {
-				l = &flowLists{}
-				t.idx.byFlow[f] = l
-			}
-			if len(l.down) == 0 {
-				// First Down record of the flow (its reverse may have
-				// been indexed already): enters the first-seen order.
-				t.idx.flows = append(t.idx.flows, f)
-			}
-			l.down = append(l.down, int32(i))
-			t.idx.downBytes += int64(r.Seg.Len())
-			continue
-		}
-		// Up records are indexed under the Down flow they acknowledge.
-		f := r.Seg.Flow.Reverse()
-		l := t.idx.byFlow[f]
-		if l == nil {
-			l = &flowLists{}
-			t.idx.byFlow[f] = l
-			// Not appended to flows: Flows() lists Down flows only.
-		}
-		l.up = append(l.up, int32(i))
-	}
-	t.idx.n = len(t.Records)
-}
-
-// Capture implements Sink: it appends one record.
+// Capture implements Sink: it appends a clone of the segment struct.
+// Pools recycle structs, never payload bytes, so the clone stays valid
+// after the simulation reuses seg.
 func (t *Trace) Capture(at time.Duration, d Dir, seg *packet.Segment) {
-	t.Records = append(t.Records, Record{TS: at, Dir: d, Seg: seg})
+	t.Records = append(t.Records, Record{TS: at, Dir: d, Seg: seg.Clone()})
 }
 
 // Close implements Sink.
 func (t *Trace) Close() error { return nil }
+
+// Replay feeds every record to s in capture order, as the live tap
+// did. s is not closed.
+func (t *Trace) Replay(s Sink) {
+	for _, r := range t.Records {
+		s.Capture(r.TS, r.Dir, r.Seg)
+	}
+}
 
 // Tap returns a capture tap for the given direction, to be attached to
 // the corresponding netem link.
@@ -132,66 +79,52 @@ func (t *Trace) Duration() time.Duration {
 
 // DownBytes sums payload bytes in the Down direction.
 func (t *Trace) DownBytes() int64 {
-	t.reindex()
-	return t.idx.downBytes
+	var n int64
+	for _, r := range t.Records {
+		if r.Dir == Down {
+			n += int64(r.Seg.Len())
+		}
+	}
+	return n
 }
 
 // Flows returns the distinct Down-direction flows in first-seen order.
 func (t *Trace) Flows() []packet.Flow {
-	t.reindex()
-	if len(t.idx.flows) == 0 {
-		return nil
+	var out []packet.Flow
+	seen := map[packet.Flow]bool{}
+	for _, r := range t.Records {
+		if r.Dir == Down && !seen[r.Seg.Flow] {
+			seen[r.Seg.Flow] = true
+			out = append(out, r.Seg.Flow)
+		}
 	}
-	out := make([]packet.Flow, len(t.idx.flows))
-	copy(out, t.idx.flows)
 	return out
 }
 
 // FlowRecords returns the records of one Down flow (data) or its
 // reverse (acks), in capture order.
 func (t *Trace) FlowRecords(f packet.Flow, d Dir) []Record {
-	t.reindex()
-	l := t.idx.byFlow[f]
-	if l == nil {
-		return nil
-	}
-	ids := l.down
 	if d == Up {
-		ids = l.up
+		f = f.Reverse()
 	}
-	if len(ids) == 0 {
-		return nil
-	}
-	out := make([]Record, len(ids))
-	for i, id := range ids {
-		out[i] = t.Records[id]
+	var out []Record
+	for _, r := range t.Records {
+		if r.Dir == d && r.Seg.Flow == f {
+			out = append(out, r)
+		}
 	}
 	return out
 }
 
-// WritePcap serializes the capture as a libpcap file.
+// WritePcap serializes the capture as a libpcap file, through the same
+// PcapSink a live session exports with.
 func (t *Trace) WritePcap(w io.Writer, snaplen int) error {
-	pw, err := pcap.NewWriter(w, snaplen)
+	ps, err := NewPcapSink(w, snaplen)
 	if err != nil {
 		return err
 	}
-	for _, r := range t.Records {
-		if err := pw.WritePacket(r.TS, r.Seg); err != nil {
-			return fmt.Errorf("trace: record at %v: %w", r.TS, err)
-		}
-	}
-	return nil
-}
-
-// ReadPcap loads a capture produced by WritePcap (or tcpdump with raw
-// IP linktype). clientAddr identifies the measurement vantage point so
-// directions can be restored.
-func ReadPcap(r io.Reader, clientAddr [4]byte) (*Trace, error) {
-	t := &Trace{}
-	if err := StreamPcap(r, clientAddr, t); err != nil {
-		return nil, err
-	}
-	return t, nil
+	t.Replay(ps)
+	return ps.Close()
 }
 
 // Reassemble rebuilds the in-order payload byte stream of one Down
@@ -295,34 +228,4 @@ func (t *Trace) ReceiveWindowSeries() []WindowPoint {
 		out = append(out, WindowPoint{TS: r.TS, Window: r.Seg.Window})
 	}
 	return out
-}
-
-// Retransmissions counts Down-direction data segments that are
-// retransmissions from the client vantage point: their sequence range
-// ends at or below the highest byte already seen on the flow (the
-// lost original never reached the capture point, so sequence
-// regression is the observable signal — the same heuristic wireshark
-// uses). Exact duplicates (spurious retransmits) also count.
-func (t *Trace) Retransmissions() (retrans, data int) {
-	high := map[packet.Flow]uint32{} // highest end-seq seen per flow
-	started := map[packet.Flow]bool{}
-	for _, r := range t.Records {
-		if r.Dir != Down || r.Seg.Len() == 0 {
-			continue
-		}
-		data++
-		f := r.Seg.Flow
-		end := r.Seg.Seq + uint32(r.Seg.Len())
-		if !started[f] {
-			started[f] = true
-			high[f] = end
-			continue
-		}
-		if int32(end-high[f]) <= 0 {
-			retrans++
-		} else {
-			high[f] = end
-		}
-	}
-	return retrans, data
 }

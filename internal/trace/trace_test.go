@@ -137,26 +137,14 @@ func TestReassembleMaxBytes(t *testing.T) {
 	}
 }
 
-func TestRetransmissions(t *testing.T) {
-	tr := &Trace{}
-	dt := tr.Tap(Down)
-	dt.Capture(1*time.Millisecond, dataSeg(1000, nil, 1000))
-	dt.Capture(2*time.Millisecond, dataSeg(2000, nil, 1000))
-	dt.Capture(3*time.Millisecond, dataSeg(1000, nil, 1000)) // retransmit
-	re, data := tr.Retransmissions()
-	if re != 1 || data != 3 {
-		t.Fatalf("retrans = %d/%d, want 1/3", re, data)
-	}
-}
-
 func TestPcapRoundTripPreservesDirections(t *testing.T) {
 	tr := mkTrace()
 	var buf bytes.Buffer
 	if err := tr.WritePcap(&buf, 0); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadPcap(&buf, [4]byte{10, 0, 0, 1})
-	if err != nil {
+	got := &Trace{}
+	if err := StreamPcap(&buf, [4]byte{10, 0, 0, 1}, got); err != nil {
 		t.Fatal(err)
 	}
 	if got.Len() != tr.Len() {
