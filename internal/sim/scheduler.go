@@ -19,8 +19,8 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
-	"slices"
 	"time"
 )
 
@@ -100,14 +100,6 @@ type Scheduler struct {
 	rng     *rand.Rand
 	stopped bool
 
-	// Same-timestamp batch dispatch state (see runFrontier): batch holds
-	// the events popped for the current timestamp in seq order, batchPos
-	// the next one to run, scratch the reusable index buffer popBatch
-	// collects the equal-time heap subtree into.
-	batch    []event
-	batchPos int
-	scratch  []int32
-
 	// Hierarchical timer wheel (see wheel.go). The heap above holds the
 	// imminent frontier plus far-future overflow; mid-range events park
 	// in wheel slots and cascade into the heap before they can fire.
@@ -127,7 +119,7 @@ func NewScheduler(seed int64) *Scheduler {
 }
 
 // Reset returns the scheduler to the state NewScheduler(seed) produces
-// while keeping every backing allocation — heap, timer slots, batch and
+// while keeping every backing allocation — heap, timer slots and
 // wheel-node storage — so a recycled scheduler runs the next simulation
 // without rebuilding its queues. Pending events are discarded (their
 // fn/task references released) and the rng is re-seeded. Outstanding
@@ -144,10 +136,6 @@ func (s *Scheduler) Reset(seed int64) {
 	s.free = s.free[:0]
 	s.rng = rand.New(rand.NewSource(seed))
 	s.stopped = false
-	clear(s.batch)
-	s.batch = s.batch[:0]
-	s.batchPos = 0
-	s.scratch = s.scratch[:0]
 	s.wheel = [wheelLevels][wheelSlots]int32{}
 	s.wbits = [wheelLevels][wheelSlots / 64]uint64{}
 	clear(s.wnodes)
@@ -212,8 +200,8 @@ func (s *Scheduler) ReserveSeq() uint64 {
 // AtTaskSeq schedules task.RunTask(op) at absolute time t with a
 // previously reserved sequence number, so the event fires exactly where
 // the reservation point falls in the global (time, insertion) order.
-// Events for the current instant bypass the wheel: in-flight batch
-// dispatch consults only the heap for same-timestamp ordering.
+// Events for the current instant bypass the wheel, because
+// PendingBefore reads only the heap top.
 func (s *Scheduler) AtTaskSeq(t time.Duration, seq uint64, task Task, op int32) {
 	ev := event{at: t, seq: seq, task: task, op: op, slot: noSlot}
 	if t == s.now {
@@ -227,25 +215,8 @@ func (s *Scheduler) AtTaskSeq(t time.Duration, seq uint64, task Task, op int32) 
 // before (t, seq). Cancelled timers encountered at the frontier are
 // discarded, exactly as the dispatch loop would discard them.
 func (s *Scheduler) PendingBefore(t time.Duration, seq uint64) bool {
-	for s.batchPos < len(s.batch) {
-		e := &s.batch[s.batchPos]
-		if e.slot != noSlot && s.slots[e.slot].stopped {
-			s.freeSlot(e.slot)
-			s.batch[s.batchPos] = event{}
-			s.batchPos++
-			continue
-		}
-		if e.at < t || (e.at == t && e.seq < seq) {
-			return true
-		}
-		break
-	}
-	if at, ok := s.heapTopLive(); ok {
-		if at < t || (at == t && s.heap[0].seq < seq) {
-			return true
-		}
-	}
-	return false
+	at, ok := s.heapTopLive()
+	return ok && (at < t || (at == t && s.heap[0].seq < seq))
 }
 
 // AdoptSeq marks a reserved sequence number as the currently executing
@@ -378,15 +349,11 @@ func (s *Scheduler) pop() event {
 	return top
 }
 
-func (s *Scheduler) siftDown(ev event) { s.siftDownFrom(0, ev) }
-
-// siftDownFrom sifts ev down from heap index i. The subtree rooted at
-// i must satisfy the heap property; ev's relation to i's ancestors is
-// the caller's responsibility (popBatch only ever fills a hole with an
-// element strictly greater than the hole's surviving parent).
-func (s *Scheduler) siftDownFrom(i int, ev event) {
+// siftDown sifts ev down from the root into the hole pop left there.
+func (s *Scheduler) siftDown(ev event) {
 	h := s.heap
 	n := len(h)
+	i := 0
 	for {
 		first := 4*i + 1
 		if first >= n {
@@ -413,36 +380,36 @@ func (s *Scheduler) siftDownFrom(i int, ev event) {
 
 // ---- Event loop ----
 
-// Step runs the single earliest pending event. It reports whether an
-// event was run.
-func (s *Scheduler) Step() bool {
-	if _, ok := s.nextReady(); !ok {
+// step runs the earliest live pending event unless it lies past
+// deadline, and reports whether it ran one. Events that share a
+// timestamp fire in seq order straight off the heap: events scheduled
+// during the instant carry larger seqs, borrowed-seq pump arms for the
+// instant are pushed onto the heap by AtTaskSeq, and heapTopLive
+// discards stopped timers.
+func (s *Scheduler) step(deadline time.Duration) bool {
+	t, ok := s.nextReady()
+	if !ok || t > deadline {
 		return false
 	}
 	ev := s.pop()
 	if ev.slot != noSlot {
 		s.freeSlot(ev.slot)
 	}
-	s.now = ev.at
-	s.exec(ev)
-	s.cur = s.seq
-	return true
-}
-
-// exec runs one event with its seq exposed through EventSeq.
-func (s *Scheduler) exec(ev event) {
+	s.now = t
 	s.cur = ev.seq
 	if ev.fn != nil {
 		ev.fn()
 	} else {
 		ev.task.RunTask(ev.op)
 	}
+	s.cur = s.seq
+	return true
 }
 
 // Run processes events until none remain or Stop is called.
 func (s *Scheduler) Run() {
 	s.stopped = false
-	for !s.stopped && s.runFrontier(0, false) {
+	for !s.stopped && s.step(math.MaxInt64) {
 	}
 }
 
@@ -451,146 +418,21 @@ func (s *Scheduler) Run() {
 // pending.
 func (s *Scheduler) RunUntil(deadline time.Duration) {
 	s.stopped = false
-	for !s.stopped && s.runFrontier(deadline, true) {
+	for !s.stopped && s.step(deadline) {
 	}
 	if s.now < deadline {
 		s.now = deadline
 	}
 }
 
-// runFrontier advances the clock to the earliest pending timestamp and
-// runs every event scheduled for that instant in one settle: the
-// equal-time heap prefix is popped as a batch (popBatch) instead of
-// re-sifting the whole heap per event. Handlers that schedule more work
-// for the same instant are accommodated — fresh events carry larger
-// seqs and are drained by the re-settle loop, while borrowed-seq pump
-// arms (AtTaskSeq pushes them straight to the heap when t == now) are
-// interleaved into the batch remainder by peeking the heap top between
-// events. Reports whether any timestamp was processed; with bounded
-// set, timestamps past deadline are left pending.
-func (s *Scheduler) runFrontier(deadline time.Duration, bounded bool) bool {
-	t, ok := s.nextReady()
-	if !ok || (bounded && t > deadline) {
-		return false
-	}
-	s.now = t
-	for {
-		s.popBatch(t)
-		for s.batchPos < len(s.batch) {
-			if s.stopped {
-				// Requeue the remainder so a later Run resumes exactly
-				// where this one was aborted.
-				for _, ev := range s.batch[s.batchPos:] {
-					s.push(ev)
-				}
-				s.resetBatch()
-				s.cur = s.seq
-				return true
-			}
-			if at, live := s.heapTopLive(); live && at == t && s.heap[0].seq < s.batch[s.batchPos].seq {
-				ev := s.pop()
-				if ev.slot != noSlot {
-					s.freeSlot(ev.slot)
-				}
-				s.exec(ev)
-				continue
-			}
-			ev := s.batch[s.batchPos]
-			s.batch[s.batchPos] = event{}
-			s.batchPos++
-			if ev.slot != noSlot {
-				if s.slots[ev.slot].stopped {
-					s.freeSlot(ev.slot)
-					continue
-				}
-				s.freeSlot(ev.slot)
-			}
-			s.exec(ev)
-		}
-		s.resetBatch()
-		next, more := s.nextReady()
-		if !more || next != t {
-			break
-		}
-	}
-	s.cur = s.seq
-	return true
-}
-
-// resetBatch clears the batch buffer for reuse, releasing fn/task
-// references held by unconsumed entries.
-func (s *Scheduler) resetBatch() {
-	for i := s.batchPos; i < len(s.batch); i++ {
-		s.batch[i] = event{}
-	}
-	s.batch = s.batch[:0]
-	s.batchPos = 0
-}
-
-// popBatch moves every heap entry with timestamp t into s.batch,
-// ordered by seq. The equal-time entries form an up-closed subtree
-// containing the root (t is the heap minimum, so every ancestor of a
-// t-entry is a t-entry), which a breadth-first walk collects in
-// ascending index order; removing the holes in descending index order
-// then only ever fills a hole with a strictly-later event, so a
-// sift-down restores the heap without any sift-up.
-func (s *Scheduler) popBatch(t time.Duration) {
-	if len(s.heap) == 0 || s.heap[0].at != t {
-		return
-	}
-	s.scratch = s.scratch[:0]
-	s.scratch = append(s.scratch, 0)
-	for k := 0; k < len(s.scratch); k++ {
-		first := 4*int(s.scratch[k]) + 1
-		for c := first; c < first+4 && c < len(s.heap); c++ {
-			if s.heap[c].at == t {
-				s.scratch = append(s.scratch, int32(c))
-			}
-		}
-	}
-	for _, i := range s.scratch {
-		s.batch = append(s.batch, s.heap[i])
-	}
-	for k := len(s.scratch) - 1; k >= 0; k-- {
-		i := int(s.scratch[k])
-		n := len(s.heap) - 1
-		last := s.heap[n]
-		s.heap[n] = event{}
-		s.heap = s.heap[:n]
-		if i < n {
-			s.siftDownFrom(i, last)
-		}
-	}
-	slices.SortFunc(s.batch, func(a, b event) int {
-		if a.seq < b.seq {
-			return -1
-		}
-		return 1
-	})
-}
-
-// peek reports the timestamp of the earliest live event, discarding
-// cancelled timers it encounters and cascading the wheel as needed.
-func (s *Scheduler) peek() (time.Duration, bool) {
-	return s.nextReady()
-}
-
 // Stop aborts a Run or RunUntil in progress after the current event.
 func (s *Scheduler) Stop() { s.stopped = true }
 
-// Pending returns the number of live scheduled events, including the
-// unconsumed remainder of an in-flight same-timestamp batch.
+// Pending returns the number of live scheduled events.
 func (s *Scheduler) Pending() int {
 	n := s.wheelPending()
 	for i := range s.heap {
 		ev := &s.heap[i]
-		if ev.slot != noSlot && s.slots[ev.slot].stopped {
-			continue
-		}
-		n++
-	}
-	for i := s.batchPos; i < len(s.batch); i++ {
-		ev := &s.batch[i]
 		if ev.slot != noSlot && s.slots[ev.slot].stopped {
 			continue
 		}

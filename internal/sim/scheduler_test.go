@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -207,6 +208,60 @@ func TestStopAbortsRun(t *testing.T) {
 	}
 }
 
+// taskFunc adapts a function to Task.
+type taskFunc func(op int32)
+
+func (f taskFunc) RunTask(op int32) { f(op) }
+
+// TestStopMidInstantResumes pins Stop inside one instant: the rest of
+// the instant stays pending, a borrowed-seq arm for the instant fires
+// in seq order before the events scheduled after its reservation, a
+// timer stopped mid-instant never fires, and the next Run resumes at
+// the same instant without moving the clock.
+func TestStopMidInstantResumes(t *testing.T) {
+	s := NewScheduler(1)
+	at := 7 * time.Millisecond
+	r := s.ReserveSeq()
+	var log []string
+	task := taskFunc(func(int32) { log = append(log, "task") })
+	var e4 Timer
+	s.At(at, func() {
+		log = append(log, "e1")
+		s.AtTaskSeq(s.Now(), r, task, 0)
+	})
+	s.At(at, func() {
+		log = append(log, "e2")
+		if !e4.Stop() {
+			t.Error("e2: Stop on the pending e4 reported false")
+		}
+	})
+	s.At(at, func() {
+		log = append(log, "e3")
+		s.Stop()
+	})
+	e4 = s.TimerAt(at, func() { log = append(log, "e4") })
+	s.At(at, func() { log = append(log, "e5") })
+
+	s.Run()
+	if got := strings.Join(log, " "); got != "e1 task e2 e3" {
+		t.Fatalf("first Run fired %q, want %q", got, "e1 task e2 e3")
+	}
+	if n := s.Pending(); n != 1 {
+		t.Fatalf("Pending after Stop = %d, want 1", n)
+	}
+	if s.Now() != at {
+		t.Fatalf("clock after Stop = %v, want %v", s.Now(), at)
+	}
+	log = nil
+	s.Run()
+	if got := strings.Join(log, " "); got != "e5" {
+		t.Fatalf("second Run fired %q, want %q", got, "e5")
+	}
+	if s.Now() != at {
+		t.Fatalf("clock after second Run = %v, want %v", s.Now(), at)
+	}
+}
+
 func TestDeterminism(t *testing.T) {
 	run := func(seed int64) []int64 {
 		s := NewScheduler(seed)
@@ -275,5 +330,47 @@ func BenchmarkSchedulerChurn(b *testing.B) {
 		}
 	}
 	s.After(0, next)
+	s.Run()
+}
+
+// sparseChain reproduces one session's timer shape: a chain of events
+// 1-3 wheel ticks apart, each of which stops and re-arms a cancellable
+// timer about 200 ms out (wheel level 1), the way TCP re-arms its RTO
+// per send.
+type sparseChain struct {
+	s    *Scheduler
+	rto  Timer
+	left int
+}
+
+const (
+	sparseStep = 0
+	sparseRTO  = 1
+)
+
+func (c *sparseChain) RunTask(op int32) {
+	if op == sparseRTO {
+		panic("sim: sparse-chain RTO fired while the chain was live")
+	}
+	c.rto.Stop()
+	if c.left--; c.left <= 0 {
+		return
+	}
+	c.rto = c.s.TimerAfterTask(200*time.Millisecond, c, sparseRTO)
+	const tick = 1 << tickShift
+	c.s.AfterTask(tick+time.Duration(c.s.Rand().Int63n(2*tick)), c, sparseStep)
+}
+
+// BenchmarkSchedulerSparse measures the wheel on the sparse timer
+// shape of a single session: one op is one chain event with its timer
+// re-arm, and every event leaves the heap for the wheel. Unlike
+// BenchmarkSchedulerChurn, whose 1 µs delays never leave the heap, it
+// exercises the occupancy scan and the cascade.
+func BenchmarkSchedulerSparse(b *testing.B) {
+	s := NewScheduler(1)
+	c := &sparseChain{s: s, left: b.N}
+	b.ReportAllocs()
+	b.ResetTimer()
+	s.AfterTask(100*time.Microsecond, c, sparseStep)
 	s.Run()
 }

@@ -1,6 +1,9 @@
 package sim
 
-import "time"
+import (
+	"math/bits"
+	"time"
+)
 
 // The hierarchical timer wheel defers mid-range events away from the
 // heap. A fleet schedules O(clients) concurrent pacing, RTO and drain
@@ -106,14 +109,22 @@ func (s *Scheduler) wheelBound() int64 {
 // nextOccupied returns the cyclic distance (1..wheelSlots) from
 // curSlot to the next occupied slot of the level, or 0 if the level is
 // empty. Distance wheelSlots is curSlot itself — a slot one full
-// rotation ahead.
+// rotation ahead. The scan reads the occupancy bitmap a word at a
+// time: the word holding curSlot+1 with the bits below it masked off,
+// then the following words cyclically, ending with that first word
+// again, whose only bits left to find are the ones the mask hid.
 func (s *Scheduler) nextOccupied(level, curSlot int) int {
 	bm := &s.wbits[level]
-	for d := 1; d <= wheelSlots; d++ {
-		slot := (curSlot + d) & wheelMask
-		if bm[slot>>6]&(1<<(slot&63)) != 0 {
-			return d
+	start := (curSlot + 1) & wheelMask
+	w := start >> 6
+	word := bm[w] & (^uint64(0) << (start & 63))
+	for range len(bm) + 1 {
+		if word != 0 {
+			slot := w<<6 | bits.TrailingZeros64(word)
+			return (slot-start)&wheelMask + 1
 		}
+		w = (w + 1) % len(bm)
+		word = bm[w]
 	}
 	return 0
 }

@@ -358,3 +358,94 @@ func TestWheelRearmChurn(t *testing.T) {
 		t.Fatalf("fired = %d, want 1", fired)
 	}
 }
+
+// refNextOccupied is the bit-at-a-time scan nextOccupied replaced,
+// kept as its executable spec: it tests each slot's occupancy bit in
+// cyclic order from curSlot+1.
+func (s *Scheduler) refNextOccupied(level, curSlot int) int {
+	bm := &s.wbits[level]
+	for d := 1; d <= wheelSlots; d++ {
+		slot := (curSlot + d) & wheelMask
+		if bm[slot>>6]&(1<<(slot&63)) != 0 {
+			return d
+		}
+	}
+	return 0
+}
+
+type slotBitmap = [wheelSlots / 64]uint64
+
+func bitmapOf(slots ...int) slotBitmap {
+	var bm slotBitmap
+	for _, slot := range slots {
+		bm[slot>>6] |= 1 << (slot & 63)
+	}
+	return bm
+}
+
+// TestNextOccupiedMatchesBitLoop pins the word-level occupancy scan
+// against the bit loop for every level and every cursor slot, over
+// the edge bitmaps (empty, only the cursor's own slot, only the next
+// slot, bits on both sides of each word boundary) and a few hundred
+// seeded random ones, sparse and dense. The other levels hold the
+// complement, so a scan of the wrong level shows too.
+func TestNextOccupiedMatchesBitLoop(t *testing.T) {
+	fixed := []slotBitmap{{}}
+	for _, b := range []int{63, 127, 191, 255} {
+		next := (b + 1) & wheelMask
+		fixed = append(fixed, bitmapOf(b), bitmapOf(next), bitmapOf(b, next))
+	}
+	rng := rand.New(rand.NewSource(1))
+	var random []slotBitmap
+	for i := 0; i < 300; i++ {
+		var bm slotBitmap
+		switch i % 4 {
+		case 0: // sparse: one slot
+			bm = bitmapOf(rng.Intn(wheelSlots))
+		case 1: // sparse: up to three slots
+			bm = bitmapOf(rng.Intn(wheelSlots), rng.Intn(wheelSlots), rng.Intn(wheelSlots))
+		case 2: // dense: about half the slots
+			for w := range bm {
+				bm[w] = rng.Uint64()
+			}
+		case 3: // dense: about an eighth of the slots
+			for w := range bm {
+				bm[w] = rng.Uint64() & rng.Uint64() & rng.Uint64()
+			}
+		}
+		random = append(random, bm)
+	}
+	s := NewScheduler(1)
+	// check compares the two scans; want < 0 means no fixed expectation.
+	check := func(level, cur int, bm slotBitmap, want int) {
+		t.Helper()
+		for l := range s.wbits {
+			s.wbits[l] = bm
+			if l != level {
+				for w := range bm {
+					s.wbits[l][w] = ^bm[w]
+				}
+			}
+		}
+		ref := s.refNextOccupied(level, cur)
+		if want >= 0 && ref != want {
+			t.Fatalf("level %d cur %d bitmap %x: bit loop = %d, want %d", level, cur, bm, ref, want)
+		}
+		if got := s.nextOccupied(level, cur); got != ref {
+			t.Fatalf("level %d cur %d bitmap %x: nextOccupied = %d, bit loop = %d", level, cur, bm, got, ref)
+		}
+	}
+	for level := 0; level < wheelLevels; level++ {
+		for cur := 0; cur < wheelSlots; cur++ {
+			check(level, cur, slotBitmap{}, 0)
+			check(level, cur, bitmapOf(cur), wheelSlots)
+			check(level, cur, bitmapOf((cur+1)&wheelMask), 1)
+			for _, bm := range fixed {
+				check(level, cur, bm, -1)
+			}
+			for _, bm := range random {
+				check(level, cur, bm, -1)
+			}
+		}
+	}
+}
