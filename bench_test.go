@@ -297,6 +297,9 @@ func BenchmarkScenarioFlashCrowd(b *testing.B) {
 // here too. The normalized ns/op/client and B/op/client columns make
 // the per-client cost comparable across the client counts (and across
 // BENCH_<n>.json files): flat normalized columns = linear scaling.
+// events/op and hops/op are the scheduler's deterministic work counts
+// per run: queue events dispatched and lane records retired (one per
+// link hop).
 func BenchmarkFleet(b *testing.B) {
 	for _, clients := range []int{64, 256, 1024, 4096} {
 		b.Run(fmt.Sprintf("clients=%d", clients), func(b *testing.B) {
@@ -312,10 +315,11 @@ func BenchmarkFleet(b *testing.B) {
 			runtime.ReadMemStats(&ms)
 			alloc0 := ms.TotalAlloc
 			var offered int
+			var work scenario.SimWork
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res := scenario.RunFleet(runner.Options{Workers: 1}, f)
-				offered = res.CoreOffered
+				res, w := scenario.RunFleetWork(runner.Options{Workers: 1}, f)
+				offered, work = res.CoreOffered, w
 			}
 			b.StopTimer()
 			runtime.ReadMemStats(&ms)
@@ -323,6 +327,8 @@ func BenchmarkFleet(b *testing.B) {
 			b.ReportMetric(float64(offered)/float64(clients), "pkts/client")
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/perOpClient, "ns/op/client")
 			b.ReportMetric(float64(ms.TotalAlloc-alloc0)/perOpClient, "B/op/client")
+			b.ReportMetric(float64(work.Events), "events/op")
+			b.ReportMetric(float64(work.Retires), "hops/op")
 		})
 	}
 }

@@ -17,7 +17,7 @@ func TestParseCustomMetricColumns(t *testing.T) {
 	out := `goos: linux
 goarch: amd64
 BenchmarkSingleSession-8       	      36	  31092341 ns/op	  804416 B/op	    1045 allocs/op
-BenchmarkFleet/clients=4096   	       1	28712345678 ns/op	   7009.6 ns/op/client	  122000 B/op/client	  3456.0 pkts/client	 498000000 B/op	  401234 allocs/op
+BenchmarkFleet/clients=4096   	       1	28712345678 ns/op	   7009.6 ns/op/client	  122000 B/op/client	    63887 events/op	   7976753 hops/op	  3456.0 pkts/client	 498000000 B/op	  401234 allocs/op
 BenchmarkNoMem 	     100	    123456 ns/op
 PASS
 ok  	repro	92.1s
@@ -26,7 +26,8 @@ ok  	repro	92.1s
 	want := []Result{
 		{Name: "BenchmarkSingleSession", Iterations: 36, NsPerOp: 31092341, BytesPerOp: 804416, AllocsPerOp: 1045},
 		{Name: "BenchmarkFleet/clients=4096", Iterations: 1, NsPerOp: 28712345678, BytesPerOp: 498000000, AllocsPerOp: 401234,
-			Metrics: map[string]float64{"ns/op/client": 7009.6, "B/op/client": 122000, "pkts/client": 3456}},
+			Metrics: map[string]float64{"ns/op/client": 7009.6, "B/op/client": 122000, "pkts/client": 3456,
+				"events/op": 63887, "hops/op": 7976753}},
 		{Name: "BenchmarkNoMem", Iterations: 100, NsPerOp: 123456},
 	}
 	if !reflect.DeepEqual(got, want) {

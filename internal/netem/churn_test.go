@@ -11,7 +11,7 @@ import (
 // Deterministic accounting checks under dynamics churn: queue occupancy
 // and committed departure times (busyUntil) across rate ramps and
 // outages, and delivery/tap ordering when a delay shrink forces the
-// pump's non-monotone sorted-insert fallback. The randomized
+// flight ring's non-monotone sorted-insert fallback. The randomized
 // equivalence suite (pump_test.go) covers the same territory
 // statistically; these pin the exact arithmetic.
 
@@ -97,8 +97,8 @@ func (o *orderTap) Capture(at time.Duration, s *packet.Segment) {
 }
 
 // TestDelayShrinkReordersInFlight shrinks the propagation delay while a
-// packet is mid-flight: the later packet overtakes it (the pump's
-// sorted-insert fallback plus a re-arm at the now-earlier edge), taps
+// packet is mid-flight: the later packet overtakes it (the flight
+// ring's sorted-insert fallback plus a new, earlier lane head), taps
 // still capture in send order, and queue accounting stays exact.
 func TestDelayShrinkReordersInFlight(t *testing.T) {
 	sch := sim.NewScheduler(1)

@@ -110,16 +110,18 @@ type Tap interface {
 // Link is a unidirectional path segment: a drop-tail queue drained at
 // Rate, followed by propagation Delay. The zero value is not usable.
 //
-// Event cost: the link schedules no per-packet events. Queue drains are
-// settled lazily against the scheduler's execution point (settleDrains)
-// and deliveries ride a single pump timer armed for the earliest
-// pending arrival (pump/arm). The firing order observed by receivers is
-// bit-identical to a scheme with two scheduler entries per packet: Send
-// reserves the exact sequence numbers that scheme would have consumed,
-// the pump timer borrows the head record's number, and the pump yields
-// back to the scheduler whenever any other event orders first.
+// Event cost: a packet schedules no queue event. Queue drains are
+// settled lazily against the scheduler's execution point
+// (settleDrains), and the link is a scheduler lane (sim.AddLane) whose
+// records are its in-flight packets: the scheduler retires the head
+// record when its (at, seq) is the global minimum, so each hop is one
+// lane retire. Receivers observe the call sequence of a scheme with
+// two scheduler entries per packet bit for bit, because Send reserves
+// the exact sequence numbers that scheme would have consumed and each
+// record carries its delivery's number.
 type Link struct {
 	sch       *sim.Scheduler
+	lane      sim.Lane
 	rate      Bandwidth
 	delay     time.Duration
 	queueCap  int // bytes; 0 means unlimited
@@ -133,9 +135,6 @@ type Link struct {
 
 	drains  ring[drainRec]  // end-of-serialization edges, monotone (at, seq)
 	flights ring[flightRec] // in-flight segments, sorted by (deliverAt, seq)
-	armed   bool            // a live pump timer is outstanding
-	armSeq  uint64          // seq the live pump timer borrowed
-	armGen  int32           // op code of the live timer; older arms are stale
 
 	// Counters for tests and diagnostics.
 	Sent    int
@@ -185,78 +184,52 @@ func (l *Link) settleDrains() {
 	}
 }
 
-// RunTask implements sim.Task: the pump timer fired. Stale arms
-// (superseded when an earlier arrival re-armed the pump) are ignored by
-// generation.
-func (l *Link) RunTask(op int32) {
-	if op != l.armGen {
-		return
+// RunTask implements sim.Task: the scheduler reached the head record's
+// (at, seq) as its lane. It retires exactly that record, reports the
+// lane's next head, and then delivers, so a Send the receiver routes
+// back into this link sees the lane as it now stands.
+func (l *Link) RunTask(int32) {
+	seg := l.flights.front().seg
+	l.flights.popFront()
+	if l.flights.n == 0 {
+		l.sch.ClearLaneHead(l.lane)
+	} else {
+		l.reportHead()
 	}
-	l.armed = false
-	l.pump()
+	l.dst.Deliver(seg)
 }
 
-// pump retires every head record whose delivery point has been reached,
-// yielding whenever another pending event orders before the head's
-// reserved (at, seq) so cross-link interleaving stays exact, then
-// re-arms for the next edge.
-func (l *Link) pump() {
-	now := l.sch.Now()
-	for l.flights.n > 0 {
-		f := l.flights.front()
-		if f.at > now || l.sch.PendingBefore(f.at, f.seq) {
-			break
-		}
-		l.sch.AdoptSeq(f.seq)
-		seg := f.seg
-		f.seg = nil
-		l.flights.popFront()
-		l.dst.Deliver(seg)
-		if l.armed {
-			// A reentrant Send routed back into this link and re-armed
-			// the pump; that timer now owns the remaining records.
-			return
-		}
-	}
-	l.arm()
-}
-
-// arm schedules the pump timer at the head record's reserved (at, seq),
-// superseding any stale outstanding timer.
-func (l *Link) arm() {
-	if l.armed || l.flights.n == 0 {
-		return
-	}
+// reportHead tells the scheduler where the lane's head record lies.
+func (l *Link) reportHead() {
 	f := l.flights.front()
-	l.armGen++
-	l.sch.AtTaskSeq(f.at, f.seq, l, l.armGen)
-	l.armed = true
-	l.armSeq = f.seq
+	l.sch.SetLaneHead(l.lane, f.at, f.seq)
 }
 
 // addFlight inserts a new in-flight record. Arrivals are FIFO-monotone
 // unless SetDelay shrank the propagation delay mid-flight; the
 // non-monotone case falls back to a sorted insert (ties go after
-// existing records, which carry smaller seqs). If the new record
-// becomes the head, the pump re-arms for the earlier edge.
+// existing records, which carry smaller seqs). A record that becomes
+// the head is reported to the scheduler.
 func (l *Link) addFlight(f flightRec) {
 	if l.flights.n == 0 || !(f.at < l.flights.back().at) {
 		l.flights.pushBack(f)
-	} else {
-		lo, hi := 0, l.flights.n
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if l.flights.at(mid).at <= f.at {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
+		if l.flights.n == 1 {
+			l.reportHead()
 		}
-		l.flights.insert(lo, f)
+		return
 	}
-	if head := l.flights.front(); !l.armed || head.seq != l.armSeq {
-		l.armed = false
-		l.arm()
+	lo, hi := 0, l.flights.n
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if l.flights.at(mid).at <= f.at {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	l.flights.insert(lo, f)
+	if lo == 0 {
+		l.reportHead()
 	}
 }
 
@@ -265,7 +238,9 @@ func NewLink(sch *sim.Scheduler, rate Bandwidth, delay time.Duration, queueBytes
 	if loss == nil {
 		loss = NoLoss{}
 	}
-	return &Link{sch: sch, rate: rate, delay: delay, queueCap: queueBytes, loss: loss, dst: dst}
+	l := &Link{sch: sch, rate: rate, delay: delay, queueCap: queueBytes, loss: loss, dst: dst}
+	l.lane = sch.AddLane(l)
+	return l
 }
 
 // AddTap registers a capture tap on the link.
@@ -275,10 +250,10 @@ func (l *Link) AddTap(t Tap) { l.taps = append(l.taps, t) }
 // parameters, keeping the ring buffers and tap slice backing storage.
 // Queued and in-flight packets are discarded, counters zeroed, taps
 // removed, and any Dynamics-applied mutations (rate, delay, loss,
-// AQM, outage) overwritten. The destination receiver is kept — wiring
-// is topology, not state; callers that re-wire set it separately. The
-// scheduler the link schedules on must be Reset in the same pass:
-// a stale pump timer surviving in the scheduler would misfire.
+// AQM, outage) overwritten, and the link's lane is cleared, so the
+// scheduler holds nothing of it. The destination receiver and the lane
+// registration are kept — wiring is topology, not state; callers that
+// re-wire set the receiver separately.
 func (l *Link) Reset(rate Bandwidth, delay time.Duration, queueBytes int, loss LossModel, aqm AQM) {
 	if loss == nil {
 		loss = NoLoss{}
@@ -295,9 +270,7 @@ func (l *Link) Reset(rate Bandwidth, delay time.Duration, queueBytes int, loss L
 	l.taps = l.taps[:0]
 	l.drains.reset()
 	l.flights.reset()
-	l.armed = false
-	l.armSeq = 0
-	l.armGen = 0
+	l.sch.ClearLaneHead(l.lane)
 	l.Sent = 0
 	l.Dropped = 0
 	l.Bytes = 0
@@ -356,6 +329,9 @@ func (l *Link) SetBlocked(blocked bool) { l.blocked = blocked }
 // Blocked reports whether the link is in an outage.
 func (l *Link) Blocked() bool { return l.blocked }
 
+// InFlight returns the number of accepted packets not yet delivered.
+func (l *Link) InFlight() int { return l.flights.n }
+
 // QueueDepth returns the bytes currently enqueued or in serialization.
 func (l *Link) QueueDepth() int {
 	l.settleDrains()
@@ -406,7 +382,7 @@ func (l *Link) Send(seg *packet.Segment) {
 	arrive := done + l.delay
 	// Reserve the two consecutive sequence numbers the per-event scheme
 	// would have consumed (drain before deliver at equal timestamps);
-	// the drain settles lazily and the deliver rides the pump timer.
+	// the drain settles lazily and the deliver is a lane record.
 	drainSeq := l.sch.ReserveSeq()
 	deliverSeq := l.sch.ReserveSeq()
 	l.drains.pushBack(drainRec{at: done, seq: drainSeq, size: int32(size)})

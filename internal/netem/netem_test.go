@@ -268,6 +268,39 @@ func TestPropertyThroughputMatchesRate(t *testing.T) {
 	}
 }
 
+// TestLinkResetMidFlight: Reset discards in-flight packets and takes
+// the link's lane out of the scheduler, with no scheduler Reset, so
+// nothing of the old flight is left pending or delivered later, and
+// the link carries fresh traffic normally.
+func TestLinkResetMidFlight(t *testing.T) {
+	sch := sim.NewScheduler(1)
+	c := &collector{sch: sch}
+	l := NewLink(sch, 8*Mbps, 10*time.Millisecond, 0, nil, c)
+	for i := 0; i < 3; i++ {
+		l.Send(seg(960)) // 1 ms serialization each: arrivals at 11, 12, 13 ms
+	}
+	sch.RunUntil(11 * time.Millisecond)
+	if len(c.at) != 1 || l.InFlight() != 2 {
+		t.Fatalf("before Reset: delivered %d, in flight %d; want 1, 2", len(c.at), l.InFlight())
+	}
+	l.Reset(8*Mbps, 10*time.Millisecond, 0, nil, nil)
+	if n := sch.Pending(); n != 0 {
+		t.Fatalf("Pending after Link.Reset = %d, want 0", n)
+	}
+	if l.InFlight() != 0 {
+		t.Fatalf("InFlight after Reset = %d, want 0", l.InFlight())
+	}
+	sch.Run()
+	if len(c.at) != 1 {
+		t.Fatalf("delivered %d packets after Reset, want none beyond the first", len(c.at)-1)
+	}
+	l.Send(seg(960))
+	sch.Run()
+	if len(c.at) != 2 || c.at[1] != sch.Now() || sch.Now() != 22*time.Millisecond {
+		t.Fatalf("fresh packet delivered at %v (clock %v), want 22ms", c.at, sch.Now())
+	}
+}
+
 func BenchmarkLinkSend(b *testing.B) {
 	sch := sim.NewScheduler(1)
 	sink := ReceiverFunc(func(*packet.Segment) {})

@@ -1,7 +1,9 @@
 package netem
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -9,16 +11,16 @@ import (
 	"repro/internal/sim"
 )
 
-// The drain pump must be invisible: receivers, taps and queue-depth
-// reads must observe exactly the sequence a link scheduling two events
-// per packet produces. refLink below IS that link — the pre-pump
-// implementation, kept verbatim as an executable spec — and
-// runLinkWorkload drives both through identical randomized scripts over
-// a shared two-uplinks-into-one topology with dynamics churn (rate
-// ramps mid-serialization, outages mid-flight, delay shrinks forcing
-// the sorted-insert fallback). Traces diverge at the first ordering
-// difference, because every later loss decision draws from an rng whose
-// state depends on the exact call sequence.
+// Lazy drains and lane delivery must be invisible: receivers, taps and
+// queue-depth reads must observe exactly the sequence a link scheduling
+// two events per packet produces. refLink below IS that link — the
+// implementation from before event elision, kept verbatim as an
+// executable spec — and runLinkWorkload drives both through identical
+// randomized scripts over a shared two-uplinks-into-one topology with
+// dynamics churn (rate ramps mid-serialization, outages mid-flight,
+// delay shrinks forcing the sorted-insert fallback). Traces diverge at
+// the first ordering difference, because every later loss decision
+// draws from an rng whose state depends on the exact call sequence.
 
 type refDelivery struct {
 	link *refLink
@@ -252,9 +254,9 @@ func diffPumpTraces(t *testing.T, seed int64, ref, got []pumpEvt) {
 	}
 }
 
-// TestPumpEquivalence pins the tentpole invariant: the one-timer-per-
-// link pump delivers randomized churn workloads in exactly the order
-// the two-events-per-packet reference link does.
+// TestPumpEquivalence pins the tentpole invariant: the lane link
+// delivers randomized churn workloads in exactly the order the
+// two-events-per-packet reference link does.
 func TestPumpEquivalence(t *testing.T) {
 	n := 160
 	seeds := 40
@@ -269,7 +271,7 @@ func TestPumpEquivalence(t *testing.T) {
 }
 
 // FuzzPumpEquivalence lets the fuzzer hunt for script shapes where the
-// pump's observable order deviates from the reference link.
+// lane link's observable order deviates from the reference link.
 func FuzzPumpEquivalence(f *testing.F) {
 	f.Add(int64(1), uint8(64))
 	f.Add(int64(42), uint8(200))
@@ -280,4 +282,36 @@ func FuzzPumpEquivalence(f *testing.F) {
 		got := runLinkWorkload(newPumpLink, seed, size)
 		diffPumpTraces(t, seed, ref, got)
 	})
+}
+
+// TestPumpStopPerDelivery: a receiver that calls Scheduler.Stop ends
+// the Run right after its own delivery, as the reference link's one
+// event per delivery does, even when more deliveries share the instant
+// (an infinite-rate link sends three packets that all arrive at 1 ms).
+// The delivery log and the clock after each Run must match the
+// reference's.
+func TestPumpStopPerDelivery(t *testing.T) {
+	run := func(mk func(*sim.Scheduler, Bandwidth, time.Duration, int, LossModel, Receiver) testLink) []string {
+		sch := sim.NewScheduler(1)
+		var log []string
+		sink := ReceiverFunc(func(s *packet.Segment) {
+			log = append(log, fmt.Sprintf("deliver %d at %v", s.Seq, sch.Now()))
+			sch.Stop()
+		})
+		l := mk(sch, 0, time.Millisecond, 0, nil, sink)
+		for i := 1; i <= 3; i++ {
+			s := seg(100)
+			s.Seq = uint32(i)
+			l.Send(s)
+		}
+		for r := 1; r <= 4; r++ {
+			sch.Run()
+			log = append(log, fmt.Sprintf("run %d ends at %v", r, sch.Now()))
+		}
+		return log
+	}
+	ref, got := run(newRefLink), run(newPumpLink)
+	if !slices.Equal(ref, got) {
+		t.Fatalf("Stop per delivery:\n ref  %q\n lane %q", ref, got)
+	}
 }

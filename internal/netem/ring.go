@@ -1,7 +1,7 @@
 package netem
 
-// ring is a growable circular buffer backing the link pump's drain and
-// flight queues. Capacity is kept a power of two so index wrap is a
+// ring is a growable circular buffer backing a link's drain and flight
+// queues. Capacity is kept a power of two so index wrap is a
 // mask; the buffer is reused across the whole simulation, so steady
 // state pushes allocate nothing.
 type ring[T any] struct {

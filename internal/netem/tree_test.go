@@ -177,3 +177,152 @@ func TestTreeDroppedAtTier(t *testing.T) {
 		t.Fatalf("delivered+dropped = %d, want 10", got)
 	}
 }
+
+// allLinks lists every link of the tree, active or spare.
+func (t *Tree) allLinks() []*Link {
+	links := []*Link{t.CoreDown, t.CoreUp}
+	links = append(links, t.AggDown...)
+	links = append(links, t.AggUp...)
+	links = append(links, t.AccessDown...)
+	return append(links, t.AccessUp...)
+}
+
+// hopsSent sums Sent over every link of the tree: each accepted
+// packet is one hop.
+func (t *Tree) hopsSent() int {
+	n := 0
+	for _, l := range t.allLinks() {
+		n += l.Sent
+	}
+	return n
+}
+
+// inFlight sums InFlight over every link of the tree.
+func (t *Tree) inFlight() int {
+	n := 0
+	for _, l := range t.allLinks() {
+		n += l.InFlight()
+	}
+	return n
+}
+
+// TestTreeLaneRetiresConserveHops checks a conservation law: every
+// packet a tree link accepts is either retired by the scheduler as one
+// lane record (delivered to the next hop or the endpoint) or still in
+// flight, so the scheduler's retire count equals the links' Sent total
+// minus what is in flight — mid-run, at the horizon and once drained.
+// Drops never enter a lane: an undersized access queue drops some.
+func TestTreeLaneRetiresConserveHops(t *testing.T) {
+	sch := sim.NewScheduler(1)
+	server := &collector{sch: sch}
+	tr := NewTree(sch, TreeConfig{ClientsPerAgg: 2, Access: Tier{Queue: 4000}}, server)
+	const clients = 5
+	ups := make([]*Link, clients)
+	for i := range ups {
+		ups[i] = tr.Attach(treeAddr(i), &collector{sch: sch})
+	}
+	for k := 0; k < 40; k++ {
+		at := time.Duration(k) * 700 * time.Microsecond
+		i := k % clients
+		sch.At(at, func() {
+			for range 3 { // the access queue holds two of them
+				tr.CoreDown.Send(segTo(treeAddr(i), 1460))
+			}
+			up := &packet.Segment{Flow: packet.Flow{
+				Src: packet.Endpoint{Addr: treeAddr(i), Port: 4000},
+				Dst: packet.EP(203, 0, 113, 10, 80),
+			}, PayloadLen: 26}
+			ups[i].Send(up)
+		})
+	}
+	check := func(when string) {
+		t.Helper()
+		sent, inFlight := tr.hopsSent(), tr.inFlight()
+		if got := int(sch.Retires); got != sent-inFlight {
+			t.Fatalf("%s: Retires = %d, want Sent %d - InFlight %d = %d", when, got, sent, inFlight, sent-inFlight)
+		}
+	}
+	sch.RunUntil(15 * time.Millisecond)
+	if tr.inFlight() == 0 {
+		t.Fatal("nothing in flight mid-run: the check is vacuous")
+	}
+	check("mid-run")
+	sch.RunUntil(30 * time.Millisecond)
+	check("horizon")
+	sch.Run()
+	check("drained")
+	if _, _, access := tr.DroppedAtTier(); access == 0 {
+		t.Fatal("the tight access queue dropped nothing")
+	}
+	if sent := tr.hopsSent(); sent != int(sch.Retires) || sch.Pending() != 0 {
+		t.Fatalf("drained: Sent %d, Retires %d, Pending %d", sent, sch.Retires, sch.Pending())
+	}
+}
+
+// hopLoop is BenchmarkTreeHops' closed loop. Every client keeps a fixed
+// window of segments cycling: the server answers each ACK it receives
+// with a 1500 B data segment to the same client, and the client answers
+// each data segment with a 66 B ACK, reusing the same segment struct.
+type hopLoop struct {
+	tree *Tree
+	ups  []*Link
+	left int // data segments the server may still send
+}
+
+type hopServer struct{ loop *hopLoop }
+
+func (s hopServer) Deliver(seg *packet.Segment) {
+	if s.loop.left <= 0 {
+		return
+	}
+	s.loop.left--
+	seg.Src, seg.Dst = seg.Dst, seg.Src
+	seg.PayloadLen = 1460
+	s.loop.tree.CoreDown.Send(seg)
+}
+
+type hopClient struct {
+	loop *hopLoop
+	i    int
+}
+
+func (c *hopClient) Deliver(seg *packet.Segment) {
+	seg.Src, seg.Dst = seg.Dst, seg.Src
+	seg.PayloadLen = 26
+	c.loop.ups[c.i].Send(seg)
+}
+
+// BenchmarkTreeHops measures the per-hop cost of the link layer and the
+// scheduler together: 32 clients under a default Tree, each with four
+// segments cycling data down and ACKs up (three hops each way), no
+// loss and no queue overflow. One op is one data segment's round trip;
+// ns/hop divides the time by the hops counted from the links' Sent
+// counters.
+func BenchmarkTreeHops(b *testing.B) {
+	const clients, window = 32, 4
+	sch := sim.NewScheduler(1)
+	loop := &hopLoop{}
+	loop.tree = NewTree(sch, TreeConfig{}, hopServer{loop})
+	for i := 0; i < clients; i++ {
+		loop.ups = append(loop.ups, loop.tree.Attach(treeAddr(i), &hopClient{loop: loop, i: i}))
+	}
+	start := func(rounds int) {
+		loop.left = rounds
+		for i := 0; i < clients; i++ {
+			for k := 0; k < window; k++ {
+				s := segTo(treeAddr(i), 26)
+				s.Src, s.Dst = s.Dst, s.Src
+				loop.ups[i].Send(s)
+			}
+		}
+		sch.Run()
+	}
+	start(64 * clients) // warm up: grow every ring to its working size
+	sent0 := loop.tree.hopsSent()
+	b.ReportAllocs()
+	b.ResetTimer()
+	start(b.N)
+	b.StopTimer()
+	hops := loop.tree.hopsSent() - sent0
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(hops), "ns/hop")
+}

@@ -560,10 +560,10 @@ func newFleetResult(f Fleet) *FleetResult {
 // the bytes.
 const fleetWave = 1024
 
-// runFleetCellRange runs cells [lo, hi) in waves and passes each
-// cell's result to emit in cell order. It is the shared engine of
-// RunFleet and the distributed child mode (which serializes each
-// result instead of folding it).
+// runFleetCellRange runs cells [lo, hi) in waves, passes each cell's
+// result to emit in cell order and returns the scheduler work of every
+// cell summed. It is the shared engine of RunFleet and the distributed
+// child mode (which serializes each result instead of folding it).
 //
 // Each pool worker keeps one cellWorld for the whole range, so a wave
 // reuses Workers worlds instead of constructing fleetWave of them; the
@@ -571,9 +571,9 @@ const fleetWave = 1024
 // return to their producing world after emit. Workers own disjoint
 // wave indexes (runner.MapN), so the per-index writes need no locks
 // and the emit order — global cell order — is untouched.
-func runFleetCellRange(o runner.Options, f Fleet, lo, hi int, emit func(cell int, r *FleetResult)) {
+func runFleetCellRange(o runner.Options, f Fleet, lo, hi int, emit func(cell int, r *FleetResult)) SimWork {
 	if hi <= lo {
-		return
+		return SimWork{}
 	}
 	per := f.Tree.ClientsPerAgg
 	waveCap := hi - lo
@@ -581,6 +581,7 @@ func runFleetCellRange(o runner.Options, f Fleet, lo, hi int, emit func(cell int
 		waveCap = fleetWave
 	}
 	worlds := make([]*cellWorld, o.NumWorkers())
+	work := make([]SimWork, len(worlds))
 	results := make([]*FleetResult, waveCap)
 	producers := make([]*cellWorld, waveCap)
 	for base := lo; base < hi; base += fleetWave {
@@ -606,6 +607,8 @@ func runFleetCellRange(o runner.Options, f Fleet, lo, hi int, emit func(cell int
 			}
 			results[i] = w.run(from, to)
 			producers[i] = w
+			work[worker].Events += w.sch.Events
+			work[worker].Retires += w.sch.Retires
 		})
 		for i := 0; i < n; i++ {
 			emit(base+i, results[i])
@@ -616,7 +619,19 @@ func runFleetCellRange(o runner.Options, f Fleet, lo, hi int, emit func(cell int
 			producers[i] = nil
 		}
 	}
+	var total SimWork
+	for _, wk := range work {
+		total.Events += wk.Events
+		total.Retires += wk.Retires
+	}
+	return total
 }
+
+// SimWork is the scheduler work of a fleet run, summed over its cells:
+// queue events run and lane records retired (sim.Scheduler's Events
+// and Retires; each link hop is one retire). Like the result, it is
+// deterministic.
+type SimWork struct{ Events, Retires int64 }
 
 // RunFleet executes the fleet: cells fan out on the runner pool (each
 // cell one single-threaded simulation of one aggregation group on a
@@ -625,6 +640,13 @@ func runFleetCellRange(o runner.Options, f Fleet, lo, hi int, emit func(cell int
 // bit-identical for any worker count — and, because the cell is the
 // physical unit, for any shard or process count too.
 func RunFleet(o runner.Options, f Fleet) *FleetResult {
+	res, _ := RunFleetWork(o, f)
+	return res
+}
+
+// RunFleetWork is RunFleet that also returns the scheduler work the
+// run did.
+func RunFleetWork(o runner.Options, f Fleet) (*FleetResult, SimWork) {
 	f = f.withDefaults()
 	if err := f.Validate(); err != nil {
 		panic("scenario: " + err.Error())
@@ -635,9 +657,9 @@ func RunFleet(o runner.Options, f Fleet) *FleetResult {
 		o.Workers = 1
 	}
 	res := newFleetResult(f)
-	runFleetCellRange(o, f, 0, f.cells(), func(_ int, sh *FleetResult) {
+	work := runFleetCellRange(o, f, 0, f.cells(), func(_ int, sh *FleetResult) {
 		res.merge(sh)
 	})
 	res.finalize()
-	return res
+	return res, work
 }

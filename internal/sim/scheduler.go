@@ -15,6 +15,12 @@
 // op code to select the behaviour. Cancellable timers draw bookkeeping
 // slots from a free list, so re-arming a timer (the TCP RTO pattern)
 // is allocation-free at steady state.
+//
+// Lanes (lane.go) serve work that would otherwise cost one event per
+// item: a lane keeps its own records sorted by (time, seq) and reports
+// only its head, and the loop merges the lane heads with the event
+// queue, so a record runs exactly where an event carrying its reserved
+// seq would have run, without entering the queue.
 package sim
 
 import (
@@ -110,6 +116,18 @@ type Scheduler struct {
 	wcount  int     // events currently parked in the wheel
 	wcursor int64   // tick the wheel has advanced to; wheel events are strictly later
 	wbound  int64   // cached earliest occupied slot start (ticks); -1 = recompute
+
+	// Lanes (see lane.go): registered tasks by id, their heads, the
+	// winner tree over the heads, and how many lanes hold records.
+	lanes []Task
+	lkeys []laneKey
+	ltree []Lane
+	lbusy int
+
+	// Events counts queue events run and Retires lane records retired
+	// since NewScheduler or the last Reset. Both are deterministic work
+	// counters: a link hop is one retire.
+	Events, Retires int64
 }
 
 // NewScheduler returns a scheduler whose clock starts at zero and whose
@@ -122,9 +140,11 @@ func NewScheduler(seed int64) *Scheduler {
 // while keeping every backing allocation — heap, timer slots and
 // wheel-node storage — so a recycled scheduler runs the next simulation
 // without rebuilding its queues. Pending events are discarded (their
-// fn/task references released) and the rng is re-seeded. Outstanding
-// Timer handles must not be used across a Reset: slot generations
-// restart, so a stale handle could alias a fresh timer.
+// fn/task references released), every lane's head is cleared, the
+// counters are zeroed and the rng is re-seeded. Lane registrations
+// survive: like a link's receiver they are wiring, not state.
+// Outstanding Timer handles must not be used across a Reset: slot
+// generations restart, so a stale handle could alias a fresh timer.
 func (s *Scheduler) Reset(seed int64) {
 	s.now = 0
 	s.seq = 0
@@ -144,6 +164,15 @@ func (s *Scheduler) Reset(seed int64) {
 	s.wcount = 0
 	s.wcursor = 0
 	s.wbound = -1
+	// Every inner node of the lane tree still names a lane of its own
+	// subtree, and once every head is empty any such lane is a winner,
+	// so the tree needs no rebuild.
+	for l := range s.lkeys {
+		s.lkeys[l] = noKey
+	}
+	s.lbusy = 0
+	s.Events = 0
+	s.Retires = 0
 }
 
 // Now returns the current virtual time.
@@ -173,60 +202,19 @@ func (s *Scheduler) placeAt(ev event) {
 	s.place(ev)
 }
 
-// ---- Event elision (drain pumps) ----
-//
-// A hot path that would schedule one event per packet can instead keep
-// its pending work in its own FIFO and arm a single timer for the
-// earliest entry (netem.Link is the canonical user). To keep the global
-// firing order bit-identical to the one-event-per-packet scheme, the
-// pump reserves a sequence number per elided event at the moment the
-// reference scheme would have scheduled it (ReserveSeq), arms its timer
-// with the earliest entry's reserved number (AtTaskSeq), and before
-// retiring each entry asks whether any real pending event orders before
-// it (PendingBefore) — if one does, the pump re-arms and yields.
-// AdoptSeq makes the retired entry the "current" event so that lazy
-// state settled against EventSeq (e.g. link queue occupancy) observes
-// exactly the state the reference scheme would have produced.
-
 // ReserveSeq consumes and returns the next event sequence number
-// without scheduling anything. Elided events must reserve their numbers
-// exactly where the non-elided scheme would have scheduled them.
+// without scheduling anything. A lane reserves the number of each
+// record where the one-event-per-record scheme would have scheduled
+// it, so the record sorts exactly where that event would have.
 func (s *Scheduler) ReserveSeq() uint64 {
 	seq := s.seq
 	s.seq++
 	return seq
 }
 
-// AtTaskSeq schedules task.RunTask(op) at absolute time t with a
-// previously reserved sequence number, so the event fires exactly where
-// the reservation point falls in the global (time, insertion) order.
-// Events for the current instant bypass the wheel, because
-// PendingBefore reads only the heap top.
-func (s *Scheduler) AtTaskSeq(t time.Duration, seq uint64, task Task, op int32) {
-	ev := event{at: t, seq: seq, task: task, op: op, slot: noSlot}
-	if t == s.now {
-		s.push(ev)
-		return
-	}
-	s.placeAt(ev)
-}
-
-// PendingBefore reports whether any live pending event orders strictly
-// before (t, seq). Cancelled timers encountered at the frontier are
-// discarded, exactly as the dispatch loop would discard them.
-func (s *Scheduler) PendingBefore(t time.Duration, seq uint64) bool {
-	at, ok := s.heapTopLive()
-	return ok && (at < t || (at == t && s.heap[0].seq < seq))
-}
-
-// AdoptSeq marks a reserved sequence number as the currently executing
-// event. Pumps call it per retired entry so EventSeq-based lazy
-// settling sees the reference scheme's exact execution point.
-func (s *Scheduler) AdoptSeq(seq uint64) { s.cur = seq }
-
-// EventSeq returns the sequence number of the event being executed, or
-// the next number to be assigned when the loop is idle — the bound
-// below which every scheduled event has already fired.
+// EventSeq returns the sequence number of the event or lane record
+// being executed, or the next number to be assigned when the loop is
+// idle — the bound below which every scheduled event has already fired.
 func (s *Scheduler) EventSeq() uint64 { return s.cur }
 
 // At schedules fn to run at absolute virtual time t. Scheduling in the
@@ -380,14 +368,27 @@ func (s *Scheduler) siftDown(ev event) {
 
 // ---- Event loop ----
 
-// step runs the earliest live pending event unless it lies past
-// deadline, and reports whether it ran one. Events that share a
-// timestamp fire in seq order straight off the heap: events scheduled
-// during the instant carry larger seqs, borrowed-seq pump arms for the
-// instant are pushed onto the heap by AtTaskSeq, and heapTopLive
-// discards stopped timers.
+// step runs the earliest live pending event or lane head unless it
+// lies past deadline, and reports whether it ran one. Events that share
+// a timestamp fire in seq order straight off the heap (events scheduled
+// during the instant carry larger seqs, and heapTopLive discards
+// stopped timers); a lane head runs when its (at, seq) orders before
+// the heap top, with the clock and EventSeq set to that head.
 func (s *Scheduler) step(deadline time.Duration) bool {
 	t, ok := s.nextReady()
+	if l, h := s.laneTop(); l >= 0 {
+		if !ok || h.at < t || (h.at == t && h.seq < s.heap[0].seq) {
+			if h.at > deadline {
+				return false
+			}
+			s.now = h.at
+			s.cur = h.seq
+			s.Retires++
+			s.lanes[l].RunTask(int32(l))
+			s.cur = s.seq
+			return true
+		}
+	}
 	if !ok || t > deadline {
 		return false
 	}
@@ -397,6 +398,7 @@ func (s *Scheduler) step(deadline time.Duration) bool {
 	}
 	s.now = t
 	s.cur = ev.seq
+	s.Events++
 	if ev.fn != nil {
 		ev.fn()
 	} else {
@@ -406,31 +408,36 @@ func (s *Scheduler) step(deadline time.Duration) bool {
 	return true
 }
 
-// Run processes events until none remain or Stop is called.
+// Run processes events and lane records until none remain or Stop is
+// called.
 func (s *Scheduler) Run() {
 	s.stopped = false
 	for !s.stopped && s.step(math.MaxInt64) {
 	}
 }
 
-// RunUntil processes events with timestamps <= deadline and then
-// advances the clock to deadline. Events scheduled after deadline stay
-// pending.
+// RunUntil processes events and lane records with timestamps <=
+// deadline and then advances the clock to deadline, unless Stop ended
+// the loop while one of them was still due. Events scheduled after
+// deadline stay pending.
 func (s *Scheduler) RunUntil(deadline time.Duration) {
 	s.stopped = false
 	for !s.stopped && s.step(deadline) {
 	}
-	if s.now < deadline {
-		s.now = deadline
+	if s.now >= deadline || s.stopped && s.dueBy(deadline) {
+		return
 	}
+	s.now = deadline
 }
 
-// Stop aborts a Run or RunUntil in progress after the current event.
+// Stop aborts a Run or RunUntil in progress after the current event or
+// lane record.
 func (s *Scheduler) Stop() { s.stopped = true }
 
-// Pending returns the number of live scheduled events.
+// Pending returns the number of live scheduled events plus the number
+// of lanes holding records (a lane counts once however many it holds).
 func (s *Scheduler) Pending() int {
-	n := s.wheelPending()
+	n := s.wheelPending() + s.lbusy
 	for i := range s.heap {
 		ev := &s.heap[i]
 		if ev.slot != noSlot && s.slots[ev.slot].stopped {

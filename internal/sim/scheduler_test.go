@@ -214,20 +214,24 @@ type taskFunc func(op int32)
 func (f taskFunc) RunTask(op int32) { f(op) }
 
 // TestStopMidInstantResumes pins Stop inside one instant: the rest of
-// the instant stays pending, a borrowed-seq arm for the instant fires
-// in seq order before the events scheduled after its reservation, a
-// timer stopped mid-instant never fires, and the next Run resumes at
-// the same instant without moving the clock.
+// the instant stays pending, a lane head for the instant runs in seq
+// order before the events scheduled after its reservation, a timer
+// stopped mid-instant never fires, and the next Run resumes at the
+// same instant without moving the clock.
 func TestStopMidInstantResumes(t *testing.T) {
 	s := NewScheduler(1)
 	at := 7 * time.Millisecond
 	r := s.ReserveSeq()
 	var log []string
-	task := taskFunc(func(int32) { log = append(log, "task") })
+	var lane Lane
+	lane = s.AddLane(taskFunc(func(int32) {
+		log = append(log, "task")
+		s.ClearLaneHead(lane)
+	}))
 	var e4 Timer
 	s.At(at, func() {
 		log = append(log, "e1")
-		s.AtTaskSeq(s.Now(), r, task, 0)
+		s.SetLaneHead(lane, s.Now(), r)
 	})
 	s.At(at, func() {
 		log = append(log, "e2")

@@ -174,11 +174,13 @@ func (s *Scheduler) advance(tick int64) {
 	}
 }
 
-// nextReady flushes the wheel up to the heap frontier and returns the
-// timestamp of the earliest live event. On return the event is at the
-// top of the heap; the wheel holds only events at strictly later
-// timestamps (or equal timestamps with larger seq — impossible, since
-// equal timestamps share a slot bound and the bound comparison is <=).
+// nextReady flushes the wheel up to the frontier — the earlier of the
+// heap top and the lane heads — and returns the timestamp of the
+// earliest live heap event. On return the wheel holds only events at
+// strictly later timestamps than the frontier (or equal timestamps with
+// larger seq — impossible, since equal timestamps share a slot bound
+// and the bound comparison is <=), so either the heap top is the
+// earliest live event or the lane head orders before every event.
 func (s *Scheduler) nextReady() (time.Duration, bool) {
 	for {
 		at, ok := s.heapTopLive()
@@ -189,8 +191,9 @@ func (s *Scheduler) nextReady() (time.Duration, bool) {
 		if b < 0 {
 			return at, ok
 		}
-		if ok && at < time.Duration(b<<tickShift) {
-			return at, true
+		lim := time.Duration(b << tickShift)
+		if _, h := s.laneTop(); ok && at < lim || h.at < lim {
+			return at, ok
 		}
 		s.advance(b)
 	}

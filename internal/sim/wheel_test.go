@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 )
@@ -18,12 +19,14 @@ type refEvent struct {
 	seq     uint64
 	fn      func()
 	stopped *bool
+	lane    int // 1 + the lane a record belongs to; 0 for an event
 }
 
 type refSched struct {
-	now time.Duration
-	seq uint64
-	evs []refEvent
+	now  time.Duration
+	seq  uint64
+	evs  []refEvent
+	halt bool // Stop was called during the current run
 }
 
 func (r *refSched) after(d time.Duration, fn func()) {
@@ -83,7 +86,8 @@ func (r *refSched) step(i int) {
 }
 
 func (r *refSched) run() {
-	for {
+	r.halt = false
+	for !r.halt {
 		i := r.next()
 		if i < 0 {
 			return
@@ -92,25 +96,37 @@ func (r *refSched) run() {
 	}
 }
 
+// runUntil advances the clock to deadline unless a Stop left an event
+// at or before it pending.
 func (r *refSched) runUntil(deadline time.Duration) {
-	for {
+	r.halt = false
+	for !r.halt {
 		i := r.next()
 		if i < 0 || r.evs[i].at > deadline {
 			break
 		}
 		r.step(i)
 	}
-	if r.now < deadline {
+	if i := r.next(); r.now < deadline && (i < 0 || r.evs[i].at > deadline) {
 		r.now = deadline
 	}
 }
 
 func (r *refSched) nowAt() time.Duration { return r.now }
 
+// pending counts live events, and each lane holding records once.
 func (r *refSched) pending() int {
 	n := 0
+	var lanes []int
 	for i := range r.evs {
-		if e := &r.evs[i]; e.stopped == nil || !*e.stopped {
+		e := &r.evs[i]
+		switch {
+		case e.lane > 0:
+			if !slices.Contains(lanes, e.lane) {
+				lanes = append(lanes, e.lane)
+				n++
+			}
+		case e.stopped == nil || !*e.stopped:
 			n++
 		}
 	}
