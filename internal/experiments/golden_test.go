@@ -34,6 +34,11 @@ func TestGoldenArtifacts(t *testing.T) {
 		{"scenario-ratedrop_n1_120s", func() string {
 			return ScenarioRateDrop(Options{N: 1, Seed: 1, Duration: 120 * time.Second}).Artifact.String()
 		}},
+		// Six clients on one shared bottleneck per strategy: the
+		// multi-client session.Shared path.
+		{"scenario-flashcrowd_n1_90s", func() string {
+			return ScenarioFlashCrowd(Options{N: 1, Seed: 1, Duration: 90 * time.Second}).Artifact.String()
+		}},
 		// 150 s is the shortest horizon whose post-warmup window is
 		// fully steady-state; shorter horizons pin a transient-phase
 		// artifact whose burstiness ordering is not the paper's claim.
