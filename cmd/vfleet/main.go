@@ -29,7 +29,6 @@ import (
 	"os/exec"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
 	"sync"
 	"time"
 
@@ -52,7 +51,7 @@ func main() {
 	workers := flag.Int("workers", 0, "cell worker pool (0 = one per CPU); results identical for any value")
 	perAgg := flag.Int("peragg", 0, "clients per aggregation link (0 = 32)")
 	bin := flag.Float64("bin", 1, "utilization bin seconds")
-	arrival := flag.String("arrival", "staggered", "arrival process: all-at-once, staggered, poisson, flash-crowd")
+	arrival := flag.String("arrival", "staggered", "arrival process: all-at-once, staggered, poisson, flash-crowd (or allatonce, uniform, flashcrowd)")
 	window := flag.Float64("window", 30, "arrival window seconds")
 	accessDown := flag.Float64("access-down", 0, "access down-link Mbps (0 = 6)")
 	aggDown := flag.Float64("agg-down", 0, "aggregation down-link Mbps (0 = 200)")
@@ -82,18 +81,9 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	var kind scenario.ArrivalKind
-	switch *arrival {
-	case "all-at-once":
-		kind = scenario.AllAtOnce
-	case "staggered":
-		kind = scenario.Staggered
-	case "poisson":
-		kind = scenario.Poisson
-	case "flash-crowd":
-		kind = scenario.FlashCrowd
-	default:
-		fatal(fmt.Errorf("unknown arrival %q", *arrival))
+	kind, err := scenario.ParseArrivalKind(*arrival)
+	if err != nil {
+		fatal(err)
 	}
 	dur := time.Duration(*duration * float64(time.Second))
 	var dyn netem.Dynamics
@@ -203,7 +193,7 @@ func main() {
 	start := time.Now()
 	var res *scenario.FleetResult
 	if *distributed > 0 {
-		res, err = runDistributed(f, *distributed, *workers, *mix, *down, *ccMix, *aqm)
+		res, err = runDistributed(f, *distributed)
 		if err != nil {
 			fatal(err)
 		}
@@ -253,7 +243,7 @@ func parseRange(s string) (lo, hi int, err error) {
 // locally folded partials — so the parent performs the one global left
 // fold in cell order and the merged result is bit-identical to a
 // single-process run.
-func runDistributed(f scenario.Fleet, n, workers int, mix, down, ccMix, aqm string) (*scenario.FleetResult, error) {
+func runDistributed(f scenario.Fleet, n int) (*scenario.FleetResult, error) {
 	cells := f.Cells()
 	if n > cells {
 		n = cells
@@ -262,35 +252,18 @@ func runDistributed(f scenario.Fleet, n, workers int, mix, down, ccMix, aqm stri
 	if err != nil {
 		return nil, err
 	}
-	// The child re-derives the identical Fleet spec from flags; the
-	// spec itself never crosses the pipe.
-	base := []string{
-		"-clients", strconv.Itoa(f.Clients),
-		"-mix", mix,
-		"-duration", fmt.Sprint(f.Duration.Seconds()),
-		"-warmup", fmt.Sprint(f.Warmup.Seconds()),
-		"-seed", strconv.FormatInt(f.Seed, 10),
-		"-peragg", strconv.Itoa(f.Tree.ClientsPerAgg),
-		"-bin", fmt.Sprint(f.UtilBin.Seconds()),
-		"-arrival", arrivalName(f.Arrival.Kind),
-		"-window", fmt.Sprint(f.Arrival.Window.Seconds()),
-		"-access-down", fmt.Sprint(float64(f.Tree.Access.Down) / float64(netem.Mbps)),
-		"-agg-down", fmt.Sprint(float64(f.Tree.Agg.Down) / float64(netem.Mbps)),
-		"-core-down", fmt.Sprint(float64(f.Tree.Core.Down) / float64(netem.Mbps)),
-		"-workers", strconv.Itoa(workers),
-	}
-	if down != "" {
-		base = append(base, "-down", down)
-	}
-	if f.FreshWorlds {
-		base = append(base, "-fresh-worlds")
-	}
-	if ccMix != "" {
-		base = append(base, "-cc", ccMix)
-	}
-	if aqm != "" {
-		base = append(base, "-aqm", aqm)
-	}
+	// Each child parses the parent's own flags as text, so it derives
+	// the identical Fleet; the spec itself never crosses the pipe.
+	// Flags only the parent acts on stay behind: children would fork
+	// again or overwrite the parent's output and profiles.
+	var base []string
+	flag.Visit(func(fl *flag.Flag) {
+		switch fl.Name {
+		case "distributed", "result-out", "cpuprofile", "memprofile":
+			return
+		}
+		base = append(base, "-"+fl.Name+"="+fl.Value.String())
+	})
 
 	type child struct {
 		cmd *exec.Cmd
@@ -332,17 +305,4 @@ func runDistributed(f scenario.Fleet, n, workers int, mix, down, ccMix, aqm stri
 		readers[i] = &k.out
 	}
 	return scenario.MergeFleetCellStreams(f, readers...)
-}
-
-func arrivalName(k scenario.ArrivalKind) string {
-	switch k {
-	case scenario.AllAtOnce:
-		return "all-at-once"
-	case scenario.Poisson:
-		return "poisson"
-	case scenario.FlashCrowd:
-		return "flash-crowd"
-	default:
-		return "staggered"
-	}
 }

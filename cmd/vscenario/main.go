@@ -48,7 +48,7 @@ func main() {
 		playerF = flag.String("player", "flash", "player kind (see -list)")
 		profile = flag.String("profile", "Research", "vantage profile name")
 		sess    = flag.Int("sessions", 1, "number of sessions")
-		arrival = flag.String("arrival", "allatonce", "arrival process: allatonce|staggered|poisson|flashcrowd")
+		arrival = flag.String("arrival", "allatonce", "arrival process: all-at-once|staggered|poisson|flash-crowd (or allatonce, uniform, flashcrowd)")
 		window  = flag.Duration("window", 60*time.Second, "arrival window")
 		rate    = flag.Float64("rate", 0, "poisson arrivals per second (0 = sessions/window)")
 		downDyn = flag.String("down", "", "downstream dynamics timeline")
@@ -97,7 +97,7 @@ func main() {
 	if !ok {
 		fail("unknown profile %q (try -list)", *profile)
 	}
-	ar, err := parseArrival(*arrival, *window, *rate)
+	ak, err := scenario.ParseArrivalKind(*arrival)
 	if err != nil {
 		fail("%v", err)
 	}
@@ -121,7 +121,7 @@ func main() {
 		Profile:  prof,
 		Player:   kind,
 		Sessions: *sess,
-		Arrival:  ar,
+		Arrival:  scenario.Arrival{Kind: ak, Window: *window, Rate: *rate},
 		Duration: *dur,
 		Seed:     *seed,
 		Down:     down,
@@ -134,7 +134,7 @@ func main() {
 
 	fmt.Printf("== scenario: %s/%s x%d ==\n", prof.Name, kind, *sess)
 	fmt.Printf("arrival %s over %v; down dynamics: %d steps; up dynamics: %d steps; horizon %v\n",
-		ar.Kind, *window, len(down.Steps), len(up.Steps), *dur)
+		ak, *window, len(down.Steps), len(up.Steps), *dur)
 	fmt.Printf("%-8s %-10s %-14s %-16s %-8s %-10s %s\n",
 		"session", "start", "downloaded", "strategy", "blocks", "medianKB", "retrans")
 	if *shared {
@@ -160,23 +160,6 @@ func printRow(i int, r *session.Result) {
 		i, r.Config.StartAt.Round(time.Millisecond),
 		fmt.Sprintf("%.2f MB", float64(r.Downloaded)/1e6),
 		a.Strategy, len(a.Blocks), float64(a.MedianBlock())/1e3, a.RetransRate*100)
-}
-
-func parseArrival(name string, window time.Duration, rate float64) (scenario.Arrival, error) {
-	a := scenario.Arrival{Window: window, Rate: rate}
-	switch strings.ToLower(strings.TrimSpace(name)) {
-	case "allatonce", "all":
-		a.Kind = scenario.AllAtOnce
-	case "staggered", "uniform":
-		a.Kind = scenario.Staggered
-	case "poisson":
-		a.Kind = scenario.Poisson
-	case "flashcrowd", "crowd":
-		a.Kind = scenario.FlashCrowd
-	default:
-		return a, fmt.Errorf("unknown arrival process %q", name)
-	}
-	return a, nil
 }
 
 func fail(format string, args ...any) {

@@ -1,9 +1,11 @@
 package scenario
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
+	"strings"
 	"time"
 )
 
@@ -40,6 +42,23 @@ func (k ArrivalKind) String() string {
 	default:
 		return "unknown"
 	}
+}
+
+// ParseArrivalKind resolves an arrival process name, ignoring case:
+// any ArrivalKind.String() form, or one of the short spellings
+// "allatonce", "all", "uniform", "flashcrowd" and "crowd".
+func ParseArrivalKind(name string) (ArrivalKind, error) {
+	switch strings.ToLower(strings.TrimSpace(name)) {
+	case "all-at-once", "allatonce", "all":
+		return AllAtOnce, nil
+	case "staggered", "uniform":
+		return Staggered, nil
+	case "poisson":
+		return Poisson, nil
+	case "flash-crowd", "flashcrowd", "crowd":
+		return FlashCrowd, nil
+	}
+	return 0, fmt.Errorf("unknown arrival process %q", name)
 }
 
 // Arrival is a declarative arrival process.

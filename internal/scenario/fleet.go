@@ -607,8 +607,8 @@ func runFleetCellRange(o runner.Options, f Fleet, lo, hi int, emit func(cell int
 			}
 			results[i] = w.run(from, to)
 			producers[i] = w
-			work[worker].Events += w.sch.Events
-			work[worker].Retires += w.sch.Retires
+			work[worker].Events += w.world.Sch.Events
+			work[worker].Retires += w.world.Sch.Retires
 		})
 		for i := 0; i < n; i++ {
 			emit(base+i, results[i])

@@ -77,3 +77,28 @@ func TestParseDynamics(t *testing.T) {
 		}
 	}
 }
+
+// TestParseArrivalKind pins the one arrival-name parser both commands
+// use: every kind's String() parses back to that kind, the short
+// spellings and any case parse, and an unknown name is an error.
+func TestParseArrivalKind(t *testing.T) {
+	for k := AllAtOnce; k <= FlashCrowd; k++ {
+		if got, err := ParseArrivalKind(k.String()); err != nil || got != k {
+			t.Fatalf("ParseArrivalKind(%q) = %v, %v; want %v", k.String(), got, err, k)
+		}
+	}
+	aliases := map[string]ArrivalKind{
+		"allatonce": AllAtOnce, "all": AllAtOnce, "uniform": Staggered,
+		"flashcrowd": FlashCrowd, "crowd": FlashCrowd, "Flash-Crowd": FlashCrowd, " POISSON ": Poisson,
+	}
+	for name, want := range aliases {
+		if got, err := ParseArrivalKind(name); err != nil || got != want {
+			t.Fatalf("ParseArrivalKind(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	for _, bad := range []string{"", "unknown", "flash crowd", "burst"} {
+		if _, err := ParseArrivalKind(bad); err == nil {
+			t.Fatalf("ParseArrivalKind(%q) accepted an unknown process", bad)
+		}
+	}
+}

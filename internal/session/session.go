@@ -7,9 +7,12 @@
 // for figure curves, a trace.PcapSink for export. Nothing retains the
 // packets, so every stack recycles segment structs through a pool.
 //
-// Shared is the one wiring: any number of such clients behind one
-// bottleneck path to one server, each captured on its own. Run, the
-// paper's isolated measurement, is its one-client case.
+// World is the one simulation every run lives on: a scheduler, a
+// server and its service, and client slots, wired into a topology by
+// its caller. Shared puts a World on one bottleneck path, with any
+// number of such clients each captured on its own; Run, the paper's
+// isolated measurement, is its one-client case. Fleet cells (package
+// scenario) put a World on a netem.Tree.
 package session
 
 import (
@@ -21,8 +24,6 @@ import (
 	"repro/internal/netem"
 	"repro/internal/packet"
 	"repro/internal/player"
-	"repro/internal/service"
-	"repro/internal/sim"
 	"repro/internal/tcp"
 	"repro/internal/trace"
 )
@@ -140,10 +141,10 @@ func Run(cfg Config) *Result {
 }
 
 // Shared is one deterministic simulation in which clients share a path
-// to one server: the server sends on Path.Down into Switch, which
-// routes by client address, and every client sends on Path.Up. Each
-// client is captured on its own, as if tcpdump ran on it. A plain
-// session (Run) is the one-client case.
+// to one server: a World whose server sends on Path.Down into Switch,
+// which routes by client address, and whose clients all send on
+// Path.Up. Each client is captured on its own, as if tcpdump ran on
+// it. A plain session (Run) is the one-client case.
 //
 // Use it in three steps: NewShared, then Add every client in index
 // order, then Run. Apart from the dynamics timelines, nothing draws
@@ -155,10 +156,8 @@ type Shared struct {
 	Path   *netem.Path
 	Switch *netem.Switch
 
-	cfg     Config // the shared part; see NewShared
-	sch     *sim.Scheduler
-	server  *tcp.Host
-	catalog interface{ AddVideo(media.Video) }
+	world   *World
+	horizon time.Duration
 	clients []client
 	sinks   []trace.Sink // per-client capture, by client index
 }
@@ -166,55 +165,46 @@ type Shared struct {
 // client is one Add-ed session inside a Shared run.
 type client struct {
 	cfg    Config
-	host   *tcp.Host
 	stream *analysis.Streaming
 }
 
 // NewShared builds the shared part of a run from cfg's Seed, Network,
 // Service, ServerTCP, dynamics timelines and Duration (0 means
-// DefaultDuration): the scheduler, the server and its service, and the
-// path with a Switch on its client side. The dynamics are applied
-// here, so they schedule ahead of every player start.
+// DefaultDuration): the world and the path with a Switch on its client
+// side. The dynamics are applied here, so they schedule ahead of every
+// player start.
 func NewShared(cfg Config) *Shared {
 	if cfg.Duration <= 0 {
 		cfg.Duration = DefaultDuration
 	}
-	sch := sim.NewScheduler(cfg.Seed)
-	server := tcp.NewHost(sch, ServerAddr[0], ServerAddr[1], ServerAddr[2], ServerAddr[3])
+	w := NewWorld(cfg.Seed, cfg.Service, cfg.ServerTCP)
 	sw := netem.NewSwitch()
-	path := netem.NewPath(sch, cfg.Network, sw, server)
-	server.SetLink(path.Down)
-	cfg.DownDynamics.Apply(sch, path.Down)
-	cfg.UpDynamics.Apply(sch, path.Up)
-	s := &Shared{Path: path, Switch: sw, cfg: cfg, sch: sch, server: server}
-	if cfg.Service == Netflix {
-		s.catalog = service.NewNetflix(server, cfg.ServerTCP, nil)
-	} else {
-		s.catalog = service.NewYouTube(server, cfg.ServerTCP, nil)
-	}
-	return s
+	path := netem.NewPath(w.Sch, cfg.Network, sw, w.Server)
+	w.Server.SetLink(path.Down)
+	cfg.DownDynamics.Apply(w.Sch, path.Down)
+	cfg.UpDynamics.Apply(w.Sch, path.Up)
+	return &Shared{Path: path, Switch: sw, world: w, horizon: cfg.Duration}
 }
 
 // Rand is the simulation's rng, for draws the caller must make before
 // any player starts.
-func (s *Shared) Rand() *rand.Rand { return s.sch.Rand() }
+func (s *Shared) Rand() *rand.Rand { return s.world.Sch.Rand() }
 
 // Add wires the next client, numbered len(clients) in the address plan
-// (ClientAddrOf): a host sending on Path.Up and routed by Switch, its
-// video in the service catalog, and its capture sinks. It reads the
-// per-client fields of cfg: Video, Player, StartAt, Capture and
-// SeriesBin. The player starts in Run.
+// (ClientAddrOf): a world slot whose host sends on Path.Up and is
+// routed by Switch, and its capture sinks. It reads the per-client
+// fields of cfg: Video, Player, StartAt, Capture and SeriesBin. The
+// player starts in Run.
 func (s *Shared) Add(cfg Config) {
-	addr := ClientAddrOf(len(s.clients))
-	host := tcp.NewHost(s.sch, addr[0], addr[1], addr[2], addr[3])
+	i := len(s.clients)
+	host := s.world.Add(i, cfg.Video, cfg.Player, cfg.StartAt)
 	host.SetLink(s.Path.Up)
-	s.Switch.Route(addr, host)
-	s.catalog.AddVideo(cfg.Video)
-	cfg.Duration = s.cfg.Duration
+	s.Switch.Route(ClientAddrOf(i), host)
+	cfg.Duration = s.horizon
 
 	// tcpdump at the client vantage point: the analyzer, then the
 	// caller's sink.
-	c := client{cfg: cfg, host: host, stream: analysis.NewStreaming(cfg.AnalysisConfig())}
+	c := client{cfg: cfg, stream: analysis.NewStreaming(cfg.AnalysisConfig())}
 	var sink trace.Sink = c.stream
 	if cfg.Capture != nil {
 		sink = trace.Fanout(c.stream, cfg.Capture)
@@ -223,30 +213,13 @@ func (s *Shared) Add(cfg Config) {
 	s.sinks = append(s.sinks, sink)
 }
 
-// Run attaches the captures, starts every player in index order, runs
-// to the horizon and returns one Result per client, by index. Every
-// stack recycles segments through one pool: no sink retains them past
-// the tap.
+// Run attaches the captures, runs the world to the horizon and returns
+// one Result per client, by index.
 func (s *Shared) Run() []*Result {
-	pool := &packet.Pool{}
-	s.server.SetSegmentPool(pool)
-	for i := range s.clients {
-		s.clients[i].host.SetSegmentPool(pool)
-	}
 	s.Path.AddTaps(&clientTap{dir: trace.Down, sinks: s.sinks}, &clientTap{dir: trace.Up, sinks: s.sinks})
+	s.world.Run(s.horizon)
 
-	for i := range s.clients {
-		c := &s.clients[i]
-		env := &player.Env{Sch: s.sch, Host: c.host, Server: packet.Endpoint{Addr: ServerAddr, Port: 80}}
-		p, v := c.cfg.Player, c.cfg.Video
-		if c.cfg.StartAt > 0 {
-			s.sch.At(c.cfg.StartAt, func() { p.Start(env, v) })
-		} else {
-			p.Start(env, v)
-		}
-	}
-	s.sch.RunUntil(s.cfg.Duration)
-
+	now := s.world.Sch.Now()
 	out := make([]*Result, len(s.clients))
 	for i := range s.clients {
 		c := &s.clients[i]
@@ -256,8 +229,8 @@ func (s *Shared) Run() []*Result {
 			Analysis:   a,
 			Packets:    a.Packets,
 			Downloaded: c.cfg.Player.Downloaded(),
-			QoE:        c.cfg.Player.QoE(s.sch.Now()),
-			Elapsed:    s.sch.Now(),
+			QoE:        c.cfg.Player.QoE(now),
+			Elapsed:    now,
 		}
 	}
 	return out
