@@ -35,10 +35,14 @@ type Streaming struct {
 	lastTS  time.Duration
 	packets int
 
-	// Flow accounting: distinct Down flows (ConnCount) and per-flow
-	// sequence high-water marks (retransmission detection).
-	seen map[packet.Flow]bool
-	high map[packet.Flow]uint32
+	// Flow accounting: each distinct Down flow (ConnCount) gets an index
+	// into flows, in order of first appearance, so flows[0] is the first
+	// flow. Down segments arrive in runs per flow, so the last flow and
+	// its index are checked before the map.
+	index    map[packet.Flow]int32
+	flows    []flowState
+	lastFlow packet.Flow
+	lastIdx  int32 // -1 until the first Down segment
 
 	// RTT estimation: client-port -> SYN time, until the first
 	// complete handshake resolves the estimate.
@@ -55,9 +59,7 @@ type Streaming struct {
 	pending []ackSample
 
 	// Media extraction: bounded header reassembly of the first flow.
-	haveFlow  bool
-	firstFlow packet.Flow
-	asm       headerAsm
+	asm headerAsm
 
 	// Rendition segmentation: fragment headers observed in Down
 	// payloads delimit per-rendition request cycles. Scanning is
@@ -81,14 +83,21 @@ type ackSample struct {
 	n  int
 }
 
+// flowState is one Down flow's sequence high-water mark, for
+// retransmission detection; started is set by its first data segment.
+type flowState struct {
+	high    uint32
+	started bool
+}
+
 // NewStreaming returns an online analyzer with the given config (zero
 // values take defaults; see Config).
 func NewStreaming(cfg Config) *Streaming {
 	return &Streaming{
-		cfg:   cfg.withDefaults(),
-		seen:  make(map[packet.Flow]bool),
-		high:  make(map[packet.Flow]uint32),
-		synAt: make(map[uint16]time.Duration),
+		cfg:     cfg.withDefaults(),
+		index:   make(map[packet.Flow]int32),
+		lastIdx: -1,
+		synAt:   make(map[uint16]time.Duration),
 	}
 }
 
@@ -113,21 +122,23 @@ func (s *Streaming) Capture(at time.Duration, dir trace.Dir, seg *packet.Segment
 		return
 	}
 
-	f := seg.Flow
-	if !s.seen[f] {
-		s.seen[f] = true
-		s.res.ConnCount++
-		if !s.haveFlow {
-			s.haveFlow = true
-			s.firstFlow = f
+	fi := s.lastIdx
+	if fi < 0 || seg.Flow != s.lastFlow {
+		var ok bool
+		if fi, ok = s.index[seg.Flow]; !ok {
+			fi = int32(len(s.flows))
+			s.index[seg.Flow] = fi
+			s.flows = append(s.flows, flowState{})
+			s.res.ConnCount++
 		}
+		s.lastFlow, s.lastIdx = seg.Flow, fi
 	}
 	if !s.rttKnown && seg.HasFlag(packet.FlagSYN) && seg.HasFlag(packet.FlagACK) {
 		if t0, ok := s.synAt[seg.Dst.Port]; ok {
 			s.resolveRTT(at - t0)
 		}
 	}
-	if f == s.firstFlow {
+	if fi == 0 {
 		s.asm.add(seg)
 	}
 
@@ -141,12 +152,12 @@ func (s *Streaming) Capture(at time.Duration, dir trace.Dir, seg *packet.Segment
 	// Retransmission heuristic: sequence regression per flow.
 	s.res.DataSegs++
 	end := seg.Seq + uint32(n)
-	if h, started := s.high[f]; !started {
-		s.high[f] = end
-	} else if int32(end-h) <= 0 {
+	if fs := &s.flows[fi]; !fs.started {
+		fs.high, fs.started = end, true
+	} else if int32(end-fs.high) <= 0 {
 		s.res.Retrans++
 	} else {
-		s.high[f] = end
+		fs.high = end
 	}
 
 	// Cycle segmentation. Segments below ProbeIgnoreBytes never start
@@ -318,7 +329,7 @@ func (s *Streaming) finish() {
 		}
 	}
 
-	r.Media = mediaFromStream(s.streamPrefix(), s.haveFlow, s.cfg)
+	r.Media = mediaFromStream(s.streamPrefix(), len(s.flows) > 0, s.cfg)
 	if r.Media.EncodingRate > 0 && r.SteadyRate > 0 {
 		r.AccumulationRatio = r.SteadyRate / r.Media.EncodingRate
 	}
@@ -328,7 +339,7 @@ func (s *Streaming) finish() {
 // streamPrefix returns the reassembled in-order payload prefix of the
 // first Down flow, nil when no flow was seen.
 func (s *Streaming) streamPrefix() []byte {
-	if !s.haveFlow {
+	if len(s.flows) == 0 {
 		return nil
 	}
 	return s.asm.finish()

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -149,5 +150,106 @@ func TestStreamingIgnoresCapturesAfterClose(t *testing.T) {
 	s.Capture(time.Second, trace.Down, dseg(2000, nil, 1000))
 	if got := s.Result().TotalBytes; got != total {
 		t.Fatalf("capture after close changed the result: %d -> %d", total, got)
+	}
+}
+
+// TestStreamingFlowTableMatchesMap: the per-flow table with its
+// last-flow memo must count exactly what a plain map looked up on every
+// packet counts. The flows differ in one field each, arrive in runs of
+// random length (so the memo both hits and misses), and their
+// sequences regress now and then (retransmissions); Up packets and
+// pure ACKs are interleaved.
+func TestStreamingFlowTableMatchesMap(t *testing.T) {
+	flows := []packet.Flow{
+		downFlow,
+		{Src: testServer, Dst: packet.EP(10, 0, 0, 1, 40001)},
+		{Src: packet.EP(203, 0, 113, 10, 81), Dst: testClient},
+		{Src: packet.EP(203, 0, 113, 11, 80), Dst: testClient},
+		{Src: testServer, Dst: packet.EP(10, 0, 0, 2, 40000)},
+	}
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 50; trial++ {
+		s := NewStreaming(Config{})
+		seen := map[packet.Flow]bool{}
+		high := map[packet.Flow]uint32{}
+		next := map[packet.Flow]uint32{}
+		var conns, segs, retrans int
+		at := time.Duration(0)
+		for run := 0; run < 40; run++ {
+			f := flows[rng.Intn(len(flows))]
+			for k := rng.Intn(6); k >= 0; k-- {
+				at += time.Duration(rng.Intn(3000)) * time.Microsecond
+				if rng.Intn(5) == 0 {
+					s.Capture(at, trace.Up, &packet.Segment{Flow: f.Reverse(), Flags: packet.FlagACK, Window: 65536})
+					continue
+				}
+				n := []int{0, 1, 700, 1460}[rng.Intn(4)]
+				seq := next[f]
+				if rng.Intn(6) == 0 && seq > 5000 {
+					seq -= uint32(rng.Intn(5000)) // regression: a retransmission
+				}
+				next[f] = max(next[f], seq+uint32(n))
+				s.Capture(at, trace.Down, &packet.Segment{Flow: f, Seq: seq, Flags: packet.FlagACK, Window: 65536, PayloadLen: n})
+
+				if !seen[f] {
+					seen[f] = true
+					conns++
+				}
+				if n == 0 {
+					continue
+				}
+				segs++
+				end := seq + uint32(n)
+				if h, ok := high[f]; !ok {
+					high[f] = end
+				} else if int32(end-h) <= 0 {
+					retrans++
+				} else {
+					high[f] = end
+				}
+			}
+		}
+		r := s.Result()
+		if r.ConnCount != conns || r.DataSegs != segs || r.Retrans != retrans {
+			t.Fatalf("trial %d: conns/segs/retrans = %d/%d/%d, per-packet map says %d/%d/%d",
+				trial, r.ConnCount, r.DataSegs, r.Retrans, conns, segs, retrans)
+		}
+	}
+}
+
+// BenchmarkStreamingCapture measures the analyzer's per-packet cost on
+// Down data segments of one flow, and of several flows interleaved
+// round robin, so every segment misses the last-flow memo. One op is
+// one Capture. A handshake on a flow of its own resolves the RTT first,
+// so no sample is deferred, and keeps the data flows out of the
+// first-flow header reassembly; one warm-up segment per flow enters it
+// in the flow table, so even one op reports the steady state.
+func BenchmarkStreamingCapture(b *testing.B) {
+	for _, n := range []int{1, 4} {
+		b.Run(fmt.Sprintf("flows=%d", n), func(b *testing.B) {
+			s := NewStreaming(Config{})
+			s.Capture(0, trace.Up, &packet.Segment{Flow: upFlow, Seq: 99, Flags: packet.FlagSYN, Window: 65536})
+			s.Capture(time.Millisecond, trace.Down, &packet.Segment{Flow: downFlow, Seq: 499, Ack: 100, Flags: packet.FlagSYN | packet.FlagACK, Window: 65536})
+			segs := make([]packet.Segment, n)
+			for i := range segs {
+				dst := packet.EP(10, 0, 1, byte(i), 40000)
+				segs[i] = packet.Segment{Flow: packet.Flow{Src: testServer, Dst: dst}, Flags: packet.FlagACK, Window: 65536, PayloadLen: 1460}
+			}
+			at := 2 * time.Millisecond
+			capture := func(i int) {
+				seg := &segs[i%n]
+				at += 10 * time.Microsecond
+				s.Capture(at, trace.Down, seg)
+				seg.Seq += 1460
+			}
+			for i := range n {
+				capture(i)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := range b.N {
+				capture(i)
+			}
+		})
 	}
 }

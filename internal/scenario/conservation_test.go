@@ -16,6 +16,9 @@ import (
 // next tier's offers, so the tiers must balance exactly. The first
 // fleet is the clean ON-OFF mix; the second adds CoDel drops, three
 // congestion controllers, ABR and Netflix players and two rate steps.
+// On every link of every tier the AQM's drops are a subset of all
+// drops, and in the second fleet every cell's CoDel tiers drop, so
+// that bound is tested, not vacuous.
 func TestCellConservation(t *testing.T) {
 	onoff := Fleet{
 		Name:     "onoff",
@@ -75,6 +78,21 @@ func TestCellConservation(t *testing.T) {
 			check("CoreOffered", res.CoreOffered, offered(tr.CoreDown))
 			check("active + starved clients", res.ActiveClients+res.StarvedClients, res.Clients)
 			check("clients", res.Clients, to-from)
+
+			links := []*netem.Link{tr.CoreDown, tr.CoreUp}
+			for _, tier := range [][]*netem.Link{tr.AggDown[:agg], tr.AggUp[:agg], tr.AccessDown[:access], tr.AccessUp[:access]} {
+				links = append(links, tier...)
+			}
+			aqm := 0
+			for i, l := range links {
+				if l.AqmDrops > l.Dropped {
+					t.Errorf("%s cell %d: link %d has %d AQM drops of %d drops", f.Name, cell, i, l.AqmDrops, l.Dropped)
+				}
+				aqm += l.AqmDrops
+			}
+			if f.Tree.Agg.AQM.Enabled() && aqm == 0 {
+				t.Errorf("%s cell %d: CoDel tiers dropped nothing, so AqmDrops <= Dropped is vacuous", f.Name, cell)
+			}
 
 			var payload int64
 			for _, c := range w.states[:to-from] {

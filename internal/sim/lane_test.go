@@ -11,8 +11,8 @@ import (
 // where an ordinary event carrying its reserved seq would have fired.
 // The reference is refSched with every record scheduled as such an
 // event, and runLaneWorkload drives both through the same randomized
-// script of events, timers, timer stops, Stop calls and record pushes
-// onto a few lanes.
+// script of events, timers, timer stops and re-arms, Stop calls and
+// record pushes onto a few lanes.
 
 // testLane keeps its records sorted by (at, seq) the way netem.Link
 // keeps its flights: pushes append, and a push earlier than the tail
@@ -105,7 +105,7 @@ const testLanes = 4
 func runLaneWorkload(d laneSched, seed int64, n int) []traceEntry {
 	rng := rand.New(rand.NewSource(seed))
 	var trace []traceEntry
-	var stops []func() bool
+	var timers []wlTimer
 	var tail [testLanes]time.Duration // latest record time pushed per lane
 	id := 0
 	const grid = 250 * time.Microsecond
@@ -133,9 +133,9 @@ func runLaneWorkload(d laneSched, seed int64, n int) []traceEntry {
 				d.after(delay(), fire(id))
 			case r < 4 && live: // arm a cancellable timer
 				id++
-				stops = append(stops, d.timer(delay(), fire(id)))
-			case r < 5 && len(stops) > 0: // stop one; re-arm if it was live
-				if stops[rng.Intn(len(stops))]() && live {
+				timers = append(timers, d.timer(delay(), fire(id)))
+			case r < 5 && len(timers) > 0: // stop one; replace it if it was live
+				if timers[rng.Intn(len(timers))].stop() && live {
 					id++
 					d.after(delay(), fire(id))
 				}
@@ -153,6 +153,9 @@ func runLaneWorkload(d laneSched, seed int64, n int) []traceEntry {
 					id++
 					d.push(lane, at, fire(id))
 				}
+			case r < 15 && len(timers) > 0 && live: // re-arm a timer
+				id++
+				timers[rng.Intn(len(timers))].rearm(delay(), fire(id))
 			}
 		}
 	}
@@ -160,7 +163,7 @@ func runLaneWorkload(d laneSched, seed int64, n int) []traceEntry {
 		id++
 		switch i % 3 {
 		case 0:
-			stops = append(stops, d.timer(delay(), fire(id)))
+			timers = append(timers, d.timer(delay(), fire(id)))
 		case 1:
 			d.after(delay(), fire(id))
 		default:

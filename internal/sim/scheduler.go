@@ -13,8 +13,12 @@
 // that would otherwise allocate a closure per event can instead
 // implement Task and schedule themselves with AtTask, passing a small
 // op code to select the behaviour. Cancellable timers draw bookkeeping
-// slots from a free list, so re-arming a timer (the TCP RTO pattern)
-// is allocation-free at steady state.
+// slots from a free list, and RearmAfterTask re-arms one in place: while
+// its queued entry lies at or before the new deadline, a re-arm only
+// records the new key in the slot, and the entry moves there when it
+// reaches the front of the queue. A timer pushed forward on every ACK
+// (the TCP RTO pattern) so costs one queue placement per RTO interval,
+// not one per ACK.
 //
 // Lanes (lane.go) serve work that would otherwise cost one event per
 // item: a lane keeps its own records sorted by (time, seq) and reports
@@ -53,11 +57,21 @@ type event struct {
 
 // timerSlot tracks the cancellation state of one outstanding timer.
 // Slots are recycled through a free list; gen distinguishes a live
-// slot from a stale Timer handle pointing at a recycled one.
+// slot from a stale Timer handle pointing at a recycled one. qat is
+// the time the timer's entry is queued at. A timer re-armed in place
+// (RearmAfterTask) keeps that entry and sets moved: at, seq, task and
+// op then hold its real key and callback, and the entry re-places
+// itself there when it leaves the queue instead of running.
 type timerSlot struct {
 	gen     uint32
 	pending bool
 	stopped bool
+	moved   bool
+	op      int32
+	qat     time.Duration
+	at      time.Duration
+	seq     uint64
+	task    Task
 }
 
 const noSlot = -1
@@ -250,8 +264,9 @@ func (s *Scheduler) AfterTask(d time.Duration, task Task, op int32) {
 	s.schedule(s.fromNow(d), nil, task, op, noSlot)
 }
 
-// newTimer allocates a cancellation slot from the free list.
-func (s *Scheduler) newTimer() (int32, Timer) {
+// newTimer allocates a cancellation slot from the free list for a
+// timer queued at t.
+func (s *Scheduler) newTimer(t time.Duration) (int32, Timer) {
 	var slot int32
 	if n := len(s.free); n > 0 {
 		slot = s.free[n-1]
@@ -262,24 +277,21 @@ func (s *Scheduler) newTimer() (int32, Timer) {
 	}
 	sl := &s.slots[slot]
 	sl.pending = true
-	sl.stopped = false
+	sl.qat = t
 	return slot, Timer{s: s, slot: slot, gen: sl.gen}
 }
 
 // freeSlot retires a slot after its event popped (fired or cancelled),
 // invalidating outstanding Timer handles.
 func (s *Scheduler) freeSlot(slot int32) {
-	sl := &s.slots[slot]
-	sl.gen++
-	sl.pending = false
-	sl.stopped = false
+	s.slots[slot] = timerSlot{gen: s.slots[slot].gen + 1}
 	s.free = append(s.free, slot)
 }
 
 // TimerAt schedules fn at absolute virtual time t and returns a handle
 // that can cancel it.
 func (s *Scheduler) TimerAt(t time.Duration, fn func()) Timer {
-	slot, tm := s.newTimer()
+	slot, tm := s.newTimer(t)
 	s.schedule(t, fn, nil, 0, slot)
 	return tm
 }
@@ -293,9 +305,45 @@ func (s *Scheduler) TimerAfter(d time.Duration, fn func()) Timer {
 // TimerAfterTask is TimerAfter for pre-allocated Tasks: cancellable and
 // allocation-free at steady state.
 func (s *Scheduler) TimerAfterTask(d time.Duration, task Task, op int32) Timer {
-	slot, tm := s.newTimer()
-	s.schedule(s.fromNow(d), nil, task, op, slot)
+	at := s.fromNow(d)
+	slot, tm := s.newTimer(at)
+	s.schedule(at, nil, task, op, slot)
 	return tm
+}
+
+// RearmAfterTask re-arms t to run task.RunTask(op) d after the current
+// time and returns the new handle; t itself goes stale. Its effect is
+// exactly that of t.Stop() followed by TimerAfterTask(d, task, op),
+// the same deadline and the same tie-break seq included. While t's
+// entry is still queued (live or stopped) at or before the new
+// deadline, the entry stays where it is and only its slot records the
+// new key; the entry re-places itself at that key when it reaches the
+// front of the queue. An entry's queued key is never later than its
+// real one, so it always re-places before its real key is due. This is
+// the TCP RTO pattern — re-armed on every ACK, rarely fired — at one
+// slot write per re-arm instead of one queue placement.
+func (s *Scheduler) RearmAfterTask(t Timer, d time.Duration, task Task, op int32) Timer {
+	at := s.fromNow(d)
+	if t.s == s {
+		if sl := &s.slots[t.slot]; sl.gen == t.gen && sl.pending && sl.qat <= at {
+			sl.gen++
+			sl.stopped = false
+			sl.moved = true
+			sl.at, sl.seq, sl.task, sl.op = at, s.ReserveSeq(), task, op
+			return Timer{s: s, slot: t.slot, gen: sl.gen}
+		}
+	}
+	t.Stop()
+	return s.TimerAfterTask(d, task, op)
+}
+
+// rearmed returns the event a moved timer entry re-places as, at the
+// key its slot recorded, and clears the move.
+func (s *Scheduler) rearmed(slot int32) event {
+	sl := &s.slots[slot]
+	sl.moved = false
+	sl.qat = sl.at
+	return event{at: sl.at, seq: sl.seq, task: sl.task, op: sl.op, slot: slot}
 }
 
 // ---- 4-ary heap, ordered by (at, seq) ----

@@ -6,12 +6,14 @@ import (
 )
 
 // The hierarchical timer wheel defers mid-range events away from the
-// heap. A fleet schedules O(clients) concurrent pacing, RTO and drain
-// timers per tick; keeping them all in one heap makes every push/pop
-// pay O(log n) on a structure too big for cache. The wheel gives those
-// timers O(1) insertion and lets timers that are cancelled before
-// maturing (the RTO re-arm pattern: armed per send, stopped per ACK)
-// die without ever touching the heap.
+// heap. A fleet schedules O(clients) concurrent pacing, RTO and
+// delayed-ACK timers per tick; keeping them all in one heap makes every
+// push/pop pay O(log n) on a structure too big for cache. The wheel
+// gives those timers O(1) insertion and lets timers that are cancelled
+// before maturing die without ever touching the heap. TCP re-arms its
+// RTO per ACK in place (RearmAfterTask): the entry keeps its slot, and
+// when the slot is flushed it re-places itself at the deadline its
+// timer slot recorded last instead of maturing.
 //
 // Layout: wheelLevels levels of wheelSlots slots each. One tick is
 // 1<<tickShift nanoseconds (~524 µs); a level-L slot spans
@@ -158,9 +160,14 @@ func (s *Scheduler) advance(tick int64) {
 			s.wfree = append(s.wfree, ni)
 			s.wcount--
 			ni = next
-			if ev.slot != noSlot && s.slots[ev.slot].stopped {
-				s.freeSlot(ev.slot)
-				continue
+			if ev.slot != noSlot {
+				if sl := &s.slots[ev.slot]; sl.stopped {
+					s.freeSlot(ev.slot)
+					continue
+				} else if sl.moved {
+					s.place(s.rearmed(ev.slot))
+					continue
+				}
 			}
 			if level == 0 {
 				// A level-0 slot entered by the cursor holds only matured
@@ -199,15 +206,21 @@ func (s *Scheduler) nextReady() (time.Duration, bool) {
 	}
 }
 
-// heapTopLive discards cancelled timers at the top of the heap and
+// heapTopLive discards cancelled timers at the top of the heap,
+// re-places timers re-armed in place at their recorded keys, and
 // reports the earliest live heap event's timestamp.
 func (s *Scheduler) heapTopLive() (time.Duration, bool) {
 	for len(s.heap) > 0 {
 		ev := &s.heap[0]
-		if ev.slot != noSlot && s.slots[ev.slot].stopped {
-			popped := s.pop()
-			s.freeSlot(popped.slot)
-			continue
+		if ev.slot != noSlot {
+			if sl := &s.slots[ev.slot]; sl.stopped {
+				popped := s.pop()
+				s.freeSlot(popped.slot)
+				continue
+			} else if sl.moved {
+				s.placeAt(s.rearmed(s.pop().slot))
+				continue
+			}
 		}
 		return ev.at, true
 	}

@@ -12,7 +12,9 @@ import (
 // refSched is that sorted list — an O(n^2) executable spec of the
 // scheduler contract — and runWorkload drives both implementations
 // through identical randomized schedule/stop/re-arm scripts spanning
-// every wheel tier (sub-tick, levels 0-2, and far-future overflow).
+// every wheel tier (sub-tick, levels 0-2, and far-future overflow). A
+// re-arm's reference is Stop followed by a fresh timer, which is what
+// RearmAfterTask must be indistinguishable from.
 
 type refEvent struct {
 	at      time.Duration
@@ -37,29 +39,48 @@ func (r *refSched) after(d time.Duration, fn func()) {
 	r.seq++
 }
 
-func (r *refSched) timer(d time.Duration, fn func()) func() bool {
+func (r *refSched) timer(d time.Duration, fn func()) wlTimer {
+	h := &refTimer{r: r}
+	h.arm(d, fn)
+	return h
+}
+
+// refTimer is a reference timer handle; a re-arm stops the current
+// timer and arms a fresh one.
+type refTimer struct {
+	r              *refSched
+	stopped, fired *bool
+}
+
+func (h *refTimer) arm(d time.Duration, fn func()) {
 	if d < 0 {
 		d = 0
 	}
-	stopped := new(bool)
-	fired := new(bool)
-	r.evs = append(r.evs, refEvent{
-		at:  r.now + d,
-		seq: r.seq,
+	stopped, fired := new(bool), new(bool)
+	h.stopped, h.fired = stopped, fired
+	h.r.evs = append(h.r.evs, refEvent{
+		at:  h.r.now + d,
+		seq: h.r.seq,
 		fn: func() {
 			*fired = true
 			fn()
 		},
 		stopped: stopped,
 	})
-	r.seq++
-	return func() bool {
-		if *stopped || *fired {
-			return false
-		}
-		*stopped = true
-		return true
+	h.r.seq++
+}
+
+func (h *refTimer) stop() bool {
+	if *h.stopped || *h.fired {
+		return false
 	}
+	*h.stopped = true
+	return true
+}
+
+func (h *refTimer) rearm(d time.Duration, fn func()) {
+	h.stop()
+	h.arm(d, fn)
 }
 
 // next returns the index of the earliest live event, or -1.
@@ -137,23 +158,47 @@ func (r *refSched) pending() int {
 // script runs against the real scheduler and the reference.
 type wlDriver interface {
 	after(d time.Duration, fn func())
-	timer(d time.Duration, fn func()) func() bool
+	timer(d time.Duration, fn func()) wlTimer
 	run()
 	runUntil(deadline time.Duration)
 	nowAt() time.Duration
 	pending() int
 }
 
+// wlTimer is a timer handle in the workload script: stop reports
+// whether the timer was still pending, and rearm points the handle at
+// a timer armed afresh, d from now.
+type wlTimer interface {
+	stop() bool
+	rearm(d time.Duration, fn func())
+}
+
 type realDriver struct{ s *Scheduler }
 
 func (r realDriver) after(d time.Duration, fn func()) { r.s.After(d, fn) }
-func (r realDriver) timer(d time.Duration, fn func()) func() bool {
-	return r.s.TimerAfter(d, fn).Stop
+func (r realDriver) timer(d time.Duration, fn func()) wlTimer {
+	return &realTimer{s: r.s, t: r.s.TimerAfter(d, fn)}
 }
 func (r realDriver) run()                            { r.s.Run() }
 func (r realDriver) runUntil(deadline time.Duration) { r.s.RunUntil(deadline) }
 func (r realDriver) nowAt() time.Duration            { return r.s.Now() }
 func (r realDriver) pending() int                    { return r.s.Pending() }
+
+type realTimer struct {
+	s *Scheduler
+	t Timer
+}
+
+func (h *realTimer) stop() bool { return h.t.Stop() }
+func (h *realTimer) rearm(d time.Duration, fn func()) {
+	h.t = h.s.RearmAfterTask(h.t, d, fnTask(fn), 0)
+}
+
+// fnTask runs a closure as a Task, so the script can re-arm a timer
+// with a callback of its own.
+type fnTask func()
+
+func (f fnTask) RunTask(int32) { f() }
 
 type traceEntry struct {
 	id int
@@ -162,16 +207,18 @@ type traceEntry struct {
 
 // runWorkload drives d through a deterministic random script: an
 // initial batch of events whose callbacks spawn more events, arm
-// cancellable timers, and stop/re-arm earlier timers. Delays are drawn
-// from every tier the scheduler routes between — exact ties, sub-tick,
-// wheel levels 0/1/2, and beyond-horizon overflow — so tier-crossing
-// reinsertions and cross-tier timestamp ties are all exercised. The
-// trace (and the embedded rng) diverges at the first ordering
-// difference, so equal traces mean bit-identical firing order.
+// cancellable timers, stop earlier timers (scheduling a replacement
+// event when one was live) and re-arm them, whether live, stopped or
+// already fired. Delays are drawn from every tier the scheduler routes
+// between — exact ties, sub-tick, wheel levels 0/1/2, and
+// beyond-horizon overflow — so tier-crossing reinsertions and
+// cross-tier timestamp ties are all exercised. The trace (and the
+// embedded rng) diverges at the first ordering difference, so equal
+// traces mean bit-identical firing order.
 func runWorkload(d wlDriver, seed int64, n int) []traceEntry {
 	rng := rand.New(rand.NewSource(seed))
 	var trace []traceEntry
-	var stops []func() bool
+	var timers []wlTimer
 	id := 0
 	delay := func() time.Duration {
 		switch rng.Intn(7) {
@@ -204,11 +251,19 @@ func runWorkload(d wlDriver, seed int64, n int) []traceEntry {
 				}
 			case r < 6 && myID < n*6: // arm a cancellable timer
 				id++
-				stops = append(stops, d.timer(delay(), fire(id)))
-			case r < 8 && len(stops) > 0: // stop one; re-arm if it was live
-				if stops[rng.Intn(len(stops))]() && myID < n*6 {
+				timers = append(timers, d.timer(delay(), fire(id)))
+			case r < 8 && len(timers) > 0: // stop one; replace it if it was live
+				if timers[rng.Intn(len(timers))].stop() && myID < n*6 {
 					id++
 					d.after(delay(), fire(id))
+				}
+			case r < 10 && len(timers) > 0 && myID < n*6: // re-arm one
+				// Re-arms of one handle in a row stack moves on one
+				// entry wherever each lies at or after its queued key.
+				h := timers[rng.Intn(len(timers))]
+				for k := rng.Intn(3); k >= 0; k-- {
+					id++
+					h.rearm(delay(), fire(id))
 				}
 			}
 		}
@@ -216,14 +271,19 @@ func runWorkload(d wlDriver, seed int64, n int) []traceEntry {
 	for i := 0; i < n; i++ {
 		id++
 		if i%3 == 0 {
-			stops = append(stops, d.timer(delay(), fire(id)))
+			timers = append(timers, d.timer(delay(), fire(id)))
 		} else {
 			d.after(delay(), fire(id))
 		}
 	}
-	// Stop a few timers before anything runs (pure-wheel cancellation).
-	for i := 0; i < len(stops); i += 4 {
-		stops[i]()
+	// Stop a few timers before anything runs (pure-wheel cancellation),
+	// and re-arm a few others in place.
+	for i := 0; i < len(timers); i += 4 {
+		timers[i].stop()
+	}
+	for i := 1; i < len(timers); i += 4 {
+		id++
+		timers[i].rearm(delay(), fire(id))
 	}
 	d.runUntil(90 * time.Second)
 	trace = append(trace, traceEntry{-1, d.nowAt()})

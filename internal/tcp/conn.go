@@ -611,9 +611,10 @@ func (c *Conn) transmitData(off int64, n int) {
 	if !c.rtoTimer.Active() {
 		c.restartRTO()
 	}
-	// Receiving a piggybacked ACK resets the delayed-ack debt.
+	// Receiving a piggybacked ACK resets the delayed-ack debt. The
+	// stopped timer keeps its handle so the next arm re-arms it in place.
 	c.unacked = 0
-	c.stopTimer(&c.ackTimer)
+	c.ackTimer.Stop()
 }
 
 func (c *Conn) transmitFIN() {
@@ -658,8 +659,10 @@ func sameBacking(p []byte) bool {
 
 // ---- RTO ----
 
+// restartRTO re-arms the RTO, or stops it when nothing is outstanding.
+// The handle survives a stop, so the next restart can re-arm the
+// queued entry in place (sim.Scheduler.RearmAfterTask).
 func (c *Conn) restartRTO() {
-	c.stopTimer(&c.rtoTimer)
 	// Outstanding data is anything transmitted beyond the cumulative
 	// ack. sndNxt is NOT that test: a go-back-N rollback drags sndNxt
 	// to sndUna while retransmissions are in flight, and an ack that
@@ -668,11 +671,12 @@ func (c *Conn) restartRTO() {
 	// connection deadlocks with an empty event queue (found by the
 	// shuffled property tests).
 	if c.maxSent == c.sndUna && !(c.finSent && c.sndUna == c.finAt) {
-		return // nothing outstanding
+		c.rtoTimer.Stop() // nothing outstanding
+		return
 	}
 	backoff := c.rto << c.rtoBackoff
 	backoff = minDur(backoff, c.cfg.MaxRTO)
-	c.rtoTimer = c.host.sch.TimerAfterTask(backoff, c, connOpRTO)
+	c.rtoTimer = c.host.sch.RearmAfterTask(c.rtoTimer, backoff, c, connOpRTO)
 }
 
 func (c *Conn) onRTO() {
@@ -817,13 +821,13 @@ func (c *Conn) scheduleAck(seg *packet.Segment) {
 		return
 	}
 	if !c.ackTimer.Active() {
-		c.ackTimer = c.host.sch.TimerAfterTask(c.cfg.AckDelay, c, connOpDelAck)
+		c.ackTimer = c.host.sch.RearmAfterTask(c.ackTimer, c.cfg.AckDelay, c, connOpDelAck)
 	}
 }
 
 func (c *Conn) sendAck() {
 	c.unacked = 0
-	c.stopTimer(&c.ackTimer)
+	c.ackTimer.Stop() // keeps the handle for an in-place re-arm
 	if c.state == StateClosed {
 		return
 	}

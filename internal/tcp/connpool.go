@@ -75,6 +75,7 @@ func resolvedCC(name string) string {
 func (h *Host) Reset(a, b, c, d byte) {
 	h.addr = [4]byte{a, b, c, d}
 	clear(h.conns)
+	h.last = nil
 	if h.connPool != nil {
 		for i, cn := range h.created {
 			h.connPool.put(cn)

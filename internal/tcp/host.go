@@ -16,6 +16,7 @@ type Host struct {
 	addr      [4]byte
 	out       *netem.Link
 	conns     map[packet.Flow]*Conn
+	last      *Conn // the conn the previous inbound segment went to
 	listeners map[uint16]listener
 	nextPort  uint16
 	nextISS   uint32
@@ -130,6 +131,7 @@ func (h *Host) Dial(cfg Config, remote packet.Endpoint) *Conn {
 	c.iss = h.iss()
 	c.state = StateSynSent
 	h.conns[packet.Flow{Src: local, Dst: remote}] = c
+	h.last = c // a wrapped port may have replaced the remembered conn
 	c.sendSYN()
 	return c
 }
@@ -161,8 +163,15 @@ func (h *Host) Deliver(seg *packet.Segment) {
 }
 
 func (h *Host) dispatch(seg *packet.Segment) {
+	// Segments arrive in runs per connection: check the last one's
+	// endpoints before hashing the flow.
+	if c := h.last; c != nil && c.local == seg.Dst && c.peer == seg.Src {
+		c.deliver(seg)
+		return
+	}
 	key := seg.Flow.Reverse()
 	if c, ok := h.conns[key]; ok {
+		h.last = c
 		c.deliver(seg)
 		return
 	}

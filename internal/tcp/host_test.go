@@ -1,0 +1,127 @@
+package tcp
+
+import (
+	"bytes"
+	"fmt"
+	"testing"
+	"time"
+
+	"repro/internal/netem"
+	"repro/internal/packet"
+	"repro/internal/sim"
+)
+
+var testServerEP = packet.EP(203, 0, 113, 10, 80)
+
+// dataFrom builds the server's next in-order data segment for client
+// conn c, n bytes of fill at stream offset off.
+func dataFrom(c *Conn, off int64, n int, fill byte) *packet.Segment {
+	return &packet.Segment{
+		Flow:    packet.Flow{Src: c.peer, Dst: c.local},
+		Seq:     c.irs + 1 + uint32(off),
+		Ack:     c.iss + 1,
+		Flags:   packet.FlagACK,
+		Window:  c.sndWnd,
+		Payload: bytes.Repeat([]byte{fill}, n),
+	}
+}
+
+// TestHostDemuxInterleaved: two conns of one client host to one server
+// receive segments interleaved A, B, A, B, so the remembered conn is
+// the wrong one on every arrival. Each conn must get exactly its own
+// bytes.
+func TestHostDemuxInterleaved(t *testing.T) {
+	p := newPair(1, noLossProfile())
+	p.server.Listen(80, Config{}, nil)
+	a := p.client.Dial(Config{}, testServerEP)
+	b := p.client.Dial(Config{}, testServerEP)
+	p.sch.RunUntil(time.Second)
+	if a.ConnState() != StateEstablished || b.ConnState() != StateEstablished {
+		t.Fatalf("handshakes incomplete: %v, %v", a.ConnState(), b.ConnState())
+	}
+	const n, rounds = 100, 4
+	for i := range rounds {
+		p.client.Deliver(dataFrom(a, int64(i*n), n, 'a'))
+		p.client.Deliver(dataFrom(b, int64(i*n), n, 'b'))
+	}
+	for _, c := range []struct {
+		conn *Conn
+		fill byte
+	}{{a, 'a'}, {b, 'b'}} {
+		got := make([]byte, 2*n*rounds)
+		got = got[:c.conn.Read(got)]
+		if want := bytes.Repeat([]byte{c.fill}, n*rounds); !bytes.Equal(got, want) {
+			t.Fatalf("conn %c read %q, want %d bytes of %c", c.fill, got, len(want), c.fill)
+		}
+	}
+}
+
+// TestHostResetForgetsLastConn: after Reset, a non-SYN segment of a
+// flow from before the reset must reach no conn, even when the conn
+// struct it last went to has been recycled, through the shared pool,
+// into a conn with the same endpoints on another host.
+func TestHostResetForgetsLastConn(t *testing.T) {
+	p := newPair(1, noLossProfile())
+	pool := &ConnPool{}
+	p.client.SetConnPool(pool)
+	p.server.Listen(80, Config{}, nil)
+	old := p.client.Dial(Config{}, testServerEP)
+	p.sch.RunUntil(time.Second) // the SYN-ACK goes to old through the map
+	if old.ConnState() != StateEstablished {
+		t.Fatalf("handshake incomplete: %v", old.ConnState())
+	}
+	stale := packet.Flow{Src: old.peer, Dst: old.local}
+
+	p.client.Reset(10, 0, 0, 9)
+	other := NewHost(p.sch, 10, 0, 0, 1) // the client's old address
+	other.SetConnPool(pool)
+	other.SetLink(p.path.Up)
+	recycled := other.Dial(Config{}, testServerEP)
+	if recycled != old || recycled.local != stale.Dst || recycled.peer != stale.Src {
+		t.Fatal("the pool did not recycle the old conn into one with the old endpoints")
+	}
+	p.client.Deliver(&packet.Segment{Flow: stale, Flags: packet.FlagRST | packet.FlagACK})
+	if recycled.ConnState() != StateSynSent {
+		t.Fatalf("a segment of a pre-Reset flow reached a recycled conn on another host: state %v", recycled.ConnState())
+	}
+}
+
+// serverWithConns returns a server host holding n established conns,
+// one per client address, and for each a pure ACK that changes nothing
+// in its conn, so delivering it again and again is a steady state.
+func serverWithConns(b *testing.B, n int) (*Host, []*packet.Segment) {
+	sch := sim.NewScheduler(1)
+	h := NewHost(sch, 203, 0, 113, 10)
+	h.SetLink(netem.NewLink(sch, 10*netem.Mbps, time.Millisecond, 1<<20, nil, netem.ReceiverFunc(func(*packet.Segment) {})))
+	var conns []*Conn
+	h.Listen(80, Config{}, func(c *Conn) { conns = append(conns, c) })
+	acks := make([]*packet.Segment, n)
+	for i := range n {
+		client := packet.EP(10, byte(i>>8), byte(i), 1, 40000)
+		h.Deliver(&packet.Segment{Flow: packet.Flow{Src: client, Dst: testServerEP}, Seq: 5000, Flags: packet.FlagSYN, Window: 65535})
+		c := conns[i]
+		acks[i] = &packet.Segment{Flow: packet.Flow{Src: client, Dst: testServerEP}, Seq: c.irs + 1, Ack: c.iss + 1, Flags: packet.FlagACK, Window: 65535}
+		h.Deliver(acks[i])
+		if c.ConnState() != StateEstablished {
+			b.Fatalf("conn %d not established: %v", i, c.ConnState())
+		}
+	}
+	return h, acks
+}
+
+// BenchmarkHostDeliver measures Host.Deliver's demultiplexing: one op
+// is one pure ACK delivered to a server host. With one conn every ACK
+// goes to the conn the last one went to; with 32 the ACKs arrive round
+// robin, so every one misses the remembered conn and hashes its flow.
+func BenchmarkHostDeliver(b *testing.B) {
+	for _, n := range []int{1, 32} {
+		b.Run(fmt.Sprintf("conns=%d", n), func(b *testing.B) {
+			h, acks := serverWithConns(b, n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := range b.N {
+				h.Deliver(acks[i%n])
+			}
+		})
+	}
+}
