@@ -125,7 +125,7 @@ func runLaneWorkload(d laneSched, seed int64, n int) []traceEntry {
 	fire = func(myID int) func() {
 		return func() {
 			now := d.nowAt()
-			trace = append(trace, traceEntry{myID, now})
+			trace = append(trace, traceEntry{myID, now, d.eventSeq()})
 			live := myID < n*6
 			switch r := rng.Intn(16); {
 			case r < 2 && live: // spawn a follow-up event
@@ -171,7 +171,7 @@ func runLaneWorkload(d laneSched, seed int64, n int) []traceEntry {
 		}
 	}
 	mark := func() {
-		trace = append(trace, traceEntry{-1, d.nowAt()}, traceEntry{-d.pending() - 2, 0})
+		trace = append(trace, traceEntry{id: -1, at: d.nowAt()}, traceEntry{id: -d.pending() - 2})
 	}
 	for _, deadline := range []time.Duration{5 * time.Millisecond, 50 * time.Millisecond, 50 * time.Millisecond} {
 		d.runUntil(deadline)

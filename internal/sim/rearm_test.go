@@ -8,10 +8,11 @@ import (
 )
 
 // RearmAfterTask must be indistinguishable from Stop followed by
-// TimerAfterTask; the randomized scripts in wheel_test.go and
-// lane_test.go pin that against the reference scheduler. The cases
-// below pin the edges one at a time: which re-arms stay in place, and
-// what a moved entry looks like to RunUntil, Pending and Reset.
+// TimerAfterTask, down to the EventSeq each callback runs with; the
+// randomized scripts in wheel_test.go and lane_test.go pin that against
+// the reference scheduler. The cases below pin the edges one at a time:
+// which re-arms stay in place, and what a moved entry looks like to
+// RunUntil, Pending and Reset.
 
 // opLog records the (time, op) of every RunTask call.
 type opLog struct {
@@ -167,53 +168,6 @@ func TestRearmPendingAndReset(t *testing.T) {
 	l.want(t)
 	if s.Now() != 0 {
 		t.Fatalf("clock = %v after Reset and Run, want 0", s.Now())
-	}
-}
-
-// seqLog records the time, op and EventSeq of every RunTask call.
-type seqLog struct {
-	s   *Scheduler
-	got []string
-}
-
-func (l *seqLog) RunTask(op int32) {
-	l.got = append(l.got, fmt.Sprintf("%v/%d#%d", l.s.Now(), op, l.s.EventSeq()))
-}
-
-// TestRearmTakesItsOwnSeq: a timer re-armed in place runs with the seq
-// the fresh timer of Stop plus TimerAfterTask gets, so it sorts after
-// an event scheduled for the same instant before the re-arm and before
-// an event or lane record that comes after it, and every later event
-// keeps its seq too.
-func TestRearmTakesItsOwnSeq(t *testing.T) {
-	const want = "2s/1#1 2s/2#2 2s/3#3 2s/4#4 2s/5#5"
-	for _, c := range []struct {
-		name  string
-		rearm func(s *Scheduler, tm Timer, d time.Duration, task Task, op int32) Timer
-	}{
-		{"RearmAfterTask", func(s *Scheduler, tm Timer, d time.Duration, task Task, op int32) Timer {
-			return s.RearmAfterTask(tm, d, task, op)
-		}},
-		{"Stop+TimerAfterTask", func(s *Scheduler, tm Timer, d time.Duration, task Task, op int32) Timer {
-			tm.Stop()
-			return s.TimerAfterTask(d, task, op)
-		}},
-	} {
-		s := NewScheduler(1)
-		l := &seqLog{s: s}
-		lane := &testLane{s: s}
-		lane.id = s.AddLane(lane)
-		const at = 2 * time.Second
-		tm := s.TimerAfterTask(time.Second, l, 0)
-		s.AfterTask(at, l, 1)
-		c.rearm(s, tm, at, l, 2)
-		s.AfterTask(at, l, 3)
-		lane.push(at, func() { l.RunTask(4) })
-		s.AfterTask(at, l, 5)
-		s.Run()
-		if got := strings.Join(l.got, " "); got != want {
-			t.Fatalf("%s: fired %s, want %s", c.name, got, want)
-		}
 	}
 }
 

@@ -14,7 +14,8 @@ import (
 // through identical randomized schedule/stop/re-arm scripts spanning
 // every wheel tier (sub-tick, levels 0-2, and far-future overflow). A
 // re-arm's reference is Stop followed by a fresh timer, which is what
-// RearmAfterTask must be indistinguishable from.
+// RearmAfterTask must be indistinguishable from, down to the EventSeq
+// each callback runs with.
 
 type refEvent struct {
 	at      time.Duration
@@ -27,6 +28,7 @@ type refEvent struct {
 type refSched struct {
 	now  time.Duration
 	seq  uint64
+	cur  uint64 // seq of the event being run
 	evs  []refEvent
 	halt bool // Stop was called during the current run
 }
@@ -102,7 +104,7 @@ func (r *refSched) next() int {
 func (r *refSched) step(i int) {
 	ev := r.evs[i]
 	r.evs = append(r.evs[:i], r.evs[i+1:]...)
-	r.now = ev.at
+	r.now, r.cur = ev.at, ev.seq
 	ev.fn()
 }
 
@@ -134,6 +136,7 @@ func (r *refSched) runUntil(deadline time.Duration) {
 }
 
 func (r *refSched) nowAt() time.Duration { return r.now }
+func (r *refSched) eventSeq() uint64     { return r.cur }
 
 // pending counts live events, and each lane holding records once.
 func (r *refSched) pending() int {
@@ -162,6 +165,7 @@ type wlDriver interface {
 	run()
 	runUntil(deadline time.Duration)
 	nowAt() time.Duration
+	eventSeq() uint64
 	pending() int
 }
 
@@ -182,6 +186,7 @@ func (r realDriver) timer(d time.Duration, fn func()) wlTimer {
 func (r realDriver) run()                            { r.s.Run() }
 func (r realDriver) runUntil(deadline time.Duration) { r.s.RunUntil(deadline) }
 func (r realDriver) nowAt() time.Duration            { return r.s.Now() }
+func (r realDriver) eventSeq() uint64                { return r.s.EventSeq() }
 func (r realDriver) pending() int                    { return r.s.Pending() }
 
 type realTimer struct {
@@ -200,9 +205,12 @@ type fnTask func()
 
 func (f fnTask) RunTask(int32) { f() }
 
+// traceEntry is one callback's id, clock and EventSeq, or a mark the
+// script records between runs (id < 0, seq 0).
 type traceEntry struct {
-	id int
-	at time.Duration
+	id  int
+	at  time.Duration
+	seq uint64
 }
 
 // runWorkload drives d through a deterministic random script: an
@@ -213,8 +221,8 @@ type traceEntry struct {
 // between — exact ties, sub-tick, wheel levels 0/1/2, and
 // beyond-horizon overflow — so tier-crossing reinsertions and
 // cross-tier timestamp ties are all exercised. The trace (and the
-// embedded rng) diverges at the first ordering difference, so equal
-// traces mean bit-identical firing order.
+// embedded rng) diverges at the first ordering or EventSeq difference,
+// so equal traces mean bit-identical firing order and tie-break seqs.
 func runWorkload(d wlDriver, seed int64, n int) []traceEntry {
 	rng := rand.New(rand.NewSource(seed))
 	var trace []traceEntry
@@ -242,7 +250,7 @@ func runWorkload(d wlDriver, seed int64, n int) []traceEntry {
 	var fire func(myID int) func()
 	fire = func(myID int) func() {
 		return func() {
-			trace = append(trace, traceEntry{myID, d.nowAt()})
+			trace = append(trace, traceEntry{myID, d.nowAt(), d.eventSeq()})
 			switch r := rng.Intn(10); {
 			case r < 3 && myID < n*6: // spawn follow-up events
 				for k := rng.Intn(2); k >= 0; k-- {
@@ -286,10 +294,10 @@ func runWorkload(d wlDriver, seed int64, n int) []traceEntry {
 		timers[i].rearm(delay(), fire(id))
 	}
 	d.runUntil(90 * time.Second)
-	trace = append(trace, traceEntry{-1, d.nowAt()})
-	trace = append(trace, traceEntry{-d.pending() - 2, 0})
+	trace = append(trace, traceEntry{id: -1, at: d.nowAt()})
+	trace = append(trace, traceEntry{id: -d.pending() - 2})
 	d.run()
-	trace = append(trace, traceEntry{-1, d.nowAt()})
+	trace = append(trace, traceEntry{id: -1, at: d.nowAt()})
 	return trace
 }
 
