@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/runner"
+	"repro/internal/stats"
 )
 
 // serFleet exercises every serialized field: an adaptive mix populates
@@ -66,6 +67,27 @@ func TestFleetResultRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got2, res2) {
 		t.Fatal("round-trip mismatch without Exact")
+	}
+}
+
+// BenchmarkFleetResultCodec measures the cell-record codec that
+// distributed fleets and fleet-crowd's merges run: one op is one
+// AppendBinary of a small fleet's result into a reused buffer plus one
+// DecodeFleetResult of those bytes. The result is built once, before
+// the timer starts. Decoding builds every sketch, binned series and
+// vector afresh, so allocs/op and B/op are the cost of one record; the
+// buffer is grown first, so even one op reports the steady state.
+func BenchmarkFleetResultCodec(b *testing.B) {
+	f := serFleet(33)
+	res := RunFleet(runner.Options{Workers: 1}, f)
+	buf := res.AppendBinary(nil)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		buf = res.AppendBinary(buf[:0])
+		if _, err := DecodeFleetResult(stats.NewDecoder(buf), f); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -7,15 +7,19 @@ import (
 	"time"
 )
 
-// The wheel must be invisible: every workload fires in exactly the
+// The scheduler must fire every workload in exactly the
 // (time, insertion-order) sequence a plain sorted event list produces.
 // refSched is that sorted list — an O(n^2) executable spec of the
 // scheduler contract — and runWorkload drives both implementations
-// through identical randomized schedule/stop/re-arm scripts spanning
-// every wheel tier (sub-tick, levels 0-2, and far-future overflow). A
-// re-arm's reference is Stop followed by a fresh timer, which is what
-// RearmAfterTask must be indistinguishable from, down to the EventSeq
-// each callback runs with.
+// through identical randomized schedule/stop/re-arm scripts whose
+// delays range from exact ties to hours. A re-arm's reference is Stop
+// followed by a fresh timer, which is what RearmAfterTask must be
+// indistinguishable from, down to the EventSeq each callback runs with.
+
+// tick is a coarse time grid, 2^19 ns (about 524 µs). Delays drawn in
+// whole ticks make events scheduled at different times collide on one
+// instant, where only their seqs order them.
+const tick time.Duration = 1 << 19
 
 type refEvent struct {
 	at      time.Duration
@@ -217,10 +221,11 @@ type traceEntry struct {
 // initial batch of events whose callbacks spawn more events, arm
 // cancellable timers, stop earlier timers (scheduling a replacement
 // event when one was live) and re-arm them, whether live, stopped or
-// already fired. Delays are drawn from every tier the scheduler routes
-// between — exact ties, sub-tick, wheel levels 0/1/2, and
-// beyond-horizon overflow — so tier-crossing reinsertions and
-// cross-tier timestamp ties are all exercised. The trace (and the
+// already fired. Delays are drawn from exact ties, under one tick, up
+// to 100 ms, 30 s and 2 h, from 3 to 11 h, and from a tick-aligned grid,
+// so entries queued far apart in time tie on one instant and a timer's
+// queued entry can lie far before or after its re-armed deadline. The
+// trace (and the
 // embedded rng) diverges at the first ordering or EventSeq difference,
 // so equal traces mean bit-identical firing order and tie-break seqs.
 func runWorkload(d wlDriver, seed int64, n int) []traceEntry {
@@ -233,18 +238,18 @@ func runWorkload(d wlDriver, seed int64, n int) []traceEntry {
 		case 0:
 			return 0 // exact tie with now
 		case 1:
-			return time.Duration(rng.Int63n(1 << tickShift)) // sub-tick: heap
+			return time.Duration(rng.Int63n(int64(tick)))
 		case 2:
-			return time.Duration(rng.Int63n(int64(100 * time.Millisecond))) // level 0
+			return time.Duration(rng.Int63n(int64(100 * time.Millisecond)))
 		case 3:
-			return time.Duration(rng.Int63n(int64(30 * time.Second))) // level 1
+			return time.Duration(rng.Int63n(int64(30 * time.Second)))
 		case 4:
-			return time.Duration(rng.Int63n(int64(2 * time.Hour))) // level 2
+			return time.Duration(rng.Int63n(int64(2 * time.Hour)))
 		case 5:
-			return 3*time.Hour + time.Duration(rng.Int63n(int64(8*time.Hour))) // overflow
+			return 3*time.Hour + time.Duration(rng.Int63n(int64(8*time.Hour)))
 		default:
-			// Tick-aligned, so distinct events collide on slot starts.
-			return time.Duration(rng.Int63n(512)) << tickShift
+			// Tick-aligned, so distinct events collide.
+			return time.Duration(rng.Int63n(512)) * tick
 		}
 	}
 	var fire func(myID int) func()
@@ -284,8 +289,8 @@ func runWorkload(d wlDriver, seed int64, n int) []traceEntry {
 			d.after(delay(), fire(id))
 		}
 	}
-	// Stop a few timers before anything runs (pure-wheel cancellation),
-	// and re-arm a few others in place.
+	// Stop a few timers before anything runs, and re-arm a few others
+	// in place.
 	for i := 0; i < len(timers); i += 4 {
 		timers[i].stop()
 	}
@@ -304,19 +309,19 @@ func runWorkload(d wlDriver, seed int64, n int) []traceEntry {
 func diffTraces(t *testing.T, seed int64, ref, got []traceEntry) {
 	t.Helper()
 	if len(ref) != len(got) {
-		t.Fatalf("seed %d: trace lengths differ: ref %d vs wheel %d", seed, len(ref), len(got))
+		t.Fatalf("seed %d: trace lengths differ: ref %d vs got %d", seed, len(ref), len(got))
 	}
 	for i := range ref {
 		if ref[i] != got[i] {
-			t.Fatalf("seed %d: traces diverge at %d: ref %+v vs wheel %+v", seed, i, ref[i], got[i])
+			t.Fatalf("seed %d: traces diverge at %d: ref %+v vs got %+v", seed, i, ref[i], got[i])
 		}
 	}
 }
 
-// TestWheelHeapEquivalence pins the tentpole invariant: the wheel-based
-// scheduler fires randomized timer workloads in exactly the order the
-// reference sorted-list scheduler does.
-func TestWheelHeapEquivalence(t *testing.T) {
+// TestSchedulerEquivalence pins the scheduler contract: randomized
+// timer workloads fire in exactly the order, and with exactly the
+// EventSeqs, of the reference sorted-list scheduler.
+func TestSchedulerEquivalence(t *testing.T) {
 	n := 48
 	seeds := 24
 	if testing.Short() {
@@ -329,9 +334,9 @@ func TestWheelHeapEquivalence(t *testing.T) {
 	}
 }
 
-// FuzzWheelEquivalence lets the fuzzer hunt for workload shapes where
-// the wheel's firing order deviates from the reference.
-func FuzzWheelEquivalence(f *testing.F) {
+// FuzzSchedulerEquivalence lets the fuzzer hunt for workload shapes
+// where the scheduler's firing order deviates from the reference.
+func FuzzSchedulerEquivalence(f *testing.F) {
 	f.Add(int64(1), uint8(16))
 	f.Add(int64(42), uint8(64))
 	f.Add(int64(-7), uint8(3))
@@ -343,16 +348,17 @@ func FuzzWheelEquivalence(f *testing.F) {
 	})
 }
 
-// TestWheelPendingTiers checks Pending() sees events parked in every
-// tier and that cancellation is reflected before any cascade runs.
-func TestWheelPendingTiers(t *testing.T) {
+// TestPendingAcrossHorizons checks that Pending() counts events from
+// 100 µs to 6 h out, that a Stop is reflected at once, and that RunUntil
+// leaves the events past its deadline pending.
+func TestPendingAcrossHorizons(t *testing.T) {
 	s := NewScheduler(1)
 	delays := []time.Duration{
-		100 * time.Microsecond, // sub-tick: heap
-		50 * time.Millisecond,  // level 0
-		10 * time.Second,       // level 1
-		time.Hour,              // level 2
-		6 * time.Hour,          // overflow: heap
+		100 * time.Microsecond,
+		50 * time.Millisecond,
+		10 * time.Second,
+		time.Hour,
+		6 * time.Hour,
 	}
 	for _, d := range delays {
 		s.After(d, func() {})
@@ -366,7 +372,7 @@ func TestWheelPendingTiers(t *testing.T) {
 		t.Fatalf("Pending after Stop = %d, want %d", got, len(delays))
 	}
 	s.RunUntil(time.Minute)
-	if s.Pending() != 2 { // hour + 6h still parked
+	if s.Pending() != 2 { // hour + 6h still pending
 		t.Fatalf("Pending after RunUntil(1m) = %d, want 2", s.Pending())
 	}
 	s.Run()
@@ -378,28 +384,28 @@ func TestWheelPendingTiers(t *testing.T) {
 	}
 }
 
-// TestWheelTieAcrossTiers pins seq-order ties between an event parked
-// early in the wheel and one scheduled later straight into the heap
-// for the same instant: insertion order must win.
-func TestWheelTieAcrossTiers(t *testing.T) {
+// TestTieBetweenEarlyAndLateInserts pins seq-order ties between an
+// event scheduled 600 ms ahead and two scheduled for the same instant
+// 1 ms before it: insertion order must win.
+func TestTieBetweenEarlyAndLateInserts(t *testing.T) {
 	s := NewScheduler(1)
 	target := 600 * time.Millisecond
 	var got []int
-	s.At(target, func() { got = append(got, 1) }) // parked in the wheel
+	s.At(target, func() { got = append(got, 1) })
 	s.At(target-time.Millisecond, func() {
-		s.At(target, func() { got = append(got, 2) }) // near-term: heap
+		s.At(target, func() { got = append(got, 2) })
 		s.At(target, func() { got = append(got, 3) })
 	})
 	s.Run()
 	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
-		t.Fatalf("tie across tiers fired as %v, want [1 2 3]", got)
+		t.Fatalf("tie between early and late inserts fired as %v, want [1 2 3]", got)
 	}
 }
 
-// TestWheelStopInsideWheel cancels a timer that lives deep in the
-// wheel and checks it neither fires nor leaks into Pending, while an
-// unrelated later event still fires at the right time.
-func TestWheelStopInsideWheel(t *testing.T) {
+// TestStopFarTimer cancels a timer 45 minutes out and checks that it
+// neither fires nor holds the clock, while an unrelated later event
+// still fires at the right time.
+func TestStopFarTimer(t *testing.T) {
 	s := NewScheduler(1)
 	tm := s.TimerAfter(45*time.Minute, func() { t.Fatal("stopped timer fired") })
 	fired := false
@@ -416,10 +422,10 @@ func TestWheelStopInsideWheel(t *testing.T) {
 	}
 }
 
-// TestWheelRearmChurn drives the RTO pattern — arm, stop before
-// maturity, re-arm — through wheel tiers and verifies the survivor
-// count and final clock.
-func TestWheelRearmChurn(t *testing.T) {
+// TestStopRearmChurn drives the RTO pattern — arm, stop before
+// maturity, arm afresh — twenty times over and verifies that only the
+// final event fires.
+func TestStopRearmChurn(t *testing.T) {
 	s := NewScheduler(1)
 	fired := 0
 	var rearm func(depth int)
@@ -440,96 +446,5 @@ func TestWheelRearmChurn(t *testing.T) {
 	s.Run()
 	if fired != 1 {
 		t.Fatalf("fired = %d, want 1", fired)
-	}
-}
-
-// refNextOccupied is the bit-at-a-time scan nextOccupied replaced,
-// kept as its executable spec: it tests each slot's occupancy bit in
-// cyclic order from curSlot+1.
-func (s *Scheduler) refNextOccupied(level, curSlot int) int {
-	bm := &s.wbits[level]
-	for d := 1; d <= wheelSlots; d++ {
-		slot := (curSlot + d) & wheelMask
-		if bm[slot>>6]&(1<<(slot&63)) != 0 {
-			return d
-		}
-	}
-	return 0
-}
-
-type slotBitmap = [wheelSlots / 64]uint64
-
-func bitmapOf(slots ...int) slotBitmap {
-	var bm slotBitmap
-	for _, slot := range slots {
-		bm[slot>>6] |= 1 << (slot & 63)
-	}
-	return bm
-}
-
-// TestNextOccupiedMatchesBitLoop pins the word-level occupancy scan
-// against the bit loop for every level and every cursor slot, over
-// the edge bitmaps (empty, only the cursor's own slot, only the next
-// slot, bits on both sides of each word boundary) and a few hundred
-// seeded random ones, sparse and dense. The other levels hold the
-// complement, so a scan of the wrong level shows too.
-func TestNextOccupiedMatchesBitLoop(t *testing.T) {
-	fixed := []slotBitmap{{}}
-	for _, b := range []int{63, 127, 191, 255} {
-		next := (b + 1) & wheelMask
-		fixed = append(fixed, bitmapOf(b), bitmapOf(next), bitmapOf(b, next))
-	}
-	rng := rand.New(rand.NewSource(1))
-	var random []slotBitmap
-	for i := 0; i < 300; i++ {
-		var bm slotBitmap
-		switch i % 4 {
-		case 0: // sparse: one slot
-			bm = bitmapOf(rng.Intn(wheelSlots))
-		case 1: // sparse: up to three slots
-			bm = bitmapOf(rng.Intn(wheelSlots), rng.Intn(wheelSlots), rng.Intn(wheelSlots))
-		case 2: // dense: about half the slots
-			for w := range bm {
-				bm[w] = rng.Uint64()
-			}
-		case 3: // dense: about an eighth of the slots
-			for w := range bm {
-				bm[w] = rng.Uint64() & rng.Uint64() & rng.Uint64()
-			}
-		}
-		random = append(random, bm)
-	}
-	s := NewScheduler(1)
-	// check compares the two scans; want < 0 means no fixed expectation.
-	check := func(level, cur int, bm slotBitmap, want int) {
-		t.Helper()
-		for l := range s.wbits {
-			s.wbits[l] = bm
-			if l != level {
-				for w := range bm {
-					s.wbits[l][w] = ^bm[w]
-				}
-			}
-		}
-		ref := s.refNextOccupied(level, cur)
-		if want >= 0 && ref != want {
-			t.Fatalf("level %d cur %d bitmap %x: bit loop = %d, want %d", level, cur, bm, ref, want)
-		}
-		if got := s.nextOccupied(level, cur); got != ref {
-			t.Fatalf("level %d cur %d bitmap %x: nextOccupied = %d, bit loop = %d", level, cur, bm, got, ref)
-		}
-	}
-	for level := 0; level < wheelLevels; level++ {
-		for cur := 0; cur < wheelSlots; cur++ {
-			check(level, cur, slotBitmap{}, 0)
-			check(level, cur, bitmapOf(cur), wheelSlots)
-			check(level, cur, bitmapOf((cur+1)&wheelMask), 1)
-			for _, bm := range fixed {
-				check(level, cur, bm, -1)
-			}
-			for _, bm := range random {
-				check(level, cur, bm, -1)
-			}
-		}
 	}
 }

@@ -130,7 +130,6 @@ func (s *Scheduler) laneTop() (Lane, *laneKey) {
 // dueBy reports whether a live event or a lane head at or before
 // deadline is pending.
 func (s *Scheduler) dueBy(deadline time.Duration) bool {
-	t, ok := s.nextReady()
-	_, h := s.laneTop()
-	return ok && t <= deadline || h.at <= deadline
+	_, at, ok := s.next()
+	return ok && at <= deadline
 }

@@ -118,7 +118,7 @@ func runLaneWorkload(d laneSched, seed int64, n int) []traceEntry {
 		case 2:
 			return time.Duration(rng.Int63n(int64(200 * time.Millisecond)))
 		default:
-			return time.Duration(rng.Int63n(8)) << tickShift
+			return time.Duration(rng.Int63n(8)) * tick
 		}
 	}
 	var fire func(myID int) func()

@@ -9,10 +9,10 @@ import (
 
 // RearmAfterTask must be indistinguishable from Stop followed by
 // TimerAfterTask, down to the EventSeq each callback runs with; the
-// randomized scripts in wheel_test.go and lane_test.go pin that against
-// the reference scheduler. The cases below pin the edges one at a time:
-// which re-arms stay in place, and what a moved entry looks like to
-// RunUntil, Pending and Reset.
+// randomized scripts in equivalence_test.go and lane_test.go pin that
+// against the reference scheduler. The cases below pin the edges one at
+// a time: which re-arms stay in place, what a moved entry looks like to
+// RunUntil, Pending and Reset, and when it settles.
 
 // opLog records the (time, op) of every RunTask call.
 type opLog struct {
@@ -123,14 +123,14 @@ func TestRearmFiredTimer(t *testing.T) {
 
 // TestRearmRunUntilBetweenKeys: a moved entry whose queued key lies at
 // or before the RunUntil deadline and whose real key lies after it
-// stays pending, and the clock stops at the deadline — for a queued key
-// in the heap and in each wheel level.
+// stays pending, and the clock stops at the deadline — for queued keys
+// from 100 µs to an hour out.
 func TestRearmRunUntilBetweenKeys(t *testing.T) {
 	for _, first := range []time.Duration{
-		100 * time.Microsecond, // heap
-		50 * time.Millisecond,  // level 0
-		10 * time.Second,       // level 1
-		time.Hour,              // level 2
+		100 * time.Microsecond,
+		50 * time.Millisecond,
+		10 * time.Second,
+		time.Hour,
 	} {
 		s := NewScheduler(1)
 		l := &opLog{s: s}
@@ -171,6 +171,43 @@ func TestRearmPendingAndReset(t *testing.T) {
 	}
 }
 
+// TestRearmSettlesLazily: a timer re-armed on every lane retire keeps
+// its queued entry in place until a lane head passes the entry's queued
+// key. A lane retires one record per millisecond for one second, and
+// each retire re-arms a 200 ms timer, so the timer never fires and its
+// entry settles once per 200 ms, not once per retire. Only lane traffic
+// shows this: with the ACKs on a lane, the timer's entry is the heap top
+// the whole time, while in rtoChain the next ACK event is.
+func TestRearmSettlesLazily(t *testing.T) {
+	s := NewScheduler(1)
+	l := &testLane{s: s}
+	l.id = s.AddLane(l)
+	fired := &opLog{s: s}
+	tm := s.TimerAfterTask(200*time.Millisecond, fired, 0)
+	qat, changes := s.slots[tm.slot].qat, 1 // the first arm
+	retired := 0
+	var retire func()
+	retire = func() {
+		if retired++; retired < 1000 {
+			l.push(s.Now()+time.Millisecond, retire)
+			tm = s.RearmAfterTask(tm, 200*time.Millisecond, fired, 1)
+		} else {
+			tm.Stop()
+		}
+		if q := s.slots[tm.slot].qat; q != qat {
+			qat = q
+			changes++
+		}
+	}
+	l.push(time.Millisecond, retire)
+	s.Run()
+	fired.want(t)
+	if retired != 1000 || changes > 6 {
+		t.Fatalf("%d retires moved the timer's queued key %d times; want 1000 retires and at most 6 moves",
+			retired, changes)
+	}
+}
+
 // rtoChain is the TCP RTO pattern: an ACK every step re-arms an RTO
 // that lies a few hundred steps out, so it never fires while the chain
 // runs.
@@ -204,7 +241,7 @@ func TestRearmNoAllocs(t *testing.T) {
 	s := NewScheduler(1)
 	c := &rtoChain{s: s, left: 1 << 30}
 	s.AfterTask(0, c, rtoAck)
-	s.RunUntil(time.Second) // warm up the slot, wheel and heap storage
+	s.RunUntil(time.Second) // warm up the slot and heap storage
 	if n := testing.AllocsPerRun(100, func() { s.RunUntil(s.Now() + 50*rtoStep) }); n != 0 {
 		t.Fatalf("allocs per 50 re-arms = %v, want 0", n)
 	}

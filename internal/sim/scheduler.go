@@ -4,19 +4,17 @@
 // (time, insertion-order) order, so runs with the same seed are fully
 // reproducible.
 //
-// The event queue is a two-tier structure: a hierarchical timer wheel
-// (wheel.go) absorbs mid-range timers with O(1) insertion and
-// heap-free cancellation, while a value-based 4-ary heap orders the
-// imminent frontier by (time, insertion-order) and holds far-future
-// overflow. Entries are stored inline, so scheduling a fire-and-forget
-// event performs no allocation beyond the callback itself. Hot paths
-// that would otherwise allocate a closure per event can instead
-// implement Task and schedule themselves with AtTask, passing a small
-// op code to select the behaviour. Cancellable timers draw bookkeeping
-// slots from a free list, and RearmAfterTask re-arms one in place: while
-// its queued entry lies at or before the new deadline, a re-arm only
-// records the new key in the slot, and the entry moves there when it
-// reaches the front of the queue. A timer pushed forward on every ACK
+// Every event and timer lives in one value-based 4-ary heap ordered by
+// (time, insertion-order). Entries are stored inline, so scheduling a
+// fire-and-forget event performs no allocation beyond the callback
+// itself. Hot paths that would otherwise allocate a closure per event
+// can instead implement Task and schedule themselves with AtTask,
+// passing a small op code to select the behaviour. Cancellable timers
+// draw bookkeeping slots from a free list, and RearmAfterTask re-arms
+// one in place: while its queued entry lies at or before the new
+// deadline, a re-arm only records the new key in the slot, and the
+// entry moves there only once it is the heap top and its queued key
+// orders before every lane head. A timer pushed forward on every ACK
 // (the TCP RTO pattern) so costs one queue placement per RTO interval,
 // not one per ACK.
 //
@@ -120,17 +118,6 @@ type Scheduler struct {
 	rng     *rand.Rand
 	stopped bool
 
-	// Hierarchical timer wheel (see wheel.go). The heap above holds the
-	// imminent frontier plus far-future overflow; mid-range events park
-	// in wheel slots and cascade into the heap before they can fire.
-	wheel   [wheelLevels][wheelSlots]int32       // per-slot list head, index+1 into wnodes
-	wbits   [wheelLevels][wheelSlots / 64]uint64 // slot occupancy bitmaps
-	wnodes  []wheelNode
-	wfree   []int32 // recycled wnodes entries, index+1
-	wcount  int     // events currently parked in the wheel
-	wcursor int64   // tick the wheel has advanced to; wheel events are strictly later
-	wbound  int64   // cached earliest occupied slot start (ticks); -1 = recompute
-
 	// Lanes (see lane.go): registered tasks by id, their heads, the
 	// winner tree over the heads, and how many lanes hold records.
 	lanes []Task
@@ -147,18 +134,20 @@ type Scheduler struct {
 // NewScheduler returns a scheduler whose clock starts at zero and whose
 // random source is seeded with seed.
 func NewScheduler(seed int64) *Scheduler {
-	return &Scheduler{rng: rand.New(rand.NewSource(seed)), wbound: -1}
+	return &Scheduler{rng: rand.New(rand.NewSource(seed))}
 }
 
 // Reset returns the scheduler to the state NewScheduler(seed) produces
-// while keeping every backing allocation — heap, timer slots and
-// wheel-node storage — so a recycled scheduler runs the next simulation
+// while keeping every backing allocation — heap, timer slots and the
+// random generator — so a recycled scheduler runs the next simulation
 // without rebuilding its queues. Pending events are discarded (their
 // fn/task references released), every lane's head is cleared, the
-// counters are zeroed and the rng is re-seeded. Lane registrations
-// survive: like a link's receiver they are wiring, not state.
-// Outstanding Timer handles must not be used across a Reset: slot
-// generations restart, so a stale handle could alias a fresh timer.
+// counters are zeroed and the generator is re-seeded in place, which
+// yields the stream a fresh NewScheduler(seed) draws. Lane
+// registrations survive: like a link's receiver they are wiring, not
+// state. Outstanding Timer handles must not be used across a Reset:
+// slot generations restart, so a stale handle could alias a fresh
+// timer.
 func (s *Scheduler) Reset(seed int64) {
 	s.now = 0
 	s.seq = 0
@@ -168,16 +157,8 @@ func (s *Scheduler) Reset(seed int64) {
 	clear(s.slots)
 	s.slots = s.slots[:0]
 	s.free = s.free[:0]
-	s.rng = rand.New(rand.NewSource(seed))
+	s.rng.Seed(seed)
 	s.stopped = false
-	s.wheel = [wheelLevels][wheelSlots]int32{}
-	s.wbits = [wheelLevels][wheelSlots / 64]uint64{}
-	clear(s.wnodes)
-	s.wnodes = s.wnodes[:0]
-	s.wfree = s.wfree[:0]
-	s.wcount = 0
-	s.wcursor = 0
-	s.wbound = -1
 	// Every inner node of the lane tree still names a lane of its own
 	// subtree, and once every head is empty any such lane is a winner,
 	// so the tree needs no rebuild.
@@ -192,28 +173,17 @@ func (s *Scheduler) Reset(seed int64) {
 // Now returns the current virtual time.
 func (s *Scheduler) Now() time.Duration { return s.now }
 
-// Rand returns the scheduler's deterministic random source.
+// Rand returns the scheduler's deterministic random source. It is the
+// same generator for the scheduler's lifetime: Reset re-seeds it in
+// place.
 func (s *Scheduler) Rand() *rand.Rand { return s.rng }
 
 func (s *Scheduler) schedule(t time.Duration, fn func(), task Task, op int32, slot int32) {
-	s.placeAt(event{at: t, seq: s.seq, fn: fn, task: task, op: op, slot: slot})
+	if t < s.now {
+		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, s.now))
+	}
+	s.push(event{at: t, seq: s.seq, fn: fn, task: task, op: op, slot: slot})
 	s.seq++
-}
-
-// placeAt routes a fully formed event (timestamp and sequence number
-// already assigned) into the wheel or heap.
-func (s *Scheduler) placeAt(ev event) {
-	if ev.at < s.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", ev.at, s.now))
-	}
-	if s.wcount == 0 {
-		// An empty wheel can advance for free; keeping the cursor at the
-		// clock keeps short delays in level 0 instead of overflow.
-		if nowTick := int64(s.now >> tickShift); nowTick > s.wcursor {
-			s.wcursor = nowTick
-		}
-	}
-	s.place(ev)
 }
 
 // ReserveSeq consumes and returns the next event sequence number
@@ -317,9 +287,10 @@ func (s *Scheduler) TimerAfterTask(d time.Duration, task Task, op int32) Timer {
 // the same deadline and the same tie-break seq included. While t's
 // entry is still queued (live or stopped) at or before the new
 // deadline, the entry stays where it is and only its slot records the
-// new key; the entry re-places itself at that key when it reaches the
-// front of the queue. An entry's queued key is never later than its
-// real one, so it always re-places before its real key is due. This is
+// new key; the entry re-places itself at that key once its queued key
+// orders before every other queued key and every lane head (see next).
+// An entry's queued key is never later than its real one, so it always
+// re-places before its real key is due. This is
 // the TCP RTO pattern — re-armed on every ACK, rarely fired — at one
 // slot write per re-arm instead of one queue placement.
 func (s *Scheduler) RearmAfterTask(t Timer, d time.Duration, task Task, op int32) Timer {
@@ -335,15 +306,6 @@ func (s *Scheduler) RearmAfterTask(t Timer, d time.Duration, task Task, op int32
 	}
 	t.Stop()
 	return s.TimerAfterTask(d, task, op)
-}
-
-// rearmed returns the event a moved timer entry re-places as, at the
-// key its slot recorded, and clears the move.
-func (s *Scheduler) rearmed(slot int32) event {
-	sl := &s.slots[slot]
-	sl.moved = false
-	sl.qat = sl.at
-	return event{at: sl.at, seq: sl.seq, task: sl.task, op: sl.op, slot: slot}
 }
 
 // ---- 4-ary heap, ordered by (at, seq) ----
@@ -416,41 +378,68 @@ func (s *Scheduler) siftDown(ev event) {
 
 // ---- Event loop ----
 
-// step runs the earliest live pending event or lane head unless it
-// lies past deadline, and reports whether it ran one. Events that share
-// a timestamp fire in seq order straight off the heap (events scheduled
-// during the instant carry larger seqs, and heapTopLive discards
-// stopped timers); a lane head runs when its (at, seq) orders before
-// the heap top, with the clock and EventSeq set to that head.
-func (s *Scheduler) step(deadline time.Duration) bool {
-	t, ok := s.nextReady()
-	if l, h := s.laneTop(); l >= 0 {
-		if !ok || h.at < t || (h.at == t && h.seq < s.heap[0].seq) {
-			if h.at > deadline {
-				return false
-			}
-			s.now = h.at
-			s.cur = h.seq
-			s.Retires++
-			s.lanes[l].RunTask(int32(l))
-			s.cur = s.seq
-			return true
+// next returns the earliest pending work: lane l >= 0 with its head's
+// time, or l < 0 with the time of the heap top, which is then a live
+// event; ok is false when nothing is pending. It settles the heap top
+// (drops a stopped timer's entry, re-places a moved one at the key its
+// slot recorded) only while that entry's queued key orders before every
+// lane head. No real key in the heap is earlier than the top's queued
+// key, so a lane head that orders before it orders before every live
+// event and the top can wait: a timer re-armed on every lane retire
+// (the RTO behind a link's ACKs) then settles once per re-arm interval
+// instead of once per retire.
+func (s *Scheduler) next() (l Lane, at time.Duration, ok bool) {
+	l, h := s.laneTop()
+	for len(s.heap) > 0 {
+		ev := &s.heap[0]
+		if h.at < ev.at || h.at == ev.at && h.seq < ev.seq {
+			break
 		}
+		if ev.slot != noSlot {
+			if sl := &s.slots[ev.slot]; sl.stopped {
+				s.freeSlot(s.pop().slot)
+				continue
+			} else if sl.moved {
+				// The recorded key is later than the queued one, so the
+				// entry re-placed there replaces the top and sifts down.
+				sl.moved = false
+				sl.qat = sl.at
+				s.siftDown(event{at: sl.at, seq: sl.seq, task: sl.task, op: sl.op, slot: ev.slot})
+				continue
+			}
+		}
+		return -1, ev.at, true
 	}
-	if !ok || t > deadline {
+	return l, h.at, l >= 0
+}
+
+// step runs the earliest pending event or lane record unless it lies
+// past deadline, and reports whether it ran one. Events that share a
+// timestamp fire in seq order (events scheduled during the instant
+// carry larger seqs); a lane record runs with the clock and EventSeq
+// set to its head.
+func (s *Scheduler) step(deadline time.Duration) bool {
+	l, at, ok := s.next()
+	if !ok || at > deadline {
 		return false
 	}
-	ev := s.pop()
-	if ev.slot != noSlot {
-		s.freeSlot(ev.slot)
-	}
-	s.now = t
-	s.cur = ev.seq
-	s.Events++
-	if ev.fn != nil {
-		ev.fn()
+	s.now = at
+	if l >= 0 {
+		s.cur = s.lkeys[l].seq
+		s.Retires++
+		s.lanes[l].RunTask(int32(l))
 	} else {
-		ev.task.RunTask(ev.op)
+		ev := s.pop()
+		if ev.slot != noSlot {
+			s.freeSlot(ev.slot)
+		}
+		s.cur = ev.seq
+		s.Events++
+		if ev.fn != nil {
+			ev.fn()
+		} else {
+			ev.task.RunTask(ev.op)
+		}
 	}
 	s.cur = s.seq
 	return true
@@ -485,7 +474,7 @@ func (s *Scheduler) Stop() { s.stopped = true }
 // Pending returns the number of live scheduled events plus the number
 // of lanes holding records (a lane counts once however many it holds).
 func (s *Scheduler) Pending() int {
-	n := s.wheelPending() + s.lbusy
+	n := s.lbusy
 	for i := range s.heap {
 		ev := &s.heap[i]
 		if ev.slot != noSlot && s.slots[ev.slot].stopped {

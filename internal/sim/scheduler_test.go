@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -289,6 +291,33 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
+// TestResetReseedsInPlace: Reset re-seeds the scheduler's generator in
+// place, so Rand keeps returning the same *rand.Rand, and that
+// generator then draws what a fresh NewScheduler with the seed draws,
+// even when a partial Read left bytes of an earlier draw buffered.
+func TestResetReseedsInPlace(t *testing.T) {
+	draws := func(r *rand.Rand) []int64 {
+		buf := make([]byte, 5)
+		r.Read(buf)
+		out := []int64{r.Int63(), r.Int63n(1000), int64(r.Intn(7)), int64(r.Float64() * 1e9)}
+		for _, b := range buf {
+			out = append(out, int64(b))
+		}
+		return out
+	}
+	s := NewScheduler(1)
+	rng := s.Rand()
+	draws(rng)
+	rng.Read(make([]byte, 3))
+	s.Reset(42)
+	if s.Rand() != rng {
+		t.Fatal("Reset replaced the scheduler's generator")
+	}
+	if got, want := draws(s.Rand()), draws(NewScheduler(42).Rand()); !slices.Equal(got, want) {
+		t.Fatalf("draws after Reset(42) = %v, want NewScheduler(42)'s %v", got, want)
+	}
+}
+
 // Property: for any batch of events with arbitrary delays, Run fires
 // them in nondecreasing time order and the clock ends at the max delay.
 func TestPropertyEventOrder(t *testing.T) {
@@ -337,10 +366,11 @@ func BenchmarkSchedulerChurn(b *testing.B) {
 	s.Run()
 }
 
-// sparseChain reproduces one session's timer shape: a chain of events
-// 1-3 wheel ticks apart, each of which stops and re-arms a cancellable
-// timer about 200 ms out (wheel level 1), the way TCP re-arms its RTO
-// per send.
+// sparseChain is a timer chain at one session's event density: events
+// 1-3 ticks apart, each of which stops a cancellable timer about
+// 200 ms out and arms a fresh one, so the heap holds about two hundred
+// stopped entries behind the live one. A timer re-armed in place
+// (RearmAfterTask, as TCP's are) leaves no such entries.
 type sparseChain struct {
 	s    *Scheduler
 	rto  Timer
@@ -361,15 +391,15 @@ func (c *sparseChain) RunTask(op int32) {
 		return
 	}
 	c.rto = c.s.TimerAfterTask(200*time.Millisecond, c, sparseRTO)
-	const tick = 1 << tickShift
-	c.s.AfterTask(tick+time.Duration(c.s.Rand().Int63n(2*tick)), c, sparseStep)
+	c.s.AfterTask(tick+time.Duration(c.s.Rand().Int63n(int64(2*tick))), c, sparseStep)
 }
 
-// BenchmarkSchedulerSparse measures the wheel on the sparse timer
-// shape of a single session: one op is one chain event with its timer
-// re-arm, and every event leaves the heap for the wheel. Unlike
-// BenchmarkSchedulerChurn, whose 1 µs delays never leave the heap, it
-// exercises the occupancy scan and the cascade.
+// BenchmarkSchedulerSparse measures stopping a timer and arming a fresh
+// one at one session's event density: one op is one chain event with
+// its timer stop and fresh arm. Unlike BenchmarkSchedulerChurn, whose
+// heap holds one entry, it keeps the stopped entries of about 200 ms of
+// timers queued, so each push and pop sifts through a heap of about two
+// hundred.
 func BenchmarkSchedulerSparse(b *testing.B) {
 	s := NewScheduler(1)
 	c := &sparseChain{s: s, left: b.N}

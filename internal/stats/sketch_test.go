@@ -223,3 +223,44 @@ func TestCVAndPeakToMean(t *testing.T) {
 		t.Fatal("empty series must be NaN")
 	}
 }
+
+// BenchmarkSketchAddMerge measures the two operations a fleet's
+// statistics fold is made of: add is one Add into a sketch, and merge
+// is one Merge of a populated sketch into another, the per-cell fold.
+// The samples are log-normal over several decades, so each sketch
+// holds about 450 bins, and both sketches already hold every bin they
+// reach, so even one op reports the steady state.
+func BenchmarkSketchAddMerge(b *testing.B) {
+	r := rand.New(rand.NewSource(1))
+	xs := make([]float64, 4096)
+	for i := range xs {
+		xs[i] = math.Exp(2 * r.NormFloat64())
+	}
+	b.Run("add", func(b *testing.B) {
+		s := NewSketch(0)
+		for _, x := range xs {
+			s.Add(x)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := range b.N {
+			s.Add(xs[i%len(xs)])
+		}
+	})
+	b.Run("merge", func(b *testing.B) {
+		src, dst := NewSketch(0), NewSketch(0)
+		for i, x := range xs {
+			if i%2 == 0 {
+				src.Add(x)
+			} else {
+				dst.Add(x)
+			}
+		}
+		dst.Merge(src) // dst now holds every bin src reaches
+		b.ReportAllocs()
+		b.ResetTimer()
+		for range b.N {
+			dst.Merge(src)
+		}
+	})
+}
