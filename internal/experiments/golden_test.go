@@ -2,10 +2,17 @@ package experiments
 
 import (
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/netem"
+	"repro/internal/scenario"
+	"repro/internal/session"
+	"repro/internal/stats"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite the golden artifacts under testdata/golden")
@@ -51,6 +58,9 @@ func TestGoldenArtifacts(t *testing.T) {
 		{"ccmatrix_n1_120s", func() string {
 			return CcMatrix(Options{N: 1, Seed: 1, Duration: 120 * time.Second}).Artifact.String()
 		}},
+		// Every player kind over a full 180 s capture: the paper's
+		// nine clients and the ABR kinds, each on its own path.
+		{"players_180s", playersGolden},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -74,4 +84,34 @@ func TestGoldenArtifacts(t *testing.T) {
 			}
 		})
 	}
+}
+
+// playersGolden runs one 180 s session of every scenario player kind on
+// the Research and Residence profiles (seed 1) and renders one line per
+// session: what the wire carried, what the analyzer classified and what
+// the viewer saw.
+func playersGolden() string {
+	var cfgs []session.Config
+	for _, k := range scenario.PlayerKinds() {
+		for _, p := range []netem.Profile{netem.Research, netem.Residence} {
+			cfgs = append(cfgs, scenario.Spec{Profile: p, Player: k, Duration: 180 * time.Second, Seed: 1}.Configs()[0])
+		}
+	}
+	var b strings.Builder
+	for i, r := range runSessions(Options{}, cfgs) {
+		a := r.Analysis
+		blocks := make([]float64, len(a.Blocks))
+		for j, n := range a.Blocks {
+			blocks[j] = float64(n)
+		}
+		median := 0.0
+		if len(blocks) > 0 {
+			median = stats.Median(blocks)
+		}
+		fmt.Fprintf(&b, "%-15s %-9s %-31s pkts=%d down=%d %-12s cycles=%d block=%.0f retrans=%d startup=%v rebuf=%d\n",
+			scenario.PlayerKinds()[i/2], r.Config.Network.Name, r.Config.Player.Name(),
+			r.Packets, r.Downloaded, a.Strategy, len(a.Cycles), median, a.Retrans,
+			r.QoE.StartupDelay, r.QoE.Rebuffers)
+	}
+	return b.String()
 }
