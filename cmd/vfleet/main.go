@@ -44,7 +44,7 @@ func fatal(err error) {
 
 func main() {
 	clients := flag.Int("clients", 256, "concurrent sessions")
-	mix := flag.String("mix", "flash:1+firefox:1", "strategy mix, e.g. flash:2+firefox:1 (see -players)")
+	mix := flag.String("mix", "flash:1+firefox:1", "strategy mix, e.g. flash:2+firefox:1, weights 1..1024 (see -players)")
 	duration := flag.Float64("duration", 120, "horizon seconds")
 	warmup := flag.Float64("warmup", 0, "statistics warm-up seconds (0 = duration/4)")
 	seed := flag.Int64("seed", 1, "random seed")

@@ -379,17 +379,10 @@ func NetPC(n int, seed int64) Dataset {
 
 // NetMob subsets NetPC (the paper used 50 of the 200).
 func NetMob(n int, seed int64) Dataset {
-	base := NetPC(maxInt(n*4, n), seed)
+	base := NetPC(max(n*4, n), seed)
 	vids := make([]Video, n)
 	for i := range vids {
-		vids[i] = base.Videos[i*len(base.Videos)/maxInt(n, 1)]
+		vids[i] = base.Videos[i*len(base.Videos)/max(n, 1)]
 	}
 	return Dataset{Name: "NetMob", Videos: vids}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -115,12 +115,7 @@ func (p *ABRPlayer) Name() string {
 func (p *ABRPlayer) Downloaded() int64 { return p.downloaded }
 
 // QoE implements Player.
-func (p *ABRPlayer) QoE(at time.Duration) Metrics {
-	if p.buf == nil {
-		return Metrics{}
-	}
-	return p.buf.QoE(at)
-}
+func (p *ABRPlayer) QoE(at time.Duration) Metrics { return p.buf.QoE(at) }
 
 // Start implements Player.
 func (p *ABRPlayer) Start(env *Env, v media.Video) {
@@ -240,6 +235,3 @@ func (p *ABRPlayer) completeChunk(rung int, got int64, started time.Duration) {
 	p.buf.AddMedia(now, chunkSec, p.ladder[rung]*chunkSec, rung)
 	p.fetch()
 }
-
-// Compile-time interface check.
-var _ Player = (*ABRPlayer)(nil)

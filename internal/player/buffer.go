@@ -166,8 +166,12 @@ func (b *PlaybackBuffer) NoteSwitch() { b.m.Switches++ }
 func (b *PlaybackBuffer) MarkEnded() { b.ended = true }
 
 // QoE evaluates the metrics at time at without mutating the model: a
-// stall still open at `at` contributes its elapsed time.
+// stall still open at `at` contributes its elapsed time. A nil buffer
+// (a player that never started) reports the zero Metrics.
 func (b *PlaybackBuffer) QoE(at time.Duration) Metrics {
+	if b == nil {
+		return Metrics{}
+	}
 	c := *b
 	c.m.RungSec = append([]float64(nil), b.m.RungSec...)
 	c.advance(at)

@@ -9,14 +9,14 @@ import (
 	"repro/internal/tcp"
 )
 
-// netflixBase carries the machinery shared by the three Netflix
-// clients: fragment fetching over fresh or reused connections and the
-// periodic steady-state request schedule. Per the paper (Section 5.2),
-// the differences between PC, iPad and Android are (a) how many ladder
-// bitrates the buffering phase downloads, (b) the per-request block
-// size, and (c) whether connections are churned (PC/iPad, giving ACK
-// clocks on fresh connections) or kept (Android).
-type netflixBase struct {
+// NetflixClient is a Netflix client: fragment fetching over fresh or
+// reused connections and a periodic steady-state request schedule.
+// Per the paper (Section 5.2), the differences between PC, iPad and
+// Android are (a) how many ladder bitrates the buffering phase
+// downloads, (b) the per-request block size, and (c) whether
+// connections are churned (PC/iPad, giving ACK clocks on fresh
+// connections) or kept (Android).
+type NetflixClient struct {
 	env        *Env
 	video      media.Video
 	downloaded int64
@@ -24,6 +24,7 @@ type netflixBase struct {
 	buf        *PlaybackBuffer
 
 	// configuration
+	name       string
 	ladder     []float64 // bitrates fetched during buffering
 	chosen     float64   // steady-state bitrate
 	bufFrags   int       // fragments per ladder rung during buffering
@@ -39,41 +40,78 @@ type netflixBase struct {
 	conn       *httpx.ClientConn // persistent connection when !newConnPer
 }
 
-// Downloaded implements part of Player.
-func (nb *netflixBase) Downloaded() int64 { return nb.downloaded }
-
-// QoE implements part of Player.
-func (nb *netflixBase) QoE(at time.Duration) Metrics {
-	if nb.buf == nil {
-		return Metrics{}
+// NewSilverlightPC builds Netflix in a browser via Silverlight:
+// buffering downloads every ladder rung (~50 MB, Figure 11a), steady
+// state fetches one fragment at a time over fresh connections (short
+// ON-OFF, blocks < 2.5 MB, Figure 12a). The browser name is a label
+// only — the paper found the strategy browser-independent.
+func NewSilverlightPC(browser string) *NetflixClient {
+	return &NetflixClient{
+		name:   "Silverlight (" + browser + ")",
+		ladder: media.NetflixLadder, chosen: media.NetflixLadder[len(media.NetflixLadder)-1],
+		bufFrags: 4, steadySecs: 60, fragsPerGo: 1,
+		newConnPer: true, adaptive: true, recvBuf: 2 << 20,
 	}
-	return nb.buf.QoE(at)
 }
 
-func (nb *netflixBase) start(env *Env, v media.Video) {
-	nb.env = env
-	nb.video = v
-	nb.totalFrags = int(v.Duration / service.FragmentDuration)
+// NewNetflixIPad builds the native iPad app: it buffers only a subset
+// of the ladder (~10 MB, Figure 11a) and then behaves like the PC
+// client (short ON-OFF over fresh connections).
+func NewNetflixIPad() *NetflixClient {
+	return &NetflixClient{
+		name:   "Netflix app (iPad)",
+		ladder: media.NetflixLadder[2:4], chosen: media.NetflixLadder[3], // mid rungs only
+		bufFrags: 2, steadySecs: 16, fragsPerGo: 1,
+		newConnPer: true, adaptive: true, recvBuf: 1 << 20,
+	}
+}
+
+// NewNetflixAndroid builds the native Android app: a large single-rate
+// buffering phase (~40 MB, Figure 11b) and long ON-OFF cycles — four
+// fragments per request burst on one persistent connection
+// (Figure 10b/12b).
+func NewNetflixAndroid() *NetflixClient {
+	return &NetflixClient{
+		name:   "Netflix app (Android)",
+		ladder: media.NetflixLadder[3:4], chosen: media.NetflixLadder[3],
+		steadySecs: 120, fragsPerGo: 4, recvBuf: 2 << 20,
+	}
+}
+
+// Name implements Player.
+func (nc *NetflixClient) Name() string { return nc.name }
+
+// Downloaded implements Player.
+func (nc *NetflixClient) Downloaded() int64 { return nc.downloaded }
+
+// QoE implements Player.
+func (nc *NetflixClient) QoE(at time.Duration) Metrics { return nc.buf.QoE(at) }
+
+// Start implements Player.
+func (nc *NetflixClient) Start(env *Env, v media.Video) {
+	nc.env = env
+	nc.video = v
+	nc.totalFrags = int(v.Duration / service.FragmentDuration)
 	// A video carrying its own rendition ladder only serves those
 	// rungs: snap the client's configured rates (defined against the
 	// default NetflixLadder) onto it, or every request would 404.
 	// Videos without explicit renditions — every legacy catalog —
 	// take the historical path untouched.
-	if len(v.Renditions) > 0 && len(nb.ladder) > 0 {
+	if len(v.Renditions) > 0 && len(nc.ladder) > 0 {
 		full := v.Ladder()
-		snapped := make([]float64, 0, len(nb.ladder))
-		for _, r := range nb.ladder {
+		snapped := make([]float64, 0, len(nc.ladder))
+		for _, r := range nc.ladder {
 			s := nearestRung(full, r)
 			if len(snapped) == 0 || snapped[len(snapped)-1] != s {
 				snapped = append(snapped, s)
 			}
 		}
-		nb.ladder = snapped
-		nb.chosen = nearestRung(full, nb.chosen)
+		nc.ladder = snapped
+		nc.chosen = nearestRung(full, nc.chosen)
 	}
 	// Playback bookkeeping: bytes convert to media seconds at the
 	// steady-state bitrate; re-pinned after the adaptive probe.
-	nb.buf = NewPlaybackBuffer(env.Sch.Now(), LegacyStartupSec, nb.chosen)
+	nc.buf = NewPlaybackBuffer(env.Sch.Now(), LegacyStartupSec, nc.chosen)
 	// Buffering runs in two pipelined groups on one connection:
 	// first the ladder probe (fragments of every configured rung —
 	// Akhshabi et al. observed all encoding rates being fetched at
@@ -82,31 +120,31 @@ func (nb *netflixBase) start(env *Env, v media.Video) {
 	// the throughput the probe measured — the bandwidth dependence of
 	// Netflix encoding rates the paper notes in Section 5 [11].
 	var probe []fragJob
-	for f := 0; f < nb.bufFrags; f++ {
-		for _, rate := range nb.ladder {
+	for f := 0; f < nc.bufFrags; f++ {
+		for _, rate := range nc.ladder {
 			probe = append(probe, fragJob{rate, f})
 		}
 	}
-	cc := openConn(env, tcp.Config{RecvBuf: nb.recvBuf})
-	if !nb.newConnPer {
-		nb.conn = cc
+	cc := openConn(env, tcp.Config{RecvBuf: nc.recvBuf})
+	if !nc.newConnPer {
+		nc.conn = cc
 	}
 	t0 := env.Sch.Now()
-	nb.fetchGroup(cc, probe, false, func() {
-		if nb.adaptive && nb.downloaded > 0 {
+	nc.fetchGroup(cc, probe, false, func() {
+		if nc.adaptive && nc.downloaded > 0 {
 			if elapsed := env.Sch.Now() - t0; elapsed > 0 {
-				thr := float64(nb.downloaded) * 8 / elapsed.Seconds()
-				nb.chosen = sustainableRung(nb.ladder, thr)
-				nb.buf.SetRate(nb.chosen)
+				thr := float64(nc.downloaded) * 8 / elapsed.Seconds()
+				nc.chosen = sustainableRung(nc.ladder, thr)
+				nc.buf.SetRate(nc.chosen)
 			}
 		}
 		var fill []fragJob
-		extra := int(nb.steadySecs / service.FragmentDuration.Seconds())
-		for f := nb.bufFrags; f < nb.bufFrags+extra && f < nb.totalFrags; f++ {
-			fill = append(fill, fragJob{nb.chosen, f})
+		extra := int(nc.steadySecs / service.FragmentDuration.Seconds())
+		for f := nc.bufFrags; f < nc.bufFrags+extra && f < nc.totalFrags; f++ {
+			fill = append(fill, fragJob{nc.chosen, f})
 		}
-		nb.nextFrag = nb.bufFrags + extra
-		nb.fetchGroup(cc, fill, nb.newConnPer, func() { nb.steadyState() })
+		nc.nextFrag = nc.bufFrags + extra
+		nc.fetchGroup(cc, fill, nc.newConnPer, func() { nc.steadyState() })
 	})
 }
 
@@ -148,7 +186,7 @@ type fragJob struct {
 
 // fetchGroup pipelines the jobs' requests on cc, reads all bodies
 // greedily, optionally closes the connection, then calls done.
-func (nb *netflixBase) fetchGroup(cc *httpx.ClientConn, jobs []fragJob, closeAfter bool, done func()) {
+func (nc *NetflixClient) fetchGroup(cc *httpx.ClientConn, jobs []fragJob, closeAfter bool, done func()) {
 	if len(jobs) == 0 {
 		done()
 		return
@@ -159,15 +197,15 @@ func (nb *netflixBase) fetchGroup(cc *httpx.ClientConn, jobs []fragJob, closeAft
 	}
 	var got int64
 	fired := false
-	nb.busy = true
+	nc.busy = true
 	cc.OnBody(func(avail int) {
 		n := cc.DiscardBody(avail)
-		nb.downloaded += int64(n)
-		nb.buf.AddBytes(nb.env.Sch.Now(), int64(n))
+		nc.downloaded += int64(n)
+		nc.buf.AddBytes(nc.env.Sch.Now(), int64(n))
 		got += int64(n)
 		if !fired && got >= expect {
 			fired = true
-			nb.busy = false
+			nc.busy = false
 			if closeAfter {
 				cc.Conn.Close()
 			}
@@ -175,7 +213,7 @@ func (nb *netflixBase) fetchGroup(cc *httpx.ClientConn, jobs []fragJob, closeAft
 		}
 	})
 	for _, j := range jobs {
-		cc.Get(service.FragPath(nb.video.ID, j.bitrate, j.index), nil)
+		cc.Get(service.FragPath(nc.video.ID, j.bitrate, j.index), nil)
 	}
 }
 
@@ -184,124 +222,41 @@ func (nb *netflixBase) fetchGroup(cc *httpx.ClientConn, jobs []fragJob, closeAft
 // accumulation margin. PC and iPad use a fresh connection per burst
 // (the paper observed heavy connection churn and ACK clocks on new
 // connections); Android reuses its single connection.
-func (nb *netflixBase) steadyState() {
-	if nb.nextFrag >= nb.totalFrags {
-		nb.done = true
-		nb.buf.MarkEnded()
+func (nc *NetflixClient) steadyState() {
+	if nc.nextFrag >= nc.totalFrags {
+		nc.done = true
+		nc.buf.MarkEnded()
 		return
 	}
 	const accum = 1.1
-	period := time.Duration(float64(nb.fragsPerGo) * float64(service.FragmentDuration) / accum)
+	period := time.Duration(float64(nc.fragsPerGo) * float64(service.FragmentDuration) / accum)
 	var tick func()
 	tick = func() {
-		if nb.done || nb.nextFrag >= nb.totalFrags {
-			if nb.nextFrag >= nb.totalFrags {
-				nb.buf.MarkEnded()
+		if nc.done || nc.nextFrag >= nc.totalFrags {
+			if nc.nextFrag >= nc.totalFrags {
+				nc.buf.MarkEnded()
 			}
-			nb.done = true
+			nc.done = true
 			return
 		}
-		if nb.busy {
+		if nc.busy {
 			// The previous fetch overran its period (loss, congestion):
 			// back off one period instead of stacking requests, the way
 			// a real player limits its buffer level.
-			nb.env.Sch.After(period, tick)
+			nc.env.Sch.After(period, tick)
 			return
 		}
 		var jobs []fragJob
-		for i := 0; i < nb.fragsPerGo && nb.nextFrag < nb.totalFrags; i++ {
-			jobs = append(jobs, fragJob{nb.chosen, nb.nextFrag})
-			nb.nextFrag++
+		for i := 0; i < nc.fragsPerGo && nc.nextFrag < nc.totalFrags; i++ {
+			jobs = append(jobs, fragJob{nc.chosen, nc.nextFrag})
+			nc.nextFrag++
 		}
-		cc := nb.conn
-		if nb.newConnPer || cc == nil {
-			cc = openConn(nb.env, tcp.Config{RecvBuf: nb.recvBuf})
+		cc := nc.conn
+		if nc.newConnPer || cc == nil {
+			cc = openConn(nc.env, tcp.Config{RecvBuf: nc.recvBuf})
 		}
-		nb.fetchGroup(cc, jobs, nb.newConnPer, func() {})
-		nb.env.Sch.After(period, tick)
+		nc.fetchGroup(cc, jobs, nc.newConnPer, func() {})
+		nc.env.Sch.After(period, tick)
 	}
-	nb.env.Sch.After(period, tick)
+	nc.env.Sch.After(period, tick)
 }
-
-// SilverlightPC is Netflix in a browser via Silverlight: buffering
-// downloads every ladder rung (~50 MB, Figure 11a), steady state
-// fetches one fragment at a time over fresh connections (short ON-OFF,
-// blocks < 2.5 MB, Figure 12a). The browser name is a label only —
-// the paper found the strategy browser-independent.
-type SilverlightPC struct {
-	Browser string
-	netflixBase
-}
-
-// NewSilverlightPC builds the PC client model.
-func NewSilverlightPC(browser string) *SilverlightPC {
-	s := &SilverlightPC{Browser: browser}
-	s.ladder = media.NetflixLadder
-	s.chosen = media.NetflixLadder[len(media.NetflixLadder)-1]
-	s.bufFrags = 4
-	s.steadySecs = 60
-	s.fragsPerGo = 1
-	s.newConnPer = true
-	s.adaptive = true
-	s.recvBuf = 2 << 20
-	return s
-}
-
-// Name implements Player.
-func (s *SilverlightPC) Name() string { return "Silverlight (" + s.Browser + ")" }
-
-// Start implements Player.
-func (s *SilverlightPC) Start(env *Env, v media.Video) { s.start(env, v) }
-
-// NetflixIPad is the native iPad app: it buffers only a subset of the
-// ladder (~10 MB, Figure 11a) and then behaves like the PC client
-// (short ON-OFF over fresh connections).
-type NetflixIPad struct{ netflixBase }
-
-// NewNetflixIPad builds the iPad client model.
-func NewNetflixIPad() *NetflixIPad {
-	n := &NetflixIPad{}
-	n.ladder = media.NetflixLadder[2:4] // mid rungs only
-	n.chosen = media.NetflixLadder[3]
-	n.bufFrags = 2
-	n.steadySecs = 16
-	n.fragsPerGo = 1
-	n.newConnPer = true
-	n.adaptive = true
-	n.recvBuf = 1 << 20
-	return n
-}
-
-// Name implements Player.
-func (n *NetflixIPad) Name() string { return "Netflix app (iPad)" }
-
-// Start implements Player.
-func (n *NetflixIPad) Start(env *Env, v media.Video) { n.start(env, v) }
-
-// NetflixAndroid is the native Android app: a large single-rate
-// buffering phase (~40 MB, Figure 11b) and long ON-OFF cycles — four
-// fragments per request burst on one persistent connection
-// (Figure 10b/12b).
-type NetflixAndroid struct{ netflixBase }
-
-// NewNetflixAndroid builds the Android client model.
-func NewNetflixAndroid() *NetflixAndroid {
-	n := &NetflixAndroid{}
-	n.ladder = media.NetflixLadder[3:4]
-	n.chosen = media.NetflixLadder[3]
-	n.bufFrags = 0
-	n.steadySecs = 120
-	n.fragsPerGo = 4
-	n.newConnPer = false
-	n.recvBuf = 2 << 20
-	return n
-}
-
-// Name implements Player.
-func (n *NetflixAndroid) Name() string { return "Netflix app (Android)" }
-
-// Start implements Player.
-func (n *NetflixAndroid) Start(env *Env, v media.Video) { n.start(env, v) }
-
-// Compile-time interface checks.
-var _ = []Player{(*SilverlightPC)(nil), (*NetflixIPad)(nil), (*NetflixAndroid)(nil)}

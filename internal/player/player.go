@@ -1,16 +1,18 @@
 // Package player implements the client applications whose read/pull
-// behaviour determines the streaming strategy (Table 1): browser
-// players (Flash plugin, IE/Firefox/Chrome HTML5), the native YouTube
-// apps (Android, iPad), the Netflix clients (Silverlight on PCs,
-// native iPad and Android apps), and the segmented adaptive-bitrate
-// player (ABRPlayer) that switches rendition-ladder rungs via an
-// abr.Controller.
+// behaviour determines the streaming strategy (Table 1). The paper's
+// applications differ in a handful of numbers, so they are parameters
+// of a few types rather than a type each: Puller (the Flash plugin,
+// the IE/Firefox/Chrome HTML5 players and the native Android YouTube
+// app), IPadYouTube (range requests over successive connections),
+// NetflixClient (Silverlight on PCs, the native iPad and Android
+// apps) and the segmented adaptive-bitrate player (ABRPlayer) that
+// switches rendition-ladder rungs via an abr.Controller.
 //
 // The package is built from three orthogonal parts:
 //
-//   - the read-pacing engine (pacer): a player that stops reading lets
-//     the TCP receive buffer fill, the advertised window closes, and
-//     the server stalls — producing the OFF periods of Section 3
+//   - the read-pacing engine (Puller): a player that stops reading
+//     lets the TCP receive buffer fill, the advertised window closes,
+//     and the server stalls — producing the OFF periods of Section 3
 //     without any server cooperation;
 //   - the playback-buffer model (PlaybackBuffer): an analytic account
 //     of the client's media buffer — fill on download, drain at the
@@ -29,6 +31,7 @@ import (
 	"repro/internal/httpx"
 	"repro/internal/media"
 	"repro/internal/packet"
+	"repro/internal/service"
 	"repro/internal/sim"
 	"repro/internal/tcp"
 )
@@ -63,38 +66,68 @@ type Player interface {
 // seconds are buffered.
 const LegacyStartupSec = 2.0
 
-// puller is the read-pacing engine behind the single-connection
-// players: an initial continuous phase until target bytes, then
-// fixed-size pulls on a timer calibrated to accumulation ratio accum.
-// It owns the wire behaviour only; the attached PlaybackBuffer is a
-// pure observer and never schedules events, so the packet trace is
-// exactly what the pre-decomposition monolith produced.
-type puller struct {
-	env    *Env
-	cc     *httpx.ClientConn
-	video  media.Video
-	target int64 // buffering phase bytes (0 = read everything)
-	pullB  int64 // steady-state pull size (0 = always continuous)
-	accum  float64
+// Puller is a single-connection player whose strategy is how it reads:
+// an initial continuous phase until the buffering target, then
+// fixed-size pulls on a timer calibrated to the accumulation ratio. A
+// zero target or pull size reads greedily throughout, leaving the wire
+// pattern to the server's pacing and the receive buffer. It owns the
+// wire behaviour only; the attached PlaybackBuffer is a pure observer
+// and never schedules events.
+type Puller struct {
+	name    string
+	recvBuf int
+	// The buffering target and pull size are drawn at Start, target
+	// first: the order fixes every later draw of the run's generator.
+	target, pull sizeRange
+	accum        float64 // steady-state accumulation ratio
 
+	env        *Env
+	cc         *httpx.ClientConn
+	video      media.Video
+	targetB    int64 // buffering phase bytes (0 = read everything)
+	pullB      int64 // steady-state pull size (0 = always continuous)
 	downloaded int64
 	allowance  int64 // bytes currently allowed to be consumed
 	buffering  bool
 	done       bool
-
-	buf *PlaybackBuffer // playback bookkeeping (observer only)
+	buf        *PlaybackBuffer
 }
 
-// startPulling wires the puller to the connection and begins the
-// buffering phase.
-func (p *puller) startPulling() {
+// sizeRange is a byte count drawn uniformly from [min, min+spread).
+type sizeRange struct{ min, spread int64 }
+
+// draw returns a size; a zero spread takes nothing from rng, so a
+// fixed size leaves every later draw where it was.
+func (r sizeRange) draw(rng *rand.Rand) int64 {
+	if r.spread == 0 {
+		return r.min
+	}
+	return r.min + int64(rng.Float64()*float64(r.spread))
+}
+
+// Name implements Player.
+func (p *Puller) Name() string { return p.name }
+
+// Downloaded implements Player.
+func (p *Puller) Downloaded() int64 { return p.downloaded }
+
+// QoE implements Player.
+func (p *Puller) QoE(at time.Duration) Metrics { return p.buf.QoE(at) }
+
+// Start implements Player.
+func (p *Puller) Start(env *Env, v media.Video) {
+	p.env, p.video = env, v
+	p.cc = openConn(env, tcp.Config{RecvBuf: p.recvBuf})
+	p.targetB = min(p.target.draw(env.Rand()), v.Size())
+	p.pullB = p.pull.draw(env.Rand())
 	p.buffering = true
 	p.allowance = 1<<62 - 1 // unconstrained during buffering
-	p.buf = NewPlaybackBuffer(p.env.Sch.Now(), LegacyStartupSec, p.video.EncodingRate)
+	p.buf = NewPlaybackBuffer(env.Sch.Now(), LegacyStartupSec, v.EncodingRate)
 	p.cc.OnBody(func(int) { p.drain() })
+	p.cc.Get(service.VideoPath(v.ID), nil)
 }
 
-func (p *puller) drain() {
+func (p *Puller) drain() {
 	if p.done {
 		return
 	}
@@ -115,7 +148,7 @@ func (p *puller) drain() {
 		if !p.buffering {
 			p.allowance -= int64(n)
 		}
-		if p.buffering && p.pullB > 0 && p.target > 0 && p.downloaded >= p.target {
+		if p.buffering && p.pullB > 0 && p.targetB > 0 && p.downloaded >= p.targetB {
 			p.enterSteadyState()
 			break
 		}
@@ -126,7 +159,7 @@ func (p *puller) drain() {
 	}
 }
 
-func (p *puller) enterSteadyState() {
+func (p *Puller) enterSteadyState() {
 	p.buffering = false
 	p.allowance = 0
 	period := time.Duration(float64(p.pullB) * 8 / (p.accum * p.video.EncodingRate) * float64(time.Second))
@@ -144,22 +177,10 @@ func (p *puller) enterSteadyState() {
 	p.env.Sch.After(period, tick)
 }
 
-// qoe reports the puller's playback metrics (zero before Start).
-func (p *puller) qoe(at time.Duration) Metrics {
-	if p == nil || p.buf == nil {
-		return Metrics{}
-	}
-	return p.buf.QoE(at)
-}
-
 // openConn dials the service and returns a ClientConn.
 func openConn(env *Env, cfg tcp.Config) *httpx.ClientConn {
 	return httpx.NewClientConn(env.Host.Dial(cfg, env.Server))
 }
 
-func minI64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
+// Compile-time interface checks.
+var _ = []Player{(*Puller)(nil), (*IPadYouTube)(nil), (*NetflixClient)(nil), (*ABRPlayer)(nil)}

@@ -190,7 +190,7 @@ func TestPullerStopsAtVideoEnd(t *testing.T) {
 	if p.Downloaded() != want {
 		t.Fatalf("downloaded %d, want %d", p.Downloaded(), want)
 	}
-	if p.p == nil || !p.p.done {
+	if !p.done {
 		t.Fatal("puller must mark itself done at body end")
 	}
 }

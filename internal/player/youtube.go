@@ -9,181 +9,52 @@ import (
 	"repro/internal/tcp"
 )
 
-// FlashPlayer is the Flash plugin inside any browser: it reads
-// greedily, so the wire pattern is entirely the server's pacing
-// (short ON-OFF at default resolutions, bulk for HD). The browser
-// name only labels the results — the paper found the strategy
-// independent of the browser for Flash (Table 1).
-type FlashPlayer struct {
-	Browser string
-	p       *puller
+// NewFlashPlayer builds the Flash plugin inside the given browser: it
+// reads greedily, so the wire pattern is entirely the server's pacing
+// (short ON-OFF at default resolutions, bulk for HD). The browser name
+// only labels the results — the paper found the strategy independent
+// of the browser for Flash (Table 1).
+func NewFlashPlayer(browser string) *Puller {
+	return &Puller{name: "Flash (" + browser + ")", recvBuf: 512 << 10}
 }
 
-// NewFlashPlayer builds the plugin model hosted by the given browser.
-func NewFlashPlayer(browser string) *FlashPlayer { return &FlashPlayer{Browser: browser} }
-
-// Name implements Player.
-func (f *FlashPlayer) Name() string { return "Flash (" + f.Browser + ")" }
-
-// Downloaded implements Player.
-func (f *FlashPlayer) Downloaded() int64 {
-	if f.p == nil {
-		return 0
+// NewIEHtml5 builds Internet Explorer's HTML5 player: a 10–15 MB
+// buffering phase (independent of the encoding rate, Figure 3b), then
+// 256 kB pulls from the TCP buffer (Figure 5a) at accumulation ratio
+// ~1.06. Its small receive buffer is what makes the receive window
+// oscillate to zero in Figure 2b.
+func NewIEHtml5() *Puller {
+	return &Puller{
+		name: "HTML5 (Internet Explorer)", recvBuf: 384 << 10,
+		target: sizeRange{10 << 20, 5 << 20}, pull: sizeRange{256 << 10, 0}, accum: 1.06,
 	}
-	return f.p.downloaded
 }
 
-// QoE implements Player.
-func (f *FlashPlayer) QoE(at time.Duration) Metrics { return f.p.qoe(at) }
-
-// Start implements Player.
-func (f *FlashPlayer) Start(env *Env, v media.Video) {
-	cc := openConn(env, tcp.Config{RecvBuf: 512 << 10})
-	f.p = &puller{env: env, cc: cc, video: v}
-	f.p.startPulling()
-	cc.Get(service.VideoPath(v.ID), nil)
+// NewFirefoxHtml5 builds Firefox 4's HTML5 player, which applied no
+// client throttling at all: with the server also not pacing WebM, the
+// result is a bulk TCP transfer (no ON-OFF cycles, Section 5.1.4).
+func NewFirefoxHtml5() *Puller {
+	return &Puller{name: "HTML5 (Mozilla Firefox)", recvBuf: 16 << 20}
 }
 
-// IEHtml5 is Internet Explorer's HTML5 player: a 10–15 MB buffering
-// phase (independent of the encoding rate, Figure 3b), then 256 kB
-// pulls from the TCP buffer (Figure 5a) at accumulation ratio ~1.06.
-// Its small receive buffer is what makes the receive window oscillate
-// to zero in Figure 2b.
-type IEHtml5 struct{ p *puller }
-
-// NewIEHtml5 builds the model.
-func NewIEHtml5() *IEHtml5 { return &IEHtml5{} }
-
-// Name implements Player.
-func (ie *IEHtml5) Name() string { return "HTML5 (Internet Explorer)" }
-
-// Downloaded implements Player.
-func (ie *IEHtml5) Downloaded() int64 {
-	if ie.p == nil {
-		return 0
-	}
-	return ie.p.downloaded
-}
-
-// QoE implements Player.
-func (ie *IEHtml5) QoE(at time.Duration) Metrics { return ie.p.qoe(at) }
-
-// Start implements Player.
-func (ie *IEHtml5) Start(env *Env, v media.Video) {
-	cc := openConn(env, tcp.Config{RecvBuf: 384 << 10})
-	target := int64(10<<20) + int64(env.Rand().Float64()*float64(5<<20))
-	ie.p = &puller{
-		env: env, cc: cc, video: v,
-		target: minI64(target, v.Size()),
-		pullB:  256 << 10,
-		accum:  1.06,
-	}
-	ie.p.startPulling()
-	cc.Get(service.VideoPath(v.ID), nil)
-}
-
-// FirefoxHtml5 is Firefox 4's HTML5 player, which applied no client
-// throttling at all: with the server also not pacing WebM, the result
-// is a bulk TCP transfer (no ON-OFF cycles, Section 5.1.4).
-type FirefoxHtml5 struct{ p *puller }
-
-// NewFirefoxHtml5 builds the model.
-func NewFirefoxHtml5() *FirefoxHtml5 { return &FirefoxHtml5{} }
-
-// Name implements Player.
-func (ff *FirefoxHtml5) Name() string { return "HTML5 (Mozilla Firefox)" }
-
-// Downloaded implements Player.
-func (ff *FirefoxHtml5) Downloaded() int64 {
-	if ff.p == nil {
-		return 0
-	}
-	return ff.p.downloaded
-}
-
-// QoE implements Player.
-func (ff *FirefoxHtml5) QoE(at time.Duration) Metrics { return ff.p.qoe(at) }
-
-// Start implements Player.
-func (ff *FirefoxHtml5) Start(env *Env, v media.Video) {
-	cc := openConn(env, tcp.Config{RecvBuf: 16 << 20})
-	ff.p = &puller{env: env, cc: cc, video: v}
-	ff.p.startPulling()
-	cc.Get(service.VideoPath(v.ID), nil)
-}
-
-// ChromeHtml5 is Chrome 10's HTML5 player: 10–15 MB buffering, then
-// large pulls (> 2.5 MB) tens of seconds apart — the long ON-OFF
+// NewChromeHtml5 builds Chrome 10's HTML5 player: 10–15 MB buffering,
+// then large pulls (> 2.5 MB) tens of seconds apart — the long ON-OFF
 // cycles of Figure 6 — at accumulation ratio ~1.34.
-type ChromeHtml5 struct{ p *puller }
-
-// NewChromeHtml5 builds the model.
-func NewChromeHtml5() *ChromeHtml5 { return &ChromeHtml5{} }
-
-// Name implements Player.
-func (ch *ChromeHtml5) Name() string { return "HTML5 (Google Chrome)" }
-
-// Downloaded implements Player.
-func (ch *ChromeHtml5) Downloaded() int64 {
-	if ch.p == nil {
-		return 0
+func NewChromeHtml5() *Puller {
+	return &Puller{
+		name: "HTML5 (Google Chrome)", recvBuf: 1 << 20,
+		target: sizeRange{10 << 20, 5 << 20}, pull: sizeRange{4 << 20, 6 << 20}, accum: 1.34,
 	}
-	return ch.p.downloaded
 }
 
-// QoE implements Player.
-func (ch *ChromeHtml5) QoE(at time.Duration) Metrics { return ch.p.qoe(at) }
-
-// Start implements Player.
-func (ch *ChromeHtml5) Start(env *Env, v media.Video) {
-	cc := openConn(env, tcp.Config{RecvBuf: 1 << 20})
-	target := int64(10<<20) + int64(env.Rand().Float64()*float64(5<<20))
-	pull := int64(4<<20) + int64(env.Rand().Float64()*float64(6<<20))
-	ch.p = &puller{
-		env: env, cc: cc, video: v,
-		target: minI64(target, v.Size()),
-		pullB:  pull,
-		accum:  1.34,
+// NewAndroidYouTube builds the native Android YouTube app: a smaller
+// 4–8 MB buffering phase, then long pulls (> 2.5 MB) at accumulation
+// ratio ~1.24 over a single connection (Figure 6b, "Rsrch. (And.)").
+func NewAndroidYouTube() *Puller {
+	return &Puller{
+		name: "YouTube app (Android)", recvBuf: 1 << 20,
+		target: sizeRange{4 << 20, 4 << 20}, pull: sizeRange{3 << 20, 3 << 20}, accum: 1.24,
 	}
-	ch.p.startPulling()
-	cc.Get(service.VideoPath(v.ID), nil)
-}
-
-// AndroidYouTube is the native Android YouTube app: a smaller 4–8 MB
-// buffering phase, then long pulls (> 2.5 MB) at accumulation ratio
-// ~1.24 over a single connection (Figure 6b, "Rsrch. (And.)").
-type AndroidYouTube struct{ p *puller }
-
-// NewAndroidYouTube builds the model.
-func NewAndroidYouTube() *AndroidYouTube { return &AndroidYouTube{} }
-
-// Name implements Player.
-func (a *AndroidYouTube) Name() string { return "YouTube app (Android)" }
-
-// Downloaded implements Player.
-func (a *AndroidYouTube) Downloaded() int64 {
-	if a.p == nil {
-		return 0
-	}
-	return a.p.downloaded
-}
-
-// QoE implements Player.
-func (a *AndroidYouTube) QoE(at time.Duration) Metrics { return a.p.qoe(at) }
-
-// Start implements Player.
-func (a *AndroidYouTube) Start(env *Env, v media.Video) {
-	cc := openConn(env, tcp.Config{RecvBuf: 1 << 20})
-	target := int64(4<<20) + int64(env.Rand().Float64()*float64(4<<20))
-	pull := int64(3<<20) + int64(env.Rand().Float64()*float64(3<<20))
-	a.p = &puller{
-		env: env, cc: cc, video: v,
-		target: minI64(target, v.Size()),
-		pullB:  pull,
-		accum:  1.24,
-	}
-	a.p.startPulling()
-	cc.Get(service.VideoPath(v.ID), nil)
 }
 
 // IPadYouTube is the native iOS app on an iPad, the "Multiple"
@@ -211,12 +82,7 @@ func (ip *IPadYouTube) Name() string { return "YouTube app (iPad)" }
 func (ip *IPadYouTube) Downloaded() int64 { return ip.downloaded }
 
 // QoE implements Player.
-func (ip *IPadYouTube) QoE(at time.Duration) Metrics {
-	if ip.buf == nil {
-		return Metrics{}
-	}
-	return ip.buf.QoE(at)
-}
+func (ip *IPadYouTube) QoE(at time.Duration) Metrics { return ip.buf.QoE(at) }
 
 // blockBytes is the rate-dependent request size of Figure 7b: roughly
 // linear in the encoding rate, from 64 kB up to 8 MB.
@@ -235,7 +101,7 @@ func (ip *IPadYouTube) Start(env *Env, v media.Video) {
 	ip.fileSize = v.Size() + int64(media.WebMHeaderSize)
 	ip.buf = NewPlaybackBuffer(env.Sch.Now(), LegacyStartupSec, v.EncodingRate)
 	// Initial buffering: a burst of back-to-back range requests.
-	burst := minI64(int64(4<<20)+int64(env.Rand().Float64()*float64(2<<20)), ip.fileSize)
+	burst := min(int64(4<<20)+int64(env.Rand().Float64()*float64(2<<20)), ip.fileSize)
 	ip.fetchSequence(burst, func() { ip.steadyCycle() })
 }
 
@@ -251,14 +117,12 @@ func (ip *IPadYouTube) fetchSequence(total int64, done func()) {
 		done()
 		return
 	}
-	n := minI64(ip.blockBytes(), minI64(total, ip.fileSize-ip.offset))
+	n := min(ip.blockBytes(), total, ip.fileSize-ip.offset)
 	start := ip.offset
 	ip.offset += n
 	cc := openConn(ip.env, tcp.Config{RecvBuf: 1 << 20})
-	got := int64(0)
 	cc.OnBody(func(avail int) {
 		m := cc.DiscardBody(avail)
-		got += int64(m)
 		ip.downloaded += int64(m)
 		ip.buf.AddBytes(ip.env.Sch.Now(), int64(m))
 		if cc.BodyRemaining() == 0 {
@@ -301,10 +165,4 @@ func (ip *IPadYouTube) steadyCycle() {
 		ip.fetchSequence(block, func() { ip.env.Sch.After(period, tick) })
 	}
 	ip.env.Sch.After(period, tick)
-}
-
-// Compile-time interface checks.
-var _ = []Player{
-	(*FlashPlayer)(nil), (*IEHtml5)(nil), (*FirefoxHtml5)(nil),
-	(*ChromeHtml5)(nil), (*AndroidYouTube)(nil), (*IPadYouTube)(nil),
 }

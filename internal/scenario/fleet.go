@@ -93,36 +93,60 @@ type Fleet struct {
 }
 
 // ParseMix parses a command-line strategy mix: entries of the form
-// "player:weight" (weight optional, default 1) joined by '+' or ',',
-// e.g. "flash:2+firefox:1" or "flash,chrome". It is the textual twin
-// of Fleet.MixString.
+// "player:weight" (weight optional, default 1, at most maxMixWeight)
+// joined by '+' or ',', e.g. "flash:2+firefox:1" or "flash,chrome". It
+// is the textual twin of Fleet.MixString.
 func ParseMix(s string) ([]MixEntry, error) {
-	var out []MixEntry
+	terms, err := parseMixTerms("mix", s)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]MixEntry, len(terms))
+	for i, t := range terms {
+		kind, ok := PlayerKindByName(t.name)
+		if !ok {
+			return nil, fmt.Errorf("mix %q: unknown player %q", s, t.name)
+		}
+		out[i] = MixEntry{Player: kind, Weight: t.weight}
+	}
+	return out, nil
+}
+
+// maxMixWeight caps one entry's weight in a strategy or
+// congestion-control mix. Both mixes expand into a per-client cycle
+// with one slot per unit of weight, so an unbounded weight would be an
+// unbounded allocation.
+const maxMixWeight = 1024
+
+// mixTerm is one "name[:weight]" entry of a mix.
+type mixTerm struct {
+	name   string
+	weight int
+}
+
+// parseMixTerms splits a mix into its entries, joined by '+' or ',':
+// each a name with an optional ":weight" in [1, maxMixWeight]
+// (default 1). what names the mix in errors.
+func parseMixTerms(what, s string) ([]mixTerm, error) {
+	var out []mixTerm
 	for _, part := range strings.FieldsFunc(s, func(r rune) bool { return r == '+' || r == ',' }) {
 		part = strings.TrimSpace(part)
 		if part == "" {
 			continue
 		}
-		name, weight := part, 1
+		t := mixTerm{name: part, weight: 1}
 		if i := strings.IndexByte(part, ':'); i >= 0 {
-			name = part[:i]
+			t.name = strings.TrimSpace(part[:i])
 			w, err := strconv.Atoi(strings.TrimSpace(part[i+1:]))
-			if err != nil {
-				return nil, fmt.Errorf("mix %q: bad weight in %q", s, part)
+			if err != nil || w <= 0 || w > maxMixWeight {
+				return nil, fmt.Errorf("%s %q: bad weight in %q (want 1..%d)", what, s, part, maxMixWeight)
 			}
-			weight = w
+			t.weight = w
 		}
-		if weight <= 0 {
-			return nil, fmt.Errorf("mix %q: non-positive weight in %q", s, part)
-		}
-		kind, ok := PlayerKindByName(name)
-		if !ok {
-			return nil, fmt.Errorf("mix %q: unknown player %q", s, name)
-		}
-		out = append(out, MixEntry{Player: kind, Weight: weight})
+		out = append(out, t)
 	}
 	if len(out) == 0 {
-		return nil, fmt.Errorf("mix %q: no entries", s)
+		return nil, fmt.Errorf("%s %q: no entries", what, s)
 	}
 	return out, nil
 }
@@ -183,8 +207,8 @@ func (f Fleet) Validate() error {
 	f = f.withDefaults()
 	svc := f.Mix[0].Player.Service()
 	for _, e := range f.Mix {
-		if e.Weight <= 0 {
-			return fmt.Errorf("fleet %q: non-positive weight for %s", f.Name, e.Player)
+		if e.Weight <= 0 || e.Weight > maxMixWeight {
+			return fmt.Errorf("fleet %q: weight %d for %s outside 1..%d", f.Name, e.Weight, e.Player, maxMixWeight)
 		}
 		if e.Player.Service() != svc {
 			return fmt.Errorf("fleet %q: mix spans services (%s is %s, %s is %s)",
@@ -215,32 +239,20 @@ func (f Fleet) Validate() error {
 // or ',', each with an optional ":weight" ("cubic", "reno:2+cubic:1").
 // The result is the expanded per-client cycle for Fleet.CCMix.
 func ParseCCMix(s string) ([]string, error) {
+	terms, err := parseMixTerms("cc mix", s)
+	if err != nil {
+		return nil, err
+	}
 	var out []string
-	for _, part := range strings.FieldsFunc(s, func(r rune) bool { return r == '+' || r == ',' }) {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		name, weight := part, 1
-		if i := strings.IndexByte(part, ':'); i >= 0 {
-			name = strings.TrimSpace(part[:i])
-			w, err := strconv.Atoi(strings.TrimSpace(part[i+1:]))
-			if err != nil || w <= 0 || w > 1024 {
-				return nil, fmt.Errorf("cc mix %q: bad weight in %q", s, part)
-			}
-			weight = w
-		}
-		name = strings.ToLower(name)
+	for _, t := range terms {
+		name := strings.ToLower(t.name)
 		if name == "" || !tcp.ValidCC(name) {
 			return nil, fmt.Errorf("cc mix %q: unknown congestion control %q (%s)",
 				s, name, strings.Join(tcp.CCKinds(), "|"))
 		}
-		for k := 0; k < weight; k++ {
+		for k := 0; k < t.weight; k++ {
 			out = append(out, name)
 		}
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("cc mix %q: no entries", s)
 	}
 	return out, nil
 }

@@ -281,6 +281,36 @@ func TestFleetValidate(t *testing.T) {
 	}
 }
 
+// TestMixWeightCap: a mix expands into one cycle slot per unit of
+// weight, so ParseMix and Fleet.Validate bound a weight by
+// maxMixWeight instead of allocating whatever a spec asks for.
+func TestMixWeightCap(t *testing.T) {
+	cases := []struct {
+		spec string
+		ok   bool
+	}{
+		{"flash:1024", true},
+		{"flash:1024+firefox:1", true},
+		{"flash:1025", false},
+		{"flash:2000000000", false},
+		{"flash:1+firefox:1025", false},
+	}
+	for _, c := range cases {
+		mix, err := ParseMix(c.spec)
+		if (err == nil) != c.ok {
+			t.Fatalf("ParseMix(%q) = %v, %v; want ok=%v", c.spec, mix, err, c.ok)
+		}
+	}
+	for _, w := range []int{1025, 2_000_000_000} {
+		if err := (Fleet{Mix: []MixEntry{{Player: Flash, Weight: w}}}).Validate(); err == nil {
+			t.Fatalf("Validate accepted weight %d", w)
+		}
+	}
+	if err := (Fleet{Mix: []MixEntry{{Player: Flash, Weight: maxMixWeight}}}).Validate(); err != nil {
+		t.Fatalf("Validate rejected weight %d: %v", maxMixWeight, err)
+	}
+}
+
 // TestMixedFleetKeepsLegacyBitrate: adding an adaptive kind to a mix
 // must not re-pin the shared video template — only the adaptive
 // clients get the default ladder, applied per client.

@@ -4,6 +4,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/tcp"
 )
 
 // FuzzParseDynamics drives the timeline parser with arbitrary specs.
@@ -74,9 +76,12 @@ func FuzzParseDynamics(f *testing.F) {
 }
 
 // FuzzParseMix drives the strategy-mix parser with arbitrary specs.
-// Properties: no panics; any accepted mix has only positive weights
-// and resolvable player kinds; and the mix round-trips through its
-// String rendering — MixString re-parses to the identical entry list.
+// Properties: no panics; any accepted mix has only weights in
+// [1, maxMixWeight] and resolvable player kinds; and the mix
+// round-trips through its String rendering — MixString re-parses to
+// the identical entry list. The same input also drives ParseCCMix,
+// which shares the entry grammar: an accepted cc mix names only known
+// controllers and expands to at most maxMixWeight per entry.
 func FuzzParseMix(f *testing.F) {
 	for _, seed := range []string{
 		"",
@@ -94,6 +99,10 @@ func FuzzParseMix(f *testing.F) {
 		",,,",
 		" flash : 2 ",
 		"netflix-ipad:999999",
+		"flash:1024",
+		"flash:1025",
+		"reno:2+cubic:1",
+		"bbr:1024+reno:1024",
 		"flash:2+flash:2",
 		"winamp:1",
 		"flash\x00:1",
@@ -101,6 +110,17 @@ func FuzzParseMix(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, spec string) {
+		if cc, err := ParseCCMix(spec); err == nil {
+			entries := 1 + strings.Count(spec, "+") + strings.Count(spec, ",")
+			if len(cc) == 0 || len(cc) > entries*maxMixWeight {
+				t.Fatalf("ParseCCMix(%q) expanded %d entries to %d slots", spec, entries, len(cc))
+			}
+			for _, name := range cc {
+				if !tcp.ValidCC(name) {
+					t.Fatalf("ParseCCMix(%q) accepted unknown controller %q", spec, name)
+				}
+			}
+		}
 		mix, err := ParseMix(spec)
 		if err != nil {
 			return
@@ -109,8 +129,8 @@ func FuzzParseMix(f *testing.F) {
 			t.Fatalf("ParseMix(%q) accepted an empty mix", spec)
 		}
 		for _, e := range mix {
-			if e.Weight <= 0 {
-				t.Fatalf("ParseMix(%q) accepted non-positive weight %d for %s", spec, e.Weight, e.Player)
+			if e.Weight <= 0 || e.Weight > maxMixWeight {
+				t.Fatalf("ParseMix(%q) accepted weight %d for %s outside 1..%d", spec, e.Weight, e.Player, maxMixWeight)
 			}
 			if _, ok := PlayerKindByName(e.Player.String()); !ok {
 				t.Fatalf("ParseMix(%q) produced unresolvable kind %v", spec, e.Player)

@@ -43,33 +43,37 @@ const (
 	AbrRange
 )
 
-// playerTable maps kinds to their metadata and factories.
+// playerTable maps kinds to their metadata and factories. container
+// is the format the client streams: FLV for the Flash plugin, MP4
+// fragments for the Netflix clients and the fragment-fetching ABR
+// kinds, WebM for every HTML5/native YouTube player.
 var playerTable = []struct {
-	kind     PlayerKind
-	name     string
-	service  session.ServiceKind
-	adaptive bool
-	mk       func() player.Player
+	kind      PlayerKind
+	name      string
+	service   session.ServiceKind
+	container media.Container
+	adaptive  bool
+	mk        func() player.Player
 }{
-	{Flash, "flash", session.YouTube, false, func() player.Player { return player.NewFlashPlayer("Internet Explorer") }},
-	{IEHtml5, "ie", session.YouTube, false, func() player.Player { return player.NewIEHtml5() }},
-	{FirefoxHtml5, "firefox", session.YouTube, false, func() player.Player { return player.NewFirefoxHtml5() }},
-	{ChromeHtml5, "chrome", session.YouTube, false, func() player.Player { return player.NewChromeHtml5() }},
-	{AndroidYouTube, "android-yt", session.YouTube, false, func() player.Player { return player.NewAndroidYouTube() }},
-	{IPadYouTube, "ipad-yt", session.YouTube, false, func() player.Player { return player.NewIPadYouTube() }},
-	{SilverlightPC, "silverlight", session.Netflix, false, func() player.Player { return player.NewSilverlightPC("Internet Explorer") }},
-	{NetflixIPad, "netflix-ipad", session.Netflix, false, func() player.Player { return player.NewNetflixIPad() }},
-	{NetflixAndroid, "netflix-android", session.Netflix, false, func() player.Player { return player.NewNetflixAndroid() }},
-	{AbrFixed, "abr-fixed", session.Netflix, true, func() player.Player {
+	{Flash, "flash", session.YouTube, media.Flash, false, func() player.Player { return player.NewFlashPlayer("Internet Explorer") }},
+	{IEHtml5, "ie", session.YouTube, media.HTML5, false, func() player.Player { return player.NewIEHtml5() }},
+	{FirefoxHtml5, "firefox", session.YouTube, media.HTML5, false, func() player.Player { return player.NewFirefoxHtml5() }},
+	{ChromeHtml5, "chrome", session.YouTube, media.HTML5, false, func() player.Player { return player.NewChromeHtml5() }},
+	{AndroidYouTube, "android-yt", session.YouTube, media.HTML5, false, func() player.Player { return player.NewAndroidYouTube() }},
+	{IPadYouTube, "ipad-yt", session.YouTube, media.HTML5, false, func() player.Player { return player.NewIPadYouTube() }},
+	{SilverlightPC, "silverlight", session.Netflix, media.Silverlight, false, func() player.Player { return player.NewSilverlightPC("Internet Explorer") }},
+	{NetflixIPad, "netflix-ipad", session.Netflix, media.Silverlight, false, func() player.Player { return player.NewNetflixIPad() }},
+	{NetflixAndroid, "netflix-android", session.Netflix, media.Silverlight, false, func() player.Player { return player.NewNetflixAndroid() }},
+	{AbrFixed, "abr-fixed", session.Netflix, media.Silverlight, true, func() player.Player {
 		return player.NewABRPlayer(player.ABRConfig{Controller: abr.NewFixed(-1)})
 	}},
-	{AbrRate, "abr-rate", session.Netflix, true, func() player.Player {
+	{AbrRate, "abr-rate", session.Netflix, media.Silverlight, true, func() player.Player {
 		return player.NewABRPlayer(player.ABRConfig{Controller: abr.NewRateBased()})
 	}},
-	{AbrBuffer, "abr-buffer", session.Netflix, true, func() player.Player {
+	{AbrBuffer, "abr-buffer", session.Netflix, media.Silverlight, true, func() player.Player {
 		return player.NewABRPlayer(player.ABRConfig{Controller: abr.NewBufferBased()})
 	}},
-	{AbrRange, "abr-range", session.YouTube, true, func() player.Player {
+	{AbrRange, "abr-range", session.YouTube, media.HTML5, true, func() player.Player {
 		return player.NewABRPlayer(player.ABRConfig{Controller: abr.NewBufferBased(), Source: player.Ranges})
 	}},
 }
@@ -91,19 +95,10 @@ func (k PlayerKind) Adaptive() bool {
 	return playerTable[k].adaptive
 }
 
-// NativeContainer returns the container this client streams in: FLV
-// for the Flash plugin, MP4 fragments for the Netflix clients and the
-// fragment-fetching ABR kinds, WebM for every HTML5/native YouTube
-// player. Specs and experiments share this single mapping.
+// NativeContainer returns the container this client streams in (the
+// playerTable column). Specs and experiments share this single mapping.
 func (k PlayerKind) NativeContainer() media.Container {
-	switch k {
-	case Flash:
-		return media.Flash
-	case SilverlightPC, NetflixIPad, NetflixAndroid, AbrFixed, AbrRate, AbrBuffer:
-		return media.Silverlight
-	default:
-		return media.HTML5
-	}
+	return playerTable[k].container
 }
 
 // String returns the spec-level name (also accepted by PlayerKindByName).

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/media"
 	"repro/internal/netem"
 	"repro/internal/runner"
 	"repro/internal/session"
@@ -46,6 +47,27 @@ func TestPlayerKindRegistry(t *testing.T) {
 	}
 	if _, ok := PlayerKindByName("winamp"); ok {
 		t.Fatal("unknown player name resolved")
+	}
+}
+
+// TestNativeContainer pins each kind's container: FLV for the Flash
+// plugin, MP4 fragments for the Netflix clients and the
+// fragment-fetching ABR kinds, WebM for every other kind.
+func TestNativeContainer(t *testing.T) {
+	want := []media.Container{
+		Flash: media.Flash, IEHtml5: media.HTML5, FirefoxHtml5: media.HTML5,
+		ChromeHtml5: media.HTML5, AndroidYouTube: media.HTML5, IPadYouTube: media.HTML5,
+		SilverlightPC: media.Silverlight, NetflixIPad: media.Silverlight, NetflixAndroid: media.Silverlight,
+		AbrFixed: media.Silverlight, AbrRate: media.Silverlight, AbrBuffer: media.Silverlight,
+		AbrRange: media.HTML5,
+	}
+	if len(want) != len(PlayerKinds()) {
+		t.Fatalf("%d kinds, %d expected containers", len(PlayerKinds()), len(want))
+	}
+	for _, k := range PlayerKinds() {
+		if got := k.NativeContainer(); got != want[k] {
+			t.Fatalf("%s streams %v, want %v", k, got, want[k])
+		}
 	}
 }
 

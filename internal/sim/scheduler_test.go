@@ -399,10 +399,14 @@ func (c *sparseChain) RunTask(op int32) {
 // its timer stop and fresh arm. Unlike BenchmarkSchedulerChurn, whose
 // heap holds one entry, it keeps the stopped entries of about 200 ms of
 // timers queued, so each push and pop sifts through a heap of about two
-// hundred.
+// hundred. A warm-up chain grows the heap first, so even one op
+// reports the steady state's allocations.
 func BenchmarkSchedulerSparse(b *testing.B) {
 	s := NewScheduler(1)
-	c := &sparseChain{s: s, left: b.N}
+	c := &sparseChain{s: s, left: 1000}
+	s.AfterTask(100*time.Microsecond, c, sparseStep)
+	s.Run()
+	c.left = b.N
 	b.ReportAllocs()
 	b.ResetTimer()
 	s.AfterTask(100*time.Microsecond, c, sparseStep)

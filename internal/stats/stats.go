@@ -84,7 +84,7 @@ func (c *CDF) Points(n int) [][2]float64 {
 	}
 	out := make([][2]float64, 0, n)
 	for i := 0; i < n; i++ {
-		idx := i * (len(c.sorted) - 1) / maxInt(n-1, 1)
+		idx := i * (len(c.sorted) - 1) / max(n-1, 1)
 		x := c.sorted[idx]
 		out = append(out, [2]float64{x, float64(idx+1) / float64(len(c.sorted))})
 	}
@@ -212,11 +212,4 @@ func Summarize(xs []float64) Summary {
 func (s Summary) String() string {
 	return fmt.Sprintf("n=%d mean=%.4g median=%.4g std=%.4g min=%.4g p10=%.4g p90=%.4g max=%.4g",
 		s.N, s.Mean, s.Median, s.Std, s.Min, s.P10, s.P90, s.Max)
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -67,7 +67,7 @@ type bbrLite struct {
 func (b *bbrLite) Init(cfg Config, _ time.Duration) {
 	b.mss = cfg.MSS
 	b.initCwnd = cfg.InitCwndSegs * cfg.MSS
-	b.cwnd = maxInt(b.initCwnd, bbrMinCwndSegs*cfg.MSS)
+	b.cwnd = max(b.initCwnd, bbrMinCwndSegs*cfg.MSS)
 	b.rtProp = 0
 	b.bwN, b.bwIdx = 0, 0
 	b.roundStart = -1
@@ -155,7 +155,7 @@ func (b *bbrLite) OnAck(ev AckEvent) CcAction {
 	case bbrStartup:
 		// Exponential probing: grow by every acked byte (gain ~2).
 		b.cwnd += ev.Acked
-		if cap := int(bbrStartupGain * float64(maxInt(b.bdp(), b.initCwnd))); b.bdp() > 0 && b.cwnd > cap {
+		if cap := int(bbrStartupGain * float64(max(b.bdp(), b.initCwnd))); b.bdp() > 0 && b.cwnd > cap {
 			b.cwnd = cap
 		}
 	case bbrDrain:
@@ -218,7 +218,7 @@ func (b *bbrLite) OnDupAck(ev AckEvent) CcAction {
 func (b *bbrLite) OnRTO(AckEvent) {
 	// A timeout means the model badly oversized the window (or the
 	// path died); restart conservatively but keep the learned model.
-	b.cwnd = maxInt(b.initCwnd, bbrMinCwndSegs*b.mss)
+	b.cwnd = max(b.initCwnd, bbrMinCwndSegs*b.mss)
 	b.roundStart = -1
 	b.roundBytes = 0
 	b.dupAcks = 0
@@ -227,7 +227,7 @@ func (b *bbrLite) OnRTO(AckEvent) {
 
 // OnIdle implements CongestionControl.
 func (b *bbrLite) OnIdle(time.Duration) {
-	b.cwnd = minInt(b.cwnd, maxInt(b.initCwnd, bbrMinCwndSegs*b.mss))
+	b.cwnd = min(b.cwnd, max(b.initCwnd, bbrMinCwndSegs*b.mss))
 	b.roundStart = -1
 	b.roundBytes = 0
 }

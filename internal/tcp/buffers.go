@@ -113,7 +113,7 @@ func (b *sendBuffer) Slice(off int64, n int) ([]byte, bool) {
 	out := make([]byte, 0, n)
 	out = append(out, c.data[rel:]...)
 	for i := lo + 1; i < len(b.chunks) && len(out) < n; i++ {
-		take := minInt(n-len(out), len(b.chunks[i].data))
+		take := min(n-len(out), len(b.chunks[i].data))
 		out = append(out, b.chunks[i].data[:take]...)
 	}
 	return out, true
@@ -217,7 +217,7 @@ func (b *recvBuffer) Push(data []byte) {
 // PushZero appends n zero bytes.
 func (b *recvBuffer) PushZero(n int) {
 	for n > 0 {
-		take := minInt(n, zeroPageSize)
+		take := min(n, zeroPageSize)
 		b.Push(zeroPage[:take])
 		n -= take
 	}
@@ -230,7 +230,7 @@ func (b *recvBuffer) Discard(n int) int {
 	for n > 0 && b.head < len(b.chunks) {
 		head := b.chunks[b.head]
 		avail := len(head) - b.headOff
-		take := minInt(avail, n)
+		take := min(avail, n)
 		b.headOff += take
 		consumed += take
 		n -= take

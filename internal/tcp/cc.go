@@ -149,7 +149,7 @@ func (r *reno) OnAck(ev AckEvent) CcAction {
 		}
 		// Partial ack: refill the next hole (NewReno) and deflate by
 		// the acked amount, re-inflating one MSS.
-		r.cwnd = maxInt(r.cwnd-ev.Acked+r.mss, r.mss)
+		r.cwnd = max(r.cwnd-ev.Acked+r.mss, r.mss)
 		return CcRetransmit
 	}
 	r.dupAcks = 0
@@ -159,7 +159,7 @@ func (r *reno) OnAck(ev AckEvent) CcAction {
 
 func (r *reno) grow(acked int) {
 	if r.cwnd < r.ssthresh {
-		r.cwnd += minInt(acked, r.mss) // slow start
+		r.cwnd += min(acked, r.mss) // slow start
 		return
 	}
 	// Congestion avoidance: one MSS per cwnd of acked bytes.
@@ -178,7 +178,7 @@ func (r *reno) OnDupAck(ev AckEvent) CcAction {
 		return CcNone
 	}
 	if r.dupAcks == 3 {
-		r.ssthresh = maxInt(ev.Flight/2, 2*r.mss)
+		r.ssthresh = max(ev.Flight/2, 2*r.mss)
 		r.cwnd = r.ssthresh + 3*r.mss
 		r.inRecovery = true
 		r.recoverPt = ev.SndNxt
@@ -189,7 +189,7 @@ func (r *reno) OnDupAck(ev AckEvent) CcAction {
 
 // OnRTO implements CongestionControl.
 func (r *reno) OnRTO(ev AckEvent) {
-	r.ssthresh = maxInt(ev.Flight/2, 2*r.mss)
+	r.ssthresh = max(ev.Flight/2, 2*r.mss)
 	r.cwnd = r.mss
 	r.cwndAcc = 0
 	r.dupAcks = 0
@@ -198,6 +198,6 @@ func (r *reno) OnRTO(ev AckEvent) {
 
 // OnIdle implements CongestionControl.
 func (r *reno) OnIdle(time.Duration) {
-	r.cwnd = minInt(r.cwnd, r.initCwnd)
+	r.cwnd = min(r.cwnd, r.initCwnd)
 	r.cwndAcc = 0
 }

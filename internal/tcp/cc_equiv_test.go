@@ -55,7 +55,7 @@ func (r *inlineReno) OnAck(ev AckEvent) CcAction {
 			return CcNone
 		}
 		// Partial ack: retransmit the next hole (NewReno).
-		r.cwnd = maxInt(r.cwnd-ev.Acked+r.cfg.MSS, r.cfg.MSS)
+		r.cwnd = max(r.cwnd-ev.Acked+r.cfg.MSS, r.cfg.MSS)
 		return CcRetransmit
 	}
 	r.dupAcks = 0
@@ -65,7 +65,7 @@ func (r *inlineReno) OnAck(ev AckEvent) CcAction {
 
 func (r *inlineReno) growCwnd(acked int) {
 	if r.cwnd < r.ssthresh {
-		r.cwnd += minInt(acked, r.cfg.MSS) // slow start
+		r.cwnd += min(acked, r.cfg.MSS) // slow start
 		return
 	}
 	// Congestion avoidance: one MSS per cwnd of acked bytes.
@@ -83,7 +83,7 @@ func (r *inlineReno) OnDupAck(ev AckEvent) CcAction {
 	} else if r.dupAcks == 3 {
 		// enterRecovery, verbatim.
 		flight := ev.Flight
-		r.ssthresh = maxInt(flight/2, 2*r.cfg.MSS)
+		r.ssthresh = max(flight/2, 2*r.cfg.MSS)
 		r.cwnd = r.ssthresh + 3*r.cfg.MSS
 		r.inRecovery = true
 		r.recoverPt = ev.SndNxt
@@ -94,7 +94,7 @@ func (r *inlineReno) OnDupAck(ev AckEvent) CcAction {
 
 func (r *inlineReno) OnRTO(ev AckEvent) {
 	flight := ev.Flight
-	r.ssthresh = maxInt(flight/2, 2*r.cfg.MSS)
+	r.ssthresh = max(flight/2, 2*r.cfg.MSS)
 	r.cwnd = r.cfg.MSS
 	r.cwndAcc = 0
 	r.dupAcks = 0
@@ -102,7 +102,7 @@ func (r *inlineReno) OnRTO(ev AckEvent) {
 }
 
 func (r *inlineReno) OnIdle(time.Duration) {
-	r.cwnd = minInt(r.cwnd, r.cfg.InitCwndSegs*r.cfg.MSS)
+	r.cwnd = min(r.cwnd, r.cfg.InitCwndSegs*r.cfg.MSS)
 	r.cwndAcc = 0
 }
 

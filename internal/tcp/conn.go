@@ -324,11 +324,11 @@ func (c *Conn) armSYNTimer() {
 
 func (c *Conn) onSYNTimer() {
 	if c.state == StateSynSent {
-		c.rto = minDur(c.rto*2, c.cfg.MaxRTO)
+		c.rto = min(c.rto*2, c.cfg.MaxRTO)
 		c.Stats.Retransmits++
 		c.sendSYN()
 	} else if c.state == StateSynReceived {
-		c.rto = minDur(c.rto*2, c.cfg.MaxRTO)
+		c.rto = min(c.rto*2, c.cfg.MaxRTO)
 		c.Stats.Retransmits++
 		c.sendSYNACK()
 	}
@@ -437,9 +437,9 @@ func (c *Conn) sampleRTT(rtt time.Duration) {
 }
 
 func (c *Conn) updateRTO() {
-	c.rto = c.srtt + maxDur(10*time.Millisecond, 4*c.rttvar)
-	c.rto = maxDur(c.rto, c.cfg.MinRTO)
-	c.rto = minDur(c.rto, c.cfg.MaxRTO)
+	c.rto = c.srtt + max(10*time.Millisecond, 4*c.rttvar)
+	c.rto = max(c.rto, c.cfg.MinRTO)
+	c.rto = min(c.rto, c.cfg.MaxRTO)
 }
 
 // ackedOffset converts a wire ACK number to a stream offset.
@@ -519,7 +519,7 @@ func (c *Conn) retransmitOne() {
 		c.transmitFIN()
 		return
 	}
-	n := minInt(c.cfg.MSS, int(c.maxSent-c.sndUna))
+	n := min(c.cfg.MSS, int(c.maxSent-c.sndUna))
 	if n <= 0 {
 		return
 	}
@@ -540,7 +540,7 @@ func (c *Conn) trySend() {
 			c.cc.OnIdle(c.host.sch.Now())
 		}
 	}
-	wnd := minInt(c.cc.Cwnd(), c.sndWnd)
+	wnd := min(c.cc.Cwnd(), c.sndWnd)
 	for {
 		flight := int(c.sndNxt - c.sndUna)
 		avail := c.sndBuf.Len() - c.sndNxt
@@ -551,8 +551,8 @@ func (c *Conn) trySend() {
 		if room <= 0 {
 			break
 		}
-		n := minInt(c.cfg.MSS, int(avail))
-		n = minInt(n, room)
+		n := min(c.cfg.MSS, int(avail))
+		n = min(n, room)
 		if n <= 0 {
 			break
 		}
@@ -675,7 +675,7 @@ func (c *Conn) restartRTO() {
 		return
 	}
 	backoff := c.rto << c.rtoBackoff
-	backoff = minDur(backoff, c.cfg.MaxRTO)
+	backoff = min(backoff, c.cfg.MaxRTO)
 	c.rtoTimer = c.host.sch.RearmAfterTask(c.rtoTimer, backoff, c, connOpRTO)
 }
 
@@ -710,7 +710,7 @@ func (c *Conn) onRTO() {
 }
 
 func (c *Conn) armPersist() {
-	interval := maxDur(c.rto, time.Second)
+	interval := max(c.rto, time.Second)
 	c.persistTimer = c.host.sch.TimerAfterTask(interval, c, connOpPersist)
 }
 
@@ -748,7 +748,7 @@ func (c *Conn) processData(seg *packet.Segment) {
 		// will be retransmitted once the window reopens.
 		skip := int(c.rcvNxt - segOff)
 		space := c.cfg.RecvBuf - c.rcvBuf.Len()
-		take := minInt(n-skip, space)
+		take := min(n-skip, space)
 		if take < 0 {
 			take = 0
 		}

@@ -78,12 +78,12 @@ func (cu *cubic) OnAck(ev AckEvent) CcAction {
 			cu.epochStart = -1
 			return CcNone
 		}
-		cu.cwnd = maxInt(cu.cwnd-ev.Acked+cu.mss, cu.mss)
+		cu.cwnd = max(cu.cwnd-ev.Acked+cu.mss, cu.mss)
 		return CcRetransmit
 	}
 	cu.dupAcks = 0
 	if cu.cwnd < cu.ssthresh {
-		cu.cwnd += minInt(ev.Acked, cu.mss) // slow start
+		cu.cwnd += min(ev.Acked, cu.mss) // slow start
 		return CcNone
 	}
 	cu.avoid(ev)
@@ -167,7 +167,7 @@ func (cu *cubic) onLoss() {
 	} else {
 		cu.wMax = cwndSeg
 	}
-	cu.ssthresh = maxInt(int(float64(cu.cwnd)*cubicBeta), 2*cu.mss)
+	cu.ssthresh = max(int(float64(cu.cwnd)*cubicBeta), 2*cu.mss)
 }
 
 // OnRTO implements CongestionControl.
@@ -181,7 +181,7 @@ func (cu *cubic) OnRTO(AckEvent) {
 
 // OnIdle implements CongestionControl.
 func (cu *cubic) OnIdle(time.Duration) {
-	cu.cwnd = minInt(cu.cwnd, cu.initCwnd)
+	cu.cwnd = min(cu.cwnd, cu.initCwnd)
 	cu.epochStart = -1
 	cu.frac = 0
 }

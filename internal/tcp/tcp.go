@@ -14,11 +14,7 @@
 // Chrome doing it.
 package tcp
 
-import (
-	"time"
-
-	"repro/internal/packet"
-)
+import "time"
 
 // Config carries per-connection tunables. Zero fields take defaults.
 type Config struct {
@@ -135,33 +131,3 @@ func seqLT(a, b uint32) bool { return int32(a-b) < 0 }
 
 // seqLEQ reports a <= b in 32-bit sequence space.
 func seqLEQ(a, b uint32) bool { return int32(a-b) <= 0 }
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minDur(a, b time.Duration) time.Duration {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxDur(a, b time.Duration) time.Duration {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-var _ = packet.FlagACK // keep the import anchored for documentation links
