@@ -83,9 +83,9 @@ type Puller struct {
 
 	env        *Env
 	cc         *httpx.ClientConn
-	video      media.Video
-	targetB    int64 // buffering phase bytes (0 = read everything)
-	pullB      int64 // steady-state pull size (0 = always continuous)
+	rate       float64 // encoded bitrate, which sets the pull period
+	targetB    int64   // buffering phase bytes (0 = read everything)
+	pullB      int64   // steady-state pull size (0 = always continuous)
 	downloaded int64
 	allowance  int64 // bytes currently allowed to be consumed
 	buffering  bool
@@ -116,7 +116,7 @@ func (p *Puller) QoE(at time.Duration) Metrics { return p.buf.QoE(at) }
 
 // Start implements Player.
 func (p *Puller) Start(env *Env, v media.Video) {
-	p.env, p.video = env, v
+	p.env, p.rate = env, v.EncodingRate
 	p.cc = openConn(env, tcp.Config{RecvBuf: p.recvBuf})
 	p.targetB = min(p.target.draw(env.Rand()), v.Size())
 	p.pullB = p.pull.draw(env.Rand())
@@ -162,7 +162,7 @@ func (p *Puller) drain() {
 func (p *Puller) enterSteadyState() {
 	p.buffering = false
 	p.allowance = 0
-	period := time.Duration(float64(p.pullB) * 8 / (p.accum * p.video.EncodingRate) * float64(time.Second))
+	period := time.Duration(float64(p.pullB) * 8 / (p.accum * p.rate) * float64(time.Second))
 	var tick func()
 	tick = func() {
 		if p.done {

@@ -236,7 +236,8 @@ func (f Fleet) Validate() error {
 }
 
 // ParseCCMix parses a congestion-controller mix: names joined by '+'
-// or ',', each with an optional ":weight" ("cubic", "reno:2+cubic:1").
+// or ',', each with an optional ":weight" of at most maxMixWeight
+// ("cubic", "reno:2+cubic:1").
 // The result is the expanded per-client cycle for Fleet.CCMix.
 func ParseCCMix(s string) ([]string, error) {
 	terms, err := parseMixTerms("cc mix", s)
