@@ -69,29 +69,25 @@ func (f *Fixed) Next(s Snapshot) int {
 	return clamp(r, len(s.Ladder))
 }
 
-// DefaultSafety is the fraction of the estimated throughput a
-// rate-based controller is willing to spend on media.
-const DefaultSafety = 0.85
+// safety is the fraction of the estimated throughput a rate-based
+// controller is willing to spend on media.
+const safety = 0.85
 
-// DefaultEwmaWeight is the weight of the newest throughput sample.
-const DefaultEwmaWeight = 0.3
+// ewmaWeight is the weight of the newest throughput sample in a
+// rate-based controller's estimate. As float64 constants, 1-ewmaWeight
+// and ewmaWeight have the same bits as the float64 arithmetic on 0.3.
+const ewmaWeight = 0.3
 
-// RateBased picks the highest rung sustainable at a safety fraction of
-// an exponentially weighted moving average of per-chunk throughput —
-// the classic throughput-rule controller. It starts at the bottom rung
-// until the first measurement exists.
+// RateBased picks the highest rung sustainable at a safety fraction
+// (85%) of an exponentially weighted moving average of per-chunk
+// throughput (newest sample weighted 0.3) — the classic throughput-rule
+// controller. It starts at the bottom rung until the first measurement
+// exists.
 type RateBased struct {
-	// Safety scales the estimate before comparing to ladder rungs;
-	// 0 means DefaultSafety.
-	Safety float64
-	// Weight is the EWMA weight of the newest sample; 0 means
-	// DefaultEwmaWeight.
-	Weight float64
-
 	est float64 // current EWMA, 0 until the first sample
 }
 
-// NewRateBased returns a throughput-rule controller with defaults.
+// NewRateBased returns a throughput-rule controller.
 func NewRateBased() *RateBased { return &RateBased{} }
 
 // Name implements Controller.
@@ -99,23 +95,15 @@ func (r *RateBased) Name() string { return "rate" }
 
 // Next implements Controller.
 func (r *RateBased) Next(s Snapshot) int {
-	w := r.Weight
-	if w <= 0 {
-		w = DefaultEwmaWeight
-	}
 	if s.LastChunkBps > 0 {
 		if r.est == 0 {
 			r.est = s.LastChunkBps
 		} else {
-			r.est = (1-w)*r.est + w*s.LastChunkBps
+			r.est = (1-ewmaWeight)*r.est + ewmaWeight*s.LastChunkBps
 		}
 	}
 	if r.est == 0 {
 		return 0 // no measurement yet: start safe at the bottom rung
-	}
-	safety := r.Safety
-	if safety <= 0 {
-		safety = DefaultSafety
 	}
 	budget := safety * r.est
 	pick := 0
@@ -127,24 +115,21 @@ func (r *RateBased) Next(s Snapshot) int {
 	return pick
 }
 
-// Default BBA thresholds (media seconds).
+// BBA thresholds (media seconds).
 const (
-	DefaultReservoirSec = 5
-	DefaultCushionSec   = 20
+	reservoirSec = 5
+	cushionSec   = 20
 )
 
 // BufferBased is a BBA-style controller (Huang et al.): the rung is a
-// function of the buffer level alone. Below the reservoir it streams
-// the bottom rung; above reservoir+cushion the top rung; in between it
-// maps the buffer linearly across the ladder. A one-rung-per-decision
-// hysteresis keeps it from oscillating across the whole ladder when
-// the buffer swings.
-type BufferBased struct {
-	// ReservoirSec and CushionSec shape the map; 0 means the defaults.
-	ReservoirSec, CushionSec float64
-}
+// function of the buffer level alone. Below a 5 s reservoir it streams
+// the bottom rung; above reservoir plus a 20 s cushion the top rung;
+// in between it maps the buffer linearly across the ladder. A
+// one-rung-per-decision hysteresis keeps it from oscillating across
+// the whole ladder when the buffer swings.
+type BufferBased struct{}
 
-// NewBufferBased returns a BBA controller with default thresholds.
+// NewBufferBased returns a BBA controller.
 func NewBufferBased() *BufferBased { return &BufferBased{} }
 
 // Name implements Controller.
@@ -152,23 +137,15 @@ func (b *BufferBased) Name() string { return "buffer" }
 
 // Next implements Controller.
 func (b *BufferBased) Next(s Snapshot) int {
-	reservoir := b.ReservoirSec
-	if reservoir <= 0 {
-		reservoir = DefaultReservoirSec
-	}
-	cushion := b.CushionSec
-	if cushion <= 0 {
-		cushion = DefaultCushionSec
-	}
 	n := len(s.Ladder)
 	var want int
 	switch {
-	case s.BufferSec <= reservoir:
+	case s.BufferSec <= reservoirSec:
 		want = 0
-	case s.BufferSec >= reservoir+cushion:
+	case s.BufferSec >= reservoirSec+cushionSec:
 		want = n - 1
 	default:
-		frac := (s.BufferSec - reservoir) / cushion
+		frac := (s.BufferSec - reservoirSec) / cushionSec
 		want = int(frac * float64(n))
 	}
 	want = clamp(want, n)

@@ -1,7 +1,9 @@
 // Package analysis computes the paper's measurement metrics from the
 // captured packets alone, mirroring Sections 3–5:
 //
-//   - ON/OFF cycle segmentation of the downstream data,
+//   - ON/OFF cycle segmentation of the downstream data (a silence of
+//     more than 150 ms ends an ON period; data segments under 128
+//     bytes, zero-window probes, never start one),
 //   - phase detection (the buffering phase ends at the start of the
 //     first OFF period — the paper's own convention, including its
 //     sensitivity to packet loss),
@@ -32,37 +34,32 @@ import (
 // long ON-OFF cycles (Section 3: 2.5 MB).
 const LongCycleBytes = 2500 * 1000
 
-// Config tunes the analyzer. Zero values take defaults.
+// Fixed cycle-segmentation parameters.
+const (
+	// offThreshold is the minimum downstream silence that counts as an
+	// OFF period. It must exceed the RTT (slow-start gaps) but sit
+	// below real OFF periods (0.2–5 s for short cycles).
+	offThreshold = 150 * time.Millisecond
+	// probeIgnoreBytes: data segments smaller than this do not start a
+	// new ON period — they are zero-window keepalive probes, not media
+	// blocks.
+	probeIgnoreBytes = 128
+)
+
+// Config supplies what the analyzer cannot recover from the packets
+// (out-of-band video metadata) and the optional binned series. The
+// zero value analyzes a capture on its own.
 type Config struct {
-	// OffThreshold is the minimum downstream silence that counts as
-	// an OFF period. It must exceed the RTT (slow-start gaps) but sit
-	// below real OFF periods (0.2–5 s for short cycles). Default
-	// 150 ms.
-	OffThreshold time.Duration
 	// KnownDuration optionally supplies the video duration (the paper
 	// used the YouTube API when headers were unusable).
 	KnownDuration time.Duration
 	// KnownRate optionally supplies the encoding rate out of band.
 	KnownRate float64
-	// ProbeIgnoreBytes: data segments smaller than this do not start
-	// a new ON period — they are zero-window keepalive probes, not
-	// media blocks. Default 128.
-	ProbeIgnoreBytes int
 	// SeriesBin, when positive, makes the analyzer aggregate the
 	// download/window series into fixed-width time bins (Result.Bins):
 	// the constant-memory form of the figure series, O(duration/bin)
 	// instead of O(packets).
 	SeriesBin time.Duration
-}
-
-func (c Config) withDefaults() Config {
-	if c.OffThreshold <= 0 {
-		c.OffThreshold = 150 * time.Millisecond
-	}
-	if c.ProbeIgnoreBytes <= 0 {
-		c.ProbeIgnoreBytes = 128
-	}
-	return c
 }
 
 // Strategy is the classified streaming strategy of Section 3.

@@ -90,11 +90,10 @@ type flowState struct {
 	started bool
 }
 
-// NewStreaming returns an online analyzer with the given config (zero
-// values take defaults; see Config).
+// NewStreaming returns an online analyzer with the given config.
 func NewStreaming(cfg Config) *Streaming {
 	return &Streaming{
-		cfg:     cfg.withDefaults(),
+		cfg:     cfg,
 		index:   make(map[packet.Flow]int32),
 		lastIdx: -1,
 		synAt:   make(map[uint16]time.Duration),
@@ -160,16 +159,16 @@ func (s *Streaming) Capture(at time.Duration, dir trace.Dir, seg *packet.Segment
 		fs.high = end
 	}
 
-	// Cycle segmentation. Segments below ProbeIgnoreBytes never start
+	// Cycle segmentation. Segments below probeIgnoreBytes never start
 	// an ON period: isolated zero-window probes stay part of the
 	// surrounding OFF (but still feed the ACK-clock pass, which counts
 	// every data segment, exactly like the buffered analyzer).
-	probe := n < s.cfg.ProbeIgnoreBytes && (!s.open || at-s.lastData > s.cfg.OffThreshold)
+	probe := n < probeIgnoreBytes && (!s.open || at-s.lastData > offThreshold)
 	if !probe {
 		if !s.open {
 			s.res.Cycles = append(s.res.Cycles, Cycle{Start: at})
 			s.open = true
-		} else if at-s.lastData > s.cfg.OffThreshold {
+		} else if at-s.lastData > offThreshold {
 			cur := &s.res.Cycles[len(s.res.Cycles)-1]
 			cur.End = s.lastData
 			cur.OffAfter = at - s.lastData

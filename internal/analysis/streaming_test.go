@@ -76,7 +76,7 @@ func TestHeaderAsmMatchesTraceReassemble(t *testing.T) {
 // samples deferred during the capture must still be credited to the
 // right cycles on Close.
 func TestStreamingNoHandshakeFallback(t *testing.T) {
-	s := NewStreaming(Config{OffThreshold: 150 * time.Millisecond})
+	s := NewStreaming(Config{})
 	at := func(ms int) time.Duration { return time.Duration(ms) * time.Millisecond }
 	// Cycle 0 (buffering): 3 segments.
 	s.Capture(at(0), trace.Down, dseg(1000, nil, 1000))

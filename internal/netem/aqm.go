@@ -41,97 +41,52 @@ const (
 // AqmKinds lists the policy names in presentation order.
 func AqmKinds() []string { return []string{AqmDropTail, AqmRED, AqmCoDel} }
 
-// AqmConfig selects and tunes a queue policy declaratively, so
-// profiles, tree tiers and timeline steps can carry it as plain
-// comparable data. The zero value is drop-tail (no AQM).
+// AqmConfig selects a queue policy declaratively, so profiles, tree
+// tiers and timeline steps can carry it as plain comparable data. The
+// zero value is drop-tail (no AQM).
 type AqmConfig struct {
 	// Kind is "", "droptail", "red" or "codel".
 	Kind string
-
-	// RED knobs. Zero values take defaults derived from the link's
-	// queue capacity: MinTh = cap/4, MaxTh = 3·MinTh, MaxP = 0.1,
-	// Weight = 0.002 (the classic Floyd/Jacobson parameters). On an
-	// uncapped link MinTh defaults to 64 KiB.
-	MinTh, MaxTh int
-	MaxP, Weight float64
-
-	// CoDel knobs. Defaults: Target 5ms, Interval 100ms (RFC 8289).
-	Target, Interval time.Duration
 }
 
 // Enabled reports whether the config selects an actual AQM policy
 // (anything beyond drop-tail).
 func (a AqmConfig) Enabled() bool { return a.Kind != "" && a.Kind != AqmDropTail }
 
-// Validate rejects unknown kinds and nonsensical parameters.
+// Validate rejects unknown kinds.
 func (a AqmConfig) Validate() error {
 	switch a.Kind {
-	case "", AqmDropTail, AqmCoDel:
-	case AqmRED:
-		if a.MinTh < 0 || a.MaxTh < 0 || (a.MaxTh > 0 && a.MaxTh <= a.MinTh) {
-			return fmt.Errorf("aqm: red thresholds invalid (min %d, max %d)", a.MinTh, a.MaxTh)
-		}
-		if a.MaxP < 0 || a.MaxP > 1 {
-			return fmt.Errorf("aqm: red MaxP %v outside [0,1]", a.MaxP)
-		}
-		if a.Weight < 0 || a.Weight > 1 {
-			return fmt.Errorf("aqm: red Weight %v outside [0,1]", a.Weight)
-		}
-	default:
-		return fmt.Errorf("aqm: unknown kind %q (droptail|red|codel)", a.Kind)
+	case "", AqmDropTail, AqmRED, AqmCoDel:
+		return nil
 	}
-	if a.Target < 0 || a.Interval < 0 {
-		return fmt.Errorf("aqm: negative codel target/interval")
-	}
-	return nil
+	return fmt.Errorf("aqm: unknown kind %q (droptail|red|codel)", a.Kind)
 }
 
 // New builds a fresh policy instance for a link with the given queue
 // capacity (bytes; 0 = uncapped), or nil for drop-tail. Each link
-// needs its own instance.
+// needs its own instance. RED takes the classic Floyd/Jacobson
+// parameters scaled to the queue: MinTh = cap/4 (64 KiB on an
+// uncapped link), MaxTh = 3·MinTh, MaxP = 0.1 and an EWMA weight of
+// 0.002. CoDel takes RFC 8289's Target 5 ms and Interval 100 ms.
 func (a AqmConfig) New(queueCap int) AQM {
 	switch a.Kind {
 	case "", AqmDropTail:
 		return nil
 	case AqmRED:
-		minTh := a.MinTh
-		if minTh <= 0 {
-			if queueCap > 0 {
-				minTh = queueCap / 4
-			} else {
-				minTh = 64 << 10
-			}
+		minTh := 64 << 10
+		if queueCap > 0 {
+			minTh = queueCap / 4
 		}
-		maxTh := a.MaxTh
-		if maxTh <= 0 {
-			maxTh = 3 * minTh
-		}
-		maxP := a.MaxP
-		if maxP <= 0 {
-			maxP = 0.1
-		}
-		w := a.Weight
-		if w <= 0 {
-			w = 0.002
-		}
-		return &RED{MinTh: minTh, MaxTh: maxTh, MaxP: maxP, Weight: w}
+		return &RED{MinTh: minTh, MaxTh: 3 * minTh, MaxP: 0.1, Weight: 0.002}
 	case AqmCoDel:
-		target := a.Target
-		if target <= 0 {
-			target = 5 * time.Millisecond
-		}
-		interval := a.Interval
-		if interval <= 0 {
-			interval = 100 * time.Millisecond
-		}
-		return &CoDel{Target: target, Interval: interval}
+		return &CoDel{Target: 5 * time.Millisecond, Interval: 100 * time.Millisecond}
 	default:
 		panic("netem: unknown aqm kind " + a.Kind)
 	}
 }
 
 // ParseAqm parses a policy name ("droptail", "red", "codel", or ""
-// for drop-tail) into a config with default parameters.
+// for drop-tail) into a config.
 func ParseAqm(s string) (AqmConfig, error) {
 	a := AqmConfig{Kind: s}
 	if err := a.Validate(); err != nil {

@@ -214,19 +214,20 @@ func TestLinkAqmDropAccounting(t *testing.T) {
 	}
 }
 
-// TestTreeAqmDroppedAtTier attaches clients under a tree whose
-// aggregation tier runs RED and checks the per-tier rollup separates
-// policy drops from the rest, mirroring DroppedAtTier.
+// TestTreeAqmDroppedAtTier attaches a client under a tree whose
+// aggregation link runs a tuned RED and checks that policy drops land
+// on that tier's link only, and within its total drops.
 func TestTreeAqmDroppedAtTier(t *testing.T) {
 	sch := sim.NewScheduler(1)
 	sink := &collector{sch: sch}
 	cfg := TreeConfig{
 		Access:        Tier{Down: 100 * Mbps, Up: 100 * Mbps, Delay: time.Millisecond, Queue: 1 << 20},
-		Agg:           Tier{Down: 2 * Mbps, Up: 100 * Mbps, Delay: time.Millisecond, Queue: 1 << 20, AQM: AqmConfig{Kind: AqmRED, MinTh: 4 << 10, MaxTh: 16 << 10, MaxP: 0.2, Weight: 0.1}},
+		Agg:           Tier{Down: 2 * Mbps, Up: 100 * Mbps, Delay: time.Millisecond, Queue: 1 << 20},
 		Core:          Tier{Down: 1000 * Mbps, Up: 1000 * Mbps, Delay: time.Millisecond, Queue: 1 << 20},
 		ClientsPerAgg: 4,
 	}
 	tree := NewTree(sch, cfg, sink)
+	tree.AggDown.SetAQM(&RED{MinTh: 4 << 10, MaxTh: 16 << 10, MaxP: 0.2, Weight: 0.1})
 	addr := [4]byte{10, 0, 0, 1}
 	tree.Attach(addr, sink)
 	// Hammer the aggregation downstream directly: 2 Mbps drains 250
@@ -235,24 +236,18 @@ func TestTreeAqmDroppedAtTier(t *testing.T) {
 		sch.At(time.Duration(i)*time.Millisecond, func() {
 			s := seg(960)
 			s.Dst.Addr = addr
-			tree.AggDown[0].Send(s)
+			tree.AggDown.Send(s)
 		})
 	}
 	sch.Run()
-	core, agg, access := tree.AqmDroppedAtTier()
-	if core != 0 || access != 0 {
+	if core, access := tree.CoreDown.AqmDrops, tree.AccessDown[0].AqmDrops; core != 0 || access != 0 {
 		t.Fatalf("AQM drops on policy-free tiers: core %d access %d", core, access)
 	}
+	agg := tree.AggDown.AqmDrops
 	if agg == 0 {
 		t.Fatal("RED aggregation tier never dropped under sustained overload")
 	}
-	if agg != tree.AggDown[0].AqmDrops {
-		t.Fatalf("tier rollup %d != link counter %d", agg, tree.AggDown[0].AqmDrops)
-	}
-	dCore, dAgg, dAccess := tree.DroppedAtTier()
-	if agg > dAgg {
+	if _, dAgg, _ := tree.DroppedAtTier(); agg > dAgg {
 		t.Fatalf("AQM drops %d exceed total drops %d at the aggregation tier", agg, dAgg)
 	}
-	_ = dCore
-	_ = dAccess
 }

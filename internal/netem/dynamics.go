@@ -78,12 +78,6 @@ func LossStep(t time.Duration, p float64) Step {
 	return Step{At: t, SetLoss: true, Loss: RandomLoss{Rate: p}}
 }
 
-// LossModelStep returns a step installing an arbitrary loss model at t
-// (e.g. a GilbertElliott bursty episode).
-func LossModelStep(t time.Duration, m LossModel) Step {
-	return Step{At: t, SetLoss: true, Loss: m}
-}
-
 // AqmStep returns a step switching the link's queue policy at t (a
 // fresh policy instance is built for the link when the step fires;
 // AqmConfig{} restores drop-tail).

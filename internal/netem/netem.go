@@ -326,9 +326,6 @@ func (l *Link) SetDelay(d time.Duration) { l.delay = d }
 // happens behind the propagation segment.
 func (l *Link) SetBlocked(blocked bool) { l.blocked = blocked }
 
-// Blocked reports whether the link is in an outage.
-func (l *Link) Blocked() bool { return l.blocked }
-
 // InFlight returns the number of accepted packets not yet delivered.
 func (l *Link) InFlight() int { return l.flights.n }
 

@@ -31,7 +31,8 @@ type TreeConfig struct {
 	Agg    Tier
 	Core   Tier
 	// ClientsPerAgg is how many access links share one aggregation
-	// link. Default 32.
+	// link: the number of clients a fleet cell attaches to its Tree.
+	// Default 32.
 	ClientsPerAgg int
 }
 
@@ -79,162 +80,102 @@ func (c TreeConfig) WithDefaults() TreeConfig {
 	return c
 }
 
-// BaseRTT returns the no-queueing round-trip time of the full tree
-// path (twice the summed one-way delays).
-func (c TreeConfig) BaseRTT() time.Duration {
-	return 2 * (c.Access.Delay + c.Agg.Delay + c.Core.Delay)
-}
-
-// Tree is the fleet-scale multi-tier topology: every client sits
-// behind its own access link, groups of ClientsPerAgg access links
-// share one aggregation link, and all aggregation links share one
-// core uplink to the server — the shape at which the paper argues
-// streaming strategies matter in aggregate, because thousands of
-// ON-OFF sources synchronize into bursts precisely at the aggregation
-// and core tiers.
+// Tree is one aggregation group of the fleet topology: every client
+// sits behind its own access link, all access links share one
+// aggregation link, and the aggregation link hangs off a core uplink
+// to the server — the shape at which the paper argues streaming
+// strategies matter in aggregate, because many ON-OFF sources
+// synchronize into bursts precisely at the aggregation and core
+// tiers. A fleet is many Trees, one per cell.
 //
-// Downstream a packet takes core → aggregation(group) → access(client);
+// Downstream a packet takes core → aggregation → access(client);
 // upstream the reverse. Every hop is an ordinary Link, so capture taps
 // (Link.AddTap) and Dynamics timelines attach at any tier.
 type Tree struct {
-	// CoreDown and CoreUp are the shared core links (server side).
+	// CoreDown and CoreUp are the core links (server side).
 	CoreDown, CoreUp *Link
-	// AggDown and AggUp are the per-group aggregation links, indexed
-	// by group; they grow as clients attach. After a Reset the slices
-	// may be longer than the active population — Groups() bounds the
-	// live prefix.
-	AggDown, AggUp []*Link
+	// AggDown and AggUp are the aggregation links every client shares.
+	AggDown, AggUp *Link
 	// AccessDown and AccessUp are the per-client last-mile links,
-	// indexed by attach order; Clients() bounds the live prefix.
+	// indexed by attach order. After a Reset the slices may be longer
+	// than the attached population — Clients() bounds the live prefix.
 	AccessDown, AccessUp []*Link
 
 	cfg      TreeConfig
 	sch      *sim.Scheduler
-	coreSW   *Switch   // routes client addresses to their agg down link
-	groupSW  []*Switch // routes client addresses to their access down link
-	nClients int       // attached clients; link slots beyond are recycled spares
-	nGroups  int       // active aggregation groups
+	sw       *Switch // routes client addresses to their access down link
+	nClients int     // attached clients; link slots beyond are recycled spares
 }
 
-// NewTree builds the core tier; aggregation and access links are
+// NewTree builds the core and aggregation tiers; access links are
 // created on demand by Attach. The server receives everything sent up
 // the core; it must transmit on CoreDown (server.SetLink(t.CoreDown)).
 func NewTree(sch *sim.Scheduler, cfg TreeConfig, server Receiver) *Tree {
 	cfg = cfg.WithDefaults()
-	t := &Tree{cfg: cfg, sch: sch, coreSW: NewSwitch()}
-	t.CoreDown = NewLink(sch, cfg.Core.Down, cfg.Core.Delay, cfg.Core.Queue, RandomLoss{Rate: cfg.Core.Loss}, t.coreSW)
+	t := &Tree{cfg: cfg, sch: sch, sw: NewSwitch()}
+	t.CoreDown = NewLink(sch, cfg.Core.Down, cfg.Core.Delay, cfg.Core.Queue, RandomLoss{Rate: cfg.Core.Loss}, nil)
 	t.CoreDown.SetAQM(cfg.Core.AQM.New(cfg.Core.Queue))
 	t.CoreUp = NewLink(sch, cfg.Core.Up, cfg.Core.Delay, cfg.Core.Queue, nil, server)
+	t.AggDown = NewLink(sch, cfg.Agg.Down, cfg.Agg.Delay, cfg.Agg.Queue, RandomLoss{Rate: cfg.Agg.Loss}, t.sw)
+	t.AggDown.SetAQM(cfg.Agg.AQM.New(cfg.Agg.Queue))
+	t.AggUp = NewLink(sch, cfg.Agg.Up, cfg.Agg.Delay, cfg.Agg.Queue, nil, t.CoreUp)
+	t.CoreDown.dst = t.AggDown
 	return t
 }
-
-// Config returns the effective (defaulted) configuration.
-func (t *Tree) Config() TreeConfig { return t.cfg }
 
 // Clients returns how many clients have been attached.
 func (t *Tree) Clients() int { return t.nClients }
 
-// Groups returns how many aggregation links are active.
-func (t *Tree) Groups() int { return t.nGroups }
-
-// Group returns the aggregation group of client i (attach order).
-func (t *Tree) Group(i int) int { return i / t.cfg.ClientsPerAgg }
-
 // Attach wires a new client under the tree: it creates (or, after a
-// Reset, recycles) the client's access link pair, lazily creates the
-// aggregation group it falls into (attach order fills groups
-// sequentially, ClientsPerAgg at a time), routes the address at both
-// switch levels, and returns the access uplink the client must
-// transmit on (client.SetLink).
+// Reset, recycles) the client's access link pair, routes the address
+// at the aggregation switch, and returns the access uplink the client
+// must transmit on (client.SetLink).
 func (t *Tree) Attach(addr [4]byte, client Receiver) *Link {
-	g := t.Group(t.nClients)
-	if g == t.nGroups {
-		if g == len(t.AggDown) {
-			gsw := NewSwitch()
-			aggDown := NewLink(t.sch, t.cfg.Agg.Down, t.cfg.Agg.Delay, t.cfg.Agg.Queue, RandomLoss{Rate: t.cfg.Agg.Loss}, gsw)
-			aggDown.SetAQM(t.cfg.Agg.AQM.New(t.cfg.Agg.Queue))
-			aggUp := NewLink(t.sch, t.cfg.Agg.Up, t.cfg.Agg.Delay, t.cfg.Agg.Queue, nil, t.CoreUp)
-			t.groupSW = append(t.groupSW, gsw)
-			t.AggDown = append(t.AggDown, aggDown)
-			t.AggUp = append(t.AggUp, aggUp)
-		}
-		t.nGroups++
-	}
 	j := t.nClients
-	var accessUp *Link
 	if j == len(t.AccessDown) {
 		accessDown := NewLink(t.sch, t.cfg.Access.Down, t.cfg.Access.Delay, t.cfg.Access.Queue, RandomLoss{Rate: t.cfg.Access.Loss}, client)
 		accessDown.SetAQM(t.cfg.Access.AQM.New(t.cfg.Access.Queue))
-		accessUp = NewLink(t.sch, t.cfg.Access.Up, t.cfg.Access.Delay, t.cfg.Access.Queue, nil, t.AggUp[g])
+		accessUp := NewLink(t.sch, t.cfg.Access.Up, t.cfg.Access.Delay, t.cfg.Access.Queue, nil, t.AggUp)
 		t.AccessDown = append(t.AccessDown, accessDown)
 		t.AccessUp = append(t.AccessUp, accessUp)
 	} else {
 		t.AccessDown[j].dst = client
-		accessUp = t.AccessUp[j]
 	}
 	t.nClients++
-	t.groupSW[g].Route(addr, t.AccessDown[j])
-	t.coreSW.Route(addr, t.AggDown[g])
-	return accessUp
+	t.sw.Route(addr, t.AccessDown[j])
+	return t.AccessUp[j]
 }
 
 // Reset returns the tree to its just-built state while keeping every
-// link, switch and ring allocation: the core pair and every link ever
-// created are Reset (fresh AQM instances, Dynamics mutations undone,
-// taps and counters cleared), routes dropped, and the attach cursors
-// rewound, so the next population attaches into recycled link slots.
-// The shared scheduler must be Reset in the same pass.
+// link, the switch and ring allocations: the core and aggregation
+// pairs and every access link ever created are Reset (fresh AQM
+// instances, Dynamics mutations undone, taps and counters cleared),
+// routes dropped, and the attach cursor rewound, so the next
+// population attaches into recycled link slots. The shared scheduler
+// must be Reset in the same pass.
 func (t *Tree) Reset() {
 	cfg := t.cfg
 	t.CoreDown.Reset(cfg.Core.Down, cfg.Core.Delay, cfg.Core.Queue, RandomLoss{Rate: cfg.Core.Loss}, cfg.Core.AQM.New(cfg.Core.Queue))
 	t.CoreUp.Reset(cfg.Core.Up, cfg.Core.Delay, cfg.Core.Queue, nil, nil)
-	for g := range t.AggDown {
-		t.AggDown[g].Reset(cfg.Agg.Down, cfg.Agg.Delay, cfg.Agg.Queue, RandomLoss{Rate: cfg.Agg.Loss}, cfg.Agg.AQM.New(cfg.Agg.Queue))
-		t.AggUp[g].Reset(cfg.Agg.Up, cfg.Agg.Delay, cfg.Agg.Queue, nil, nil)
-		t.groupSW[g].Reset()
-	}
+	t.AggDown.Reset(cfg.Agg.Down, cfg.Agg.Delay, cfg.Agg.Queue, RandomLoss{Rate: cfg.Agg.Loss}, cfg.Agg.AQM.New(cfg.Agg.Queue))
+	t.AggUp.Reset(cfg.Agg.Up, cfg.Agg.Delay, cfg.Agg.Queue, nil, nil)
 	for j := range t.AccessDown {
 		t.AccessDown[j].Reset(cfg.Access.Down, cfg.Access.Delay, cfg.Access.Queue, RandomLoss{Rate: cfg.Access.Loss}, cfg.Access.AQM.New(cfg.Access.Queue))
 		t.AccessUp[j].Reset(cfg.Access.Up, cfg.Access.Delay, cfg.Access.Queue, nil, nil)
 	}
-	t.coreSW.Reset()
+	t.sw.Reset()
 	t.nClients = 0
-	t.nGroups = 0
 }
 
-// Unrouted sums the unrouted-packet counters across every switch in
-// the tree (0 in a healthy run).
-func (t *Tree) Unrouted() int {
-	n := t.coreSW.Unrouted
-	for _, sw := range t.groupSW[:t.nGroups] {
-		n += sw.Unrouted
-	}
-	return n
-}
+// Unrouted returns the aggregation switch's unrouted-packet count (0
+// in a healthy run).
+func (t *Tree) Unrouted() int { return t.sw.Unrouted }
 
 // DroppedAtTier sums drop counters per tier (downstream direction),
 // the aggregate loss accounting fleet results report.
 func (t *Tree) DroppedAtTier() (core, agg, access int) {
-	core = t.CoreDown.Dropped
-	for _, l := range t.AggDown[:t.nGroups] {
-		agg += l.Dropped
-	}
 	for _, l := range t.AccessDown[:t.nClients] {
 		access += l.Dropped
 	}
-	return core, agg, access
-}
-
-// AqmDroppedAtTier sums the AQM-attributed drops per tier (downstream
-// direction) — the OutageDrops-style breakdown of DroppedAtTier that
-// separates policy drops from loss-model and hard-cap drops.
-func (t *Tree) AqmDroppedAtTier() (core, agg, access int) {
-	core = t.CoreDown.AqmDrops
-	for _, l := range t.AggDown[:t.nGroups] {
-		agg += l.AqmDrops
-	}
-	for _, l := range t.AccessDown[:t.nClients] {
-		access += l.AqmDrops
-	}
-	return core, agg, access
+	return t.CoreDown.Dropped, t.AggDown.Dropped, access
 }

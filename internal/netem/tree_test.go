@@ -12,8 +12,7 @@ import (
 func treeAddr(i int) [4]byte { return [4]byte{10, 0, 0, byte(i + 1)} }
 
 // buildTestTree attaches n collector clients under a lossless tree
-// with 2 clients per aggregation link and round rates for exact
-// timing math.
+// with round rates for exact timing math.
 func buildTestTree(sch *sim.Scheduler, n int) (*Tree, *collector, []*collector) {
 	server := &collector{sch: sch}
 	cfg := TreeConfig{
@@ -32,18 +31,13 @@ func buildTestTree(sch *sim.Scheduler, n int) (*Tree, *collector, []*collector) 
 }
 
 // TestTreeRoutesDownstreamPerClient: a packet injected at the core
-// reaches exactly the addressed client, traversing that client's
-// aggregation group and access link (counters prove the path).
+// reaches exactly the addressed client, traversing the aggregation
+// link and that client's access link (counters prove the path).
 func TestTreeRoutesDownstreamPerClient(t *testing.T) {
 	sch := sim.NewScheduler(1)
 	tr, _, clients := buildTestTree(sch, 5)
-	if tr.Groups() != 3 {
-		t.Fatalf("5 clients at 2/agg: groups = %d, want 3", tr.Groups())
-	}
-	for i, want := range []int{0, 0, 1, 1, 2} {
-		if g := tr.Group(i); g != want {
-			t.Fatalf("Group(%d) = %d, want %d", i, g, want)
-		}
+	if tr.Clients() != 5 {
+		t.Fatalf("Clients = %d, want 5", tr.Clients())
 	}
 	tr.CoreDown.Send(segTo(treeAddr(2), 1000))
 	sch.Run()
@@ -56,12 +50,14 @@ func TestTreeRoutesDownstreamPerClient(t *testing.T) {
 			t.Fatalf("client %d got %d packets, want %d", i, len(c.segs), want)
 		}
 	}
-	if tr.CoreDown.Sent != 1 || tr.AggDown[1].Sent != 1 || tr.AccessDown[2].Sent != 1 {
-		t.Fatalf("tier counters core=%d agg1=%d access2=%d, want 1/1/1",
-			tr.CoreDown.Sent, tr.AggDown[1].Sent, tr.AccessDown[2].Sent)
+	if tr.CoreDown.Sent != 1 || tr.AggDown.Sent != 1 || tr.AccessDown[2].Sent != 1 {
+		t.Fatalf("tier counters core=%d agg=%d access2=%d, want 1/1/1",
+			tr.CoreDown.Sent, tr.AggDown.Sent, tr.AccessDown[2].Sent)
 	}
-	if tr.AggDown[0].Sent != 0 || tr.AccessDown[0].Sent != 0 {
-		t.Fatal("packet leaked into a foreign aggregation group")
+	for i, l := range tr.AccessDown {
+		if i != 2 && l.Sent != 0 {
+			t.Fatalf("packet leaked into access link %d", i)
+		}
 	}
 	if tr.Unrouted() != 0 {
 		t.Fatalf("Unrouted = %d", tr.Unrouted())
@@ -87,9 +83,6 @@ func TestTreeDownstreamTiming(t *testing.T) {
 	if got := clients[0].at[0]; got != want {
 		t.Fatalf("arrival at %v, want %v", got, want)
 	}
-	if rtt := tr.Config().BaseRTT(); rtt != 16*time.Millisecond {
-		t.Fatalf("BaseRTT = %v, want 16ms", rtt)
-	}
 }
 
 // TestTreeUpstreamReachesServer: a client transmitting on its access
@@ -109,13 +102,13 @@ func TestTreeUpstreamReachesServer(t *testing.T) {
 	if len(server.segs) != 1 {
 		t.Fatalf("server got %d packets, want 1", len(server.segs))
 	}
-	if tr.AggUp[0].Sent != 1 || tr.CoreUp.Sent != 1 {
-		t.Fatalf("uplink counters agg=%d core=%d, want 1/1", tr.AggUp[0].Sent, tr.CoreUp.Sent)
+	if tr.AggUp.Sent != 1 || tr.CoreUp.Sent != 1 {
+		t.Fatalf("uplink counters agg=%d core=%d, want 1/1", tr.AggUp.Sent, tr.CoreUp.Sent)
 	}
 }
 
 // TestTreeUnroutedAccounting: packets to unattached addresses are
-// counted, not delivered, at whichever switch dead-ends them.
+// counted, not delivered, at the aggregation switch.
 func TestTreeUnroutedAccounting(t *testing.T) {
 	sch := sim.NewScheduler(1)
 	tr, _, clients := buildTestTree(sch, 2)
@@ -134,15 +127,15 @@ func TestTreeUnroutedAccounting(t *testing.T) {
 func TestTreeTapsAttachAtEveryTier(t *testing.T) {
 	sch := sim.NewScheduler(1)
 	tr, _, _ := buildTestTree(sch, 3)
-	var core, agg0, acc2 int
+	var core, agg, acc2 int
 	tr.CoreDown.AddTap(tapFunc(func(time.Duration, *packet.Segment) { core++ }))
-	tr.AggDown[0].AddTap(tapFunc(func(time.Duration, *packet.Segment) { agg0++ }))
+	tr.AggDown.AddTap(tapFunc(func(time.Duration, *packet.Segment) { agg++ }))
 	tr.AccessDown[2].AddTap(tapFunc(func(time.Duration, *packet.Segment) { acc2++ }))
-	tr.CoreDown.Send(segTo(treeAddr(0), 100)) // group 0
-	tr.CoreDown.Send(segTo(treeAddr(2), 100)) // group 1
+	tr.CoreDown.Send(segTo(treeAddr(0), 100))
+	tr.CoreDown.Send(segTo(treeAddr(2), 100))
 	sch.Run()
-	if core != 2 || agg0 != 1 || acc2 != 1 {
-		t.Fatalf("taps saw core=%d agg0=%d access2=%d, want 2/1/1", core, agg0, acc2)
+	if core != 2 || agg != 2 || acc2 != 1 {
+		t.Fatalf("taps saw core=%d agg=%d access2=%d, want 2/2/1", core, agg, acc2)
 	}
 }
 
@@ -180,9 +173,7 @@ func TestTreeDroppedAtTier(t *testing.T) {
 
 // allLinks lists every link of the tree, active or spare.
 func (t *Tree) allLinks() []*Link {
-	links := []*Link{t.CoreDown, t.CoreUp}
-	links = append(links, t.AggDown...)
-	links = append(links, t.AggUp...)
+	links := []*Link{t.CoreDown, t.CoreUp, t.AggDown, t.AggUp}
 	links = append(links, t.AccessDown...)
 	return append(links, t.AccessUp...)
 }

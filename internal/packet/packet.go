@@ -54,9 +54,11 @@ func (f Flow) Reverse() Flow { return Flow{Src: f.Dst, Dst: f.Src} }
 
 func (f Flow) String() string { return f.Src.String() + " -> " + f.Dst.String() }
 
-// Segment is one TCP segment. Payload may be nil even when PayloadLen
-// is nonzero: bulk simulated media bytes share a zero page and only the
-// length matters to the stacks; Marshal fills the gap with zeros.
+// Segment is one TCP segment. Payload holds the bytes that are known,
+// PayloadLen the length when it exceeds them: a segment Parsed from a
+// snaplen-truncated capture record keeps the captured prefix in Payload
+// and the IP header's length in PayloadLen, and a synthetic segment may
+// carry a length and no bytes at all. Marshal fills the gap with zeros.
 type Segment struct {
 	Flow
 	Seq        uint32
@@ -67,13 +69,9 @@ type Segment struct {
 	PayloadLen int
 }
 
-// Len returns the payload length in bytes.
-func (s *Segment) Len() int {
-	if s.Payload != nil {
-		return len(s.Payload)
-	}
-	return s.PayloadLen
-}
+// Len returns the payload length in bytes: the larger of the known
+// bytes and PayloadLen.
+func (s *Segment) Len() int { return max(len(s.Payload), s.PayloadLen) }
 
 // WireLen returns the serialized size: IPv4 (20) + TCP (20) + payload.
 func (s *Segment) WireLen() int { return 40 + s.Len() }

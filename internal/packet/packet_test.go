@@ -82,6 +82,10 @@ func TestParseTruncatedSnaplen(t *testing.T) {
 	if len(got.Payload) != 96-40 {
 		t.Errorf("captured payload = %d bytes, want 56", len(got.Payload))
 	}
+	// The segment's length is the original one, not the captured prefix.
+	if got.Len() != 1000 || got.WireLen() != 1040 {
+		t.Errorf("Len %d WireLen %d, want 1000 and 1040", got.Len(), got.WireLen())
+	}
 }
 
 func TestParseErrors(t *testing.T) {

@@ -131,7 +131,10 @@ func NewReader(r io.Reader) (*Reader, error) {
 	}, nil
 }
 
-// Next returns the next record, or io.EOF at clean end of stream.
+// Next returns the next record, or io.EOF at clean end of stream. A
+// record longer than the global header's nonzero snaplen (which
+// neither tcpdump nor Writer writes), or longer than 256 MB, is
+// ErrFormat, refused before its bytes are allocated.
 func (r *Reader) Next() (*Record, error) {
 	var rh [16]byte
 	if _, err := io.ReadFull(r.r, rh[:]); err != nil {
@@ -143,7 +146,7 @@ func (r *Reader) Next() (*Record, error) {
 	sec := r.order.Uint32(rh[0:])
 	usec := r.order.Uint32(rh[4:])
 	capLen := int(r.order.Uint32(rh[8:]))
-	if capLen < 0 || capLen > 256<<20 {
+	if capLen < 0 || capLen > 256<<20 || r.SnapLen > 0 && capLen > r.SnapLen {
 		return nil, ErrFormat
 	}
 	data := make([]byte, capLen)

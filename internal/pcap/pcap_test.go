@@ -168,6 +168,27 @@ func TestTruncatedFile(t *testing.T) {
 	}
 }
 
+// TestRecordAboveSnaplenRejected: a record header claiming more
+// captured bytes than the file's snaplen is malformed, and Next must
+// say so before it allocates or reads the record body.
+func TestRecordAboveSnaplenRejected(t *testing.T) {
+	var buf bytes.Buffer
+	if _, err := NewWriter(&buf, 96); err != nil {
+		t.Fatal(err)
+	}
+	var rh [16]byte
+	binary.LittleEndian.PutUint32(rh[8:], 97)
+	binary.LittleEndian.PutUint32(rh[12:], 1500)
+	buf.Write(rh[:]) // no body: only the header may be read
+	r, err := NewReader(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Next(); err != ErrFormat {
+		t.Fatalf("caplen 97 under snaplen 96: err = %v, want ErrFormat", err)
+	}
+}
+
 func TestEmptyCapture(t *testing.T) {
 	var buf bytes.Buffer
 	if _, err := NewWriter(&buf, 0); err != nil {

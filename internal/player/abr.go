@@ -25,28 +25,24 @@ const (
 	Ranges
 )
 
-// Defaults of the ABR player.
+// Fixed parameters of the ABR player. Every chunk is one service
+// fragment duration (4 s) of media, for both sources.
 const (
-	// DefaultMaxBufferSec caps the playback buffer: the fetch loop
-	// sleeps until the drain makes room — client-driven ON-OFF.
-	DefaultMaxBufferSec = 30.0
-	// DefaultAbrStartupSec is the startup/resume threshold.
-	DefaultAbrStartupSec = 4.0
+	// abrMaxBufferSec caps the playback buffer: the fetch loop sleeps
+	// until the drain makes room — client-driven ON-OFF.
+	abrMaxBufferSec = 30.0
+	// abrStartupSec is the startup/resume threshold.
+	abrStartupSec = 4.0
+	// abrRecvBuf is the receive buffer of each chunk's connection.
+	abrRecvBuf = 1 << 20
 )
 
-// ABRConfig parameterizes an ABRPlayer.
+// ABRConfig parameterizes an ABRPlayer: the rung controller (nil means
+// abr.NewBufferBased) and where chunks come from. The buffer cap,
+// startup threshold, chunk duration and receive buffer are fixed.
 type ABRConfig struct {
 	Controller abr.Controller
 	Source     Source
-	// ChunkDur is the media duration per chunk; 0 means the service
-	// fragment duration (4 s). Only honoured by the Ranges source —
-	// fragments come in the CDN's fixed duration.
-	ChunkDur time.Duration
-	// MaxBufferSec caps the buffer (0 = DefaultMaxBufferSec);
-	// StartupSec is the play threshold (0 = DefaultAbrStartupSec).
-	MaxBufferSec float64
-	StartupSec   float64
-	RecvBuf      int // 0 = 1 MiB
 }
 
 // ABRPlayer is the composable adaptive player: a sequential chunk
@@ -76,29 +72,6 @@ func NewABRPlayer(cfg ABRConfig) *ABRPlayer {
 	if cfg.Controller == nil {
 		cfg.Controller = abr.NewBufferBased()
 	}
-	if cfg.ChunkDur <= 0 || cfg.Source == Fragments {
-		// Fragments are served at the CDN's fixed duration; a diverging
-		// ChunkDur would miscount fragments and mis-credit media time,
-		// so the override only applies to the Ranges source.
-		cfg.ChunkDur = service.FragmentDuration
-	}
-	if cfg.MaxBufferSec <= 0 {
-		cfg.MaxBufferSec = DefaultMaxBufferSec
-	}
-	if cfg.StartupSec <= 0 {
-		cfg.StartupSec = DefaultAbrStartupSec
-	}
-	if limit := cfg.MaxBufferSec - cfg.ChunkDur.Seconds(); cfg.StartupSec > limit {
-		// The fetch loop stops one chunk short of the cap, so a
-		// threshold above cap-chunk could never be reached before
-		// playback starts draining: the loop would park at the full
-		// buffer with playback never starting. Clamp so every
-		// configuration makes progress.
-		cfg.StartupSec = limit
-	}
-	if cfg.RecvBuf <= 0 {
-		cfg.RecvBuf = 1 << 20
-	}
 	return &ABRPlayer{cfg: cfg}
 }
 
@@ -122,8 +95,8 @@ func (p *ABRPlayer) Start(env *Env, v media.Video) {
 	p.env = env
 	p.video = v
 	p.ladder = v.Ladder()
-	p.total = int(v.Duration / p.cfg.ChunkDur)
-	p.buf = NewPlaybackBuffer(env.Sch.Now(), p.cfg.StartupSec, p.ladder[0])
+	p.total = int(v.Duration / service.FragmentDuration)
+	p.buf = NewPlaybackBuffer(env.Sch.Now(), abrStartupSec, p.ladder[0])
 	p.fetch()
 }
 
@@ -150,13 +123,13 @@ func (p *ABRPlayer) fetch() {
 	}
 	now := p.env.Sch.Now()
 	level := p.buf.Level(now)
-	chunkSec := p.cfg.ChunkDur.Seconds()
-	if level+chunkSec > p.cfg.MaxBufferSec {
+	chunkSec := service.FragmentDuration.Seconds()
+	if level+chunkSec > abrMaxBufferSec {
 		// Full: sleep until the drain makes room for one chunk. The
 		// floor keeps float rounding from producing a zero-duration
 		// timer (which would re-enter fetch at the same instant
 		// forever).
-		wait := time.Duration((level + chunkSec - p.cfg.MaxBufferSec) * float64(time.Second))
+		wait := time.Duration((level + chunkSec - abrMaxBufferSec) * float64(time.Second))
 		if wait < time.Millisecond {
 			wait = time.Millisecond
 		}
@@ -183,7 +156,7 @@ func (p *ABRPlayer) fetch() {
 // then accounts the media and loops.
 func (p *ABRPlayer) fetchChunk(idx, rung int, started time.Duration) {
 	rate := p.ladder[rung]
-	cc := openConn(p.env, tcp.Config{RecvBuf: p.cfg.RecvBuf})
+	cc := openConn(p.env, tcp.Config{RecvBuf: abrRecvBuf})
 	var want int64
 	var headers map[string]string
 	var path string
@@ -196,7 +169,7 @@ func (p *ABRPlayer) fetchChunk(idx, rung int, started time.Duration) {
 		rv := p.video.AtRung(rung)
 		hdr := int64(len(media.HeaderFor(rv)))
 		fileSize := hdr + rv.Size()
-		mb := int64(rate / 8 * p.cfg.ChunkDur.Seconds())
+		mb := int64(rate / 8 * service.FragmentDuration.Seconds())
 		start := hdr + int64(idx)*mb
 		end := start + mb - 1
 		if idx == 0 {
@@ -231,7 +204,7 @@ func (p *ABRPlayer) completeChunk(rung int, got int64, started time.Duration) {
 		p.lastBps = float64(got) * 8 / dt
 	}
 	p.fetched = true
-	chunkSec := p.cfg.ChunkDur.Seconds()
+	chunkSec := service.FragmentDuration.Seconds()
 	p.buf.AddMedia(now, chunkSec, p.ladder[rung]*chunkSec, rung)
 	p.fetch()
 }

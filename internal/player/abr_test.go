@@ -115,12 +115,12 @@ func TestABRBufferRespectsCap(t *testing.T) {
 	// beyond: the fetch loop is self-pacing.
 	v := abrVideo(media.Silverlight)
 	r := abrRig(4, 50, v, true)
-	p := NewABRPlayer(ABRConfig{Controller: abr.NewFixed(0), MaxBufferSec: 20})
+	p := NewABRPlayer(ABRConfig{Controller: abr.NewFixed(0)})
 	p.Start(r.env, v)
 	for s := 30; s <= 120; s += 30 {
 		r.sch.RunUntil(time.Duration(s) * time.Second)
-		if lvl := p.buf.Level(r.sch.Now()); lvl > 20.5 {
-			t.Fatalf("buffer level %.1f s exceeds the 20 s cap", lvl)
+		if lvl := p.buf.Level(r.sch.Now()); lvl > 30.5 {
+			t.Fatalf("buffer level %.1f s exceeds the 30 s cap", lvl)
 		}
 	}
 	if p.Downloaded() == 0 {
@@ -151,18 +151,5 @@ func TestLegacyNetflixSnapsToCustomLadder(t *testing.T) {
 	}
 	if v.RungIndex(p.chosen) < 0 {
 		t.Fatalf("chosen rate %v not on the video ladder", p.chosen)
-	}
-}
-
-func TestABRStartupClampedToCap(t *testing.T) {
-	// A startup threshold above the buffer cap could never fill:
-	// NewABRPlayer must clamp it so playback starts.
-	v := abrVideo(media.Silverlight)
-	r := abrRig(6, 20, v, true)
-	p := NewABRPlayer(ABRConfig{Controller: abr.NewFixed(0), StartupSec: 40, MaxBufferSec: 10})
-	p.Start(r.env, v)
-	r.sch.RunUntil(time.Minute)
-	if m := p.QoE(r.sch.Now()); !m.Started {
-		t.Fatalf("playback never started with StartupSec > MaxBufferSec: %+v", m)
 	}
 }

@@ -115,9 +115,9 @@ func (w *cellWorld) run(from, to int) *FleetResult {
 	// dynamics timeline, scheduled ahead of every player start.
 	w.aggBin.Reset()
 	w.aggTap.bins = append(w.aggTap.bins[:0], res.AggUtil, w.aggBin)
-	tree.AggDown[0].AddTap(&w.aggTap)
-	f.Down.Apply(world.Sch, tree.AggDown[0])
-	res.Groups = tree.Groups()
+	tree.AggDown.AddTap(&w.aggTap)
+	f.Down.Apply(world.Sch, tree.AggDown)
+	res.Groups = 1
 
 	world.Run(f.Duration)
 

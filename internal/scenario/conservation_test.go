@@ -63,7 +63,7 @@ func TestCellConservation(t *testing.T) {
 			to := min(from+w.per, f.Clients)
 			res := w.run(from, to)
 			tr := w.tree
-			agg, access := tr.Groups(), tr.Clients()
+			access := tr.Clients()
 			check := func(what string, got, want int) {
 				t.Helper()
 				if got != want {
@@ -71,16 +71,16 @@ func TestCellConservation(t *testing.T) {
 				}
 			}
 
-			check("core-down delivered", delivered(tr.CoreDown), sum(tr.AggDown[:agg], offered)+res.Unrouted)
-			check("agg-down delivered", sum(tr.AggDown[:agg], delivered), sum(tr.AccessDown[:access], offered))
-			check("access-up delivered", sum(tr.AccessUp[:access], delivered), sum(tr.AggUp[:agg], offered))
-			check("agg-up delivered", sum(tr.AggUp[:agg], delivered), offered(tr.CoreUp))
+			check("core-down delivered", delivered(tr.CoreDown), offered(tr.AggDown))
+			check("agg-down delivered", delivered(tr.AggDown), sum(tr.AccessDown[:access], offered)+res.Unrouted)
+			check("access-up delivered", sum(tr.AccessUp[:access], delivered), offered(tr.AggUp))
+			check("agg-up delivered", delivered(tr.AggUp), offered(tr.CoreUp))
 			check("CoreOffered", res.CoreOffered, offered(tr.CoreDown))
 			check("active + starved clients", res.ActiveClients+res.StarvedClients, res.Clients)
 			check("clients", res.Clients, to-from)
 
-			links := []*netem.Link{tr.CoreDown, tr.CoreUp}
-			for _, tier := range [][]*netem.Link{tr.AggDown[:agg], tr.AggUp[:agg], tr.AccessDown[:access], tr.AccessUp[:access]} {
+			links := []*netem.Link{tr.CoreDown, tr.CoreUp, tr.AggDown, tr.AggUp}
+			for _, tier := range [][]*netem.Link{tr.AccessDown[:access], tr.AccessUp[:access]} {
 				links = append(links, tier...)
 			}
 			aqm := 0

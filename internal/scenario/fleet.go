@@ -23,8 +23,9 @@ type MixEntry struct {
 
 // Fleet declares a fleet-scale run: hundreds to thousands of
 // concurrent sessions of a strategy mix, each behind its own access
-// link of a multi-tier netem.Tree, competing at shared aggregation
-// links and one core uplink. This is the aggregate vantage the paper
+// link. Every Tree.ClientsPerAgg clients form one cell: a netem.Tree
+// whose clients compete at one aggregation link behind one core
+// uplink, simulated on its own. This is the aggregate vantage the paper
 // closes on — what an ISP sees when thousands of ON-OFF sources
 // synchronize — so results are streaming aggregate statistics
 // (mergeable quantile sketches, fixed-width utilization series), not
@@ -69,11 +70,9 @@ type Fleet struct {
 	// tier). Empty leaves the links frozen.
 	Down netem.Dynamics
 	// UtilBin is the width of the fixed-width utilization/concurrency
-	// bins; 0 → 1 s.
-	UtilBin time.Duration
-	// QuantErr is the relative error of the QoE quantile sketches;
-	// 0 → stats.DefaultSketchErr (1%).
-	QuantErr  float64
+	// bins; 0 → 1 s. The quantile sketches always use
+	// stats.DefaultSketchErr (1%).
+	UtilBin   time.Duration
 	ServerTCP tcp.Config
 	// Exact additionally retains exact per-client metric vectors
 	// (FleetResult.Exact) — the buffered computation the sketch
@@ -178,9 +177,6 @@ func (f Fleet) withDefaults() Fleet {
 	}
 	if f.UtilBin <= 0 {
 		f.UtilBin = time.Second
-	}
-	if f.QuantErr <= 0 {
-		f.QuantErr = stats.DefaultSketchErr
 	}
 	f.Tree = f.Tree.WithDefaults()
 	if f.Video.EncodingRate == 0 {
@@ -546,18 +542,18 @@ func (r *FleetResult) finalize() {
 func newFleetResult(f Fleet) *FleetResult {
 	r := &FleetResult{
 		Fleet:             f,
-		RateMbps:          stats.NewSketch(f.QuantErr),
-		StartupSec:        stats.NewSketch(f.QuantErr),
-		RebufCount:        stats.NewSketch(f.QuantErr),
-		RebufSec:          stats.NewSketch(f.QuantErr),
-		SwitchCount:       stats.NewSketch(f.QuantErr),
-		FetchedMbps:       stats.NewSketch(f.QuantErr),
+		RateMbps:          stats.NewSketch(stats.DefaultSketchErr),
+		StartupSec:        stats.NewSketch(stats.DefaultSketchErr),
+		RebufCount:        stats.NewSketch(stats.DefaultSketchErr),
+		RebufSec:          stats.NewSketch(stats.DefaultSketchErr),
+		SwitchCount:       stats.NewSketch(stats.DefaultSketchErr),
+		FetchedMbps:       stats.NewSketch(stats.DefaultSketchErr),
 		CoreUtil:          stats.NewBinned(f.UtilBin, f.Duration),
 		AggUtil:           stats.NewBinned(f.UtilBin, f.Duration),
 		AccessUtil:        stats.NewBinned(f.UtilBin, f.Duration),
 		ConcurrencyDeltas: stats.NewBinned(f.UtilBin, f.Duration),
-		AggBurst:          stats.NewSketch(f.QuantErr),
-		CoreBurst:         stats.NewSketch(f.QuantErr),
+		AggBurst:          stats.NewSketch(stats.DefaultSketchErr),
+		CoreBurst:         stats.NewSketch(stats.DefaultSketchErr),
 	}
 	if f.Exact {
 		r.Exact = &FleetExact{}

@@ -218,9 +218,12 @@ func WriteFleetCells(w io.Writer, o runner.Options, f Fleet, lo, hi int) error {
 // MergeFleetCellStreams reads length-prefixed per-cell records from
 // the readers in order — the readers must cover cells 0..N-1
 // contiguously, in fleet order — and left-folds them exactly as a
-// single-process RunFleet does, returning the finalized result.
+// single-process RunFleet does, returning the finalized result. A
+// record whose sketches or binned series were not built for f (see
+// checkCellGeometry) is an error naming its stream.
 func MergeFleetCellStreams(f Fleet, readers ...io.Reader) (*FleetResult, error) {
 	f = f.withDefaults()
+	geom := stats.NewBinned(f.UtilBin, f.Duration)
 	var res *FleetResult
 	for i, rd := range readers {
 		br := bufio.NewReader(rd)
@@ -241,6 +244,9 @@ func MergeFleetCellStreams(f Fleet, readers ...io.Reader) (*FleetResult, error) 
 				return nil, fmt.Errorf("scenario: cell stream %d: %w", i, err)
 			}
 			cell, err := UnmarshalFleetResult(buf, f)
+			if err == nil {
+				err = checkCellGeometry(cell, geom)
+			}
 			if err != nil {
 				return nil, fmt.Errorf("scenario: cell stream %d: %w", i, err)
 			}
@@ -259,4 +265,28 @@ func MergeFleetCellStreams(f Fleet, readers ...io.Reader) (*FleetResult, error) 
 	}
 	res.finalize()
 	return res, nil
+}
+
+// checkCellGeometry rejects a decoded cell that another fleet wrote:
+// every cell's sketches keep stats.DefaultSketchErr and every binned
+// series has geom's width and bin count (the fleet's UtilBin over its
+// Duration). Folding anything else would mix bins of different
+// meaning, or panic inside Merge.
+func checkCellGeometry(r *FleetResult, geom *stats.Binned) error {
+	for _, sk := range []*stats.Sketch{
+		r.RateMbps, r.StartupSec, r.RebufCount, r.RebufSec,
+		r.SwitchCount, r.FetchedMbps, r.AggBurst, r.CoreBurst,
+	} {
+		if sk == nil || sk.RelErr != stats.DefaultSketchErr {
+			return fmt.Errorf("sketch relative error differs from the fleet's %v", stats.DefaultSketchErr)
+		}
+	}
+	for _, b := range []*stats.Binned{
+		r.CoreUtil, r.AggUtil, r.AccessUtil, r.ConcurrencyDeltas,
+	} {
+		if b == nil || b.Width != geom.Width || len(b.Bins) != len(geom.Bins) {
+			return fmt.Errorf("binned series geometry differs from the fleet's %d bins of %v", len(geom.Bins), geom.Width)
+		}
+	}
+	return nil
 }

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
 	"reflect"
 	"testing"
@@ -163,6 +164,47 @@ func TestFleetMergeSerializedCells(t *testing.T) {
 	}
 	if _, err := MergeFleetCellStreams(f, &partial); err == nil {
 		t.Fatal("partial coverage merged without error")
+	}
+}
+
+// TestFleetMergeRejectsForeignGeometry: cell records that another
+// fleet wrote must be refused, not folded. Records with 2 s utilization
+// bins do not fit a 1 s fleet, whether every stream is foreign or one
+// foreign stream follows an honest one, and a record whose sketch has
+// another relative error is refused too.
+func TestFleetMergeRejectsForeignGeometry(t *testing.T) {
+	f := serFleet(40) // two cells: 32 clients and a ragged 8
+	f.UtilBin = time.Second
+	foreign := f
+	foreign.UtilBin = 2 * time.Second
+	write := func(f Fleet, lo, hi int) *bytes.Buffer {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := WriteFleetCells(&buf, runner.Options{Workers: 1}, f, lo, hi); err != nil {
+			t.Fatal(err)
+		}
+		return &buf
+	}
+	if _, err := MergeFleetCellStreams(f, write(foreign, 0, 2)); err == nil {
+		t.Fatal("cells with 2 s bins merged into a 1 s fleet without error")
+	}
+	if _, err := MergeFleetCellStreams(f, write(f, 0, 1), write(foreign, 1, 2)); err == nil {
+		t.Fatal("a cell with 2 s bins merged among honest ones without error")
+	}
+
+	rec := write(f, 0, 1).Bytes()[8:] // drop the length prefix
+	cell, err := UnmarshalFleetResult(rec, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cell.RateMbps = stats.NewSketch(2 * stats.DefaultSketchErr)
+	cell.RateMbps.Add(1)
+	data := cell.AppendBinary(nil)
+	var odd bytes.Buffer
+	odd.Write(binary.LittleEndian.AppendUint64(nil, uint64(len(data))))
+	odd.Write(data)
+	if _, err := MergeFleetCellStreams(f, &odd, write(f, 1, 2)); err == nil {
+		t.Fatal("a cell whose sketch has another relative error merged without error")
 	}
 }
 

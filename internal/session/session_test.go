@@ -2,6 +2,7 @@ package session
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 	"time"
 
@@ -287,6 +288,51 @@ func TestSessionPcapExport(t *testing.T) {
 	}
 	if a.Media.EncodingRate != 1e6 {
 		t.Fatalf("rate from pcap payload = %v", a.Media.EncodingRate)
+	}
+}
+
+// TestSnaplenCaptureAnalyzesLikeFull: a capture exported at a
+// tcpdump-style 96-byte snaplen still carries every segment's length in
+// its IP header, so streaming it back must give the same bytes, cycles,
+// blocks, retransmissions and strategy as the full-snaplen export of the
+// same session. Media info may differ: the container headers are cut.
+func TestSnaplenCaptureAnalyzesLikeFull(t *testing.T) {
+	var full, cut bytes.Buffer
+	fullSink, err := trace.NewPcapSink(&full, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cutSink, err := trace.NewPcapSink(&cut, 96)
+	if err != nil {
+		t.Fatal(err)
+	}
+	Run(Config{
+		Video: flashVideo(), Service: YouTube,
+		Player: player.NewFlashPlayer("x"), Network: netem.Residence, Seed: 3,
+		Duration: 60 * time.Second, Capture: trace.Fanout(fullSink, cutSink),
+	})
+	for _, s := range []*trace.PcapSink{fullSink, cutSink} {
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	analyze := func(capture *bytes.Buffer) *analysis.Result {
+		st := analysis.NewStreaming(analysis.Config{})
+		if err := trace.StreamPcap(capture, ClientAddr, st); err != nil {
+			t.Fatal(err)
+		}
+		return st.Result()
+	}
+	a, b := analyze(&full), analyze(&cut)
+	if a.Strategy != analysis.ShortOnOff || len(a.Cycles) < 2 || a.Retrans == 0 {
+		t.Fatalf("full capture: %v, %d cycles, %d retransmissions; want Short ON-OFF with cycles and loss",
+			a.Strategy, len(a.Cycles), a.Retrans)
+	}
+	if a.TotalBytes != b.TotalBytes || !reflect.DeepEqual(a.Cycles, b.Cycles) ||
+		!reflect.DeepEqual(a.Blocks, b.Blocks) || a.Retrans != b.Retrans || a.Strategy != b.Strategy {
+		t.Fatalf("96-byte snaplen: %d bytes, %d cycles, %d blocks, %d retransmissions, %v; full: %d, %d, %d, %d, %v",
+			b.TotalBytes, len(b.Cycles), len(b.Blocks), b.Retrans, b.Strategy,
+			a.TotalBytes, len(a.Cycles), len(a.Blocks), a.Retrans, a.Strategy)
 	}
 }
 

@@ -38,9 +38,7 @@ const (
 // refill) but — unlike the loss-based controllers — does not collapse
 // the window: the model, not the drop, sizes it.
 type bbrLite struct {
-	mss      int
-	initCwnd int
-	cwnd     int
+	cwnd int
 
 	// Model.
 	rtProp time.Duration           // min smoothed RTT observed
@@ -64,10 +62,8 @@ type bbrLite struct {
 }
 
 // Init implements CongestionControl.
-func (b *bbrLite) Init(cfg Config, _ time.Duration) {
-	b.mss = cfg.MSS
-	b.initCwnd = cfg.InitCwndSegs * cfg.MSS
-	b.cwnd = max(b.initCwnd, bbrMinCwndSegs*cfg.MSS)
+func (b *bbrLite) Init(time.Duration) {
+	b.cwnd = max(initCwnd, bbrMinCwndSegs*mss)
 	b.rtProp = 0
 	b.bwN, b.bwIdx = 0, 0
 	b.roundStart = -1
@@ -114,7 +110,7 @@ func (b *bbrLite) bdp() int {
 
 // floorCwnd clamps the window to the operating floor.
 func (b *bbrLite) floorCwnd() {
-	if min := bbrMinCwndSegs * b.mss; b.cwnd < min {
+	if min := bbrMinCwndSegs * mss; b.cwnd < min {
 		b.cwnd = min
 	}
 }
@@ -155,7 +151,7 @@ func (b *bbrLite) OnAck(ev AckEvent) CcAction {
 	case bbrStartup:
 		// Exponential probing: grow by every acked byte (gain ~2).
 		b.cwnd += ev.Acked
-		if cap := int(bbrStartupGain * float64(max(b.bdp(), b.initCwnd))); b.bdp() > 0 && b.cwnd > cap {
+		if cap := int(bbrStartupGain * float64(max(b.bdp(), initCwnd))); b.bdp() > 0 && b.cwnd > cap {
 			b.cwnd = cap
 		}
 	case bbrDrain:
@@ -218,7 +214,7 @@ func (b *bbrLite) OnDupAck(ev AckEvent) CcAction {
 func (b *bbrLite) OnRTO(AckEvent) {
 	// A timeout means the model badly oversized the window (or the
 	// path died); restart conservatively but keep the learned model.
-	b.cwnd = max(b.initCwnd, bbrMinCwndSegs*b.mss)
+	b.cwnd = max(initCwnd, bbrMinCwndSegs*mss)
 	b.roundStart = -1
 	b.roundBytes = 0
 	b.dupAcks = 0
@@ -227,7 +223,7 @@ func (b *bbrLite) OnRTO(AckEvent) {
 
 // OnIdle implements CongestionControl.
 func (b *bbrLite) OnIdle(time.Duration) {
-	b.cwnd = min(b.cwnd, max(b.initCwnd, bbrMinCwndSegs*b.mss))
+	b.cwnd = min(b.cwnd, max(initCwnd, bbrMinCwndSegs*mss))
 	b.roundStart = -1
 	b.roundBytes = 0
 }

@@ -214,15 +214,6 @@ func (b *recvBuffer) Push(data []byte) {
 	b.buffered += len(data)
 }
 
-// PushZero appends n zero bytes.
-func (b *recvBuffer) PushZero(n int) {
-	for n > 0 {
-		take := min(n, zeroPageSize)
-		b.Push(zeroPage[:take])
-		n -= take
-	}
-}
-
 // Discard consumes up to n bytes without materializing them, returning
 // the number consumed. Players use this for bulk media bytes.
 func (b *recvBuffer) Discard(n int) int {

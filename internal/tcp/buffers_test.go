@@ -76,7 +76,7 @@ func TestRecvBufferReadDiscardPeek(t *testing.T) {
 	var b recvBuffer
 	b.Push([]byte("one"))
 	b.Push([]byte("two"))
-	b.PushZero(4)
+	b.Push(zeroPage[:4])
 	if b.Len() != 10 {
 		t.Fatalf("Len = %d, want 10", b.Len())
 	}

@@ -13,9 +13,9 @@ import "time"
 // return value requests, so a controller sees the post-ack world and
 // its window decision takes effect for the segments that follow.
 type CongestionControl interface {
-	// Init resets the controller for a fresh connection. cfg has had
-	// defaults applied; now is the virtual-clock time of creation.
-	Init(cfg Config, now time.Duration)
+	// Init resets the controller for a fresh connection; now is the
+	// virtual-clock time of creation.
+	Init(now time.Duration)
 	// Cwnd returns the current congestion window in bytes. The Conn
 	// clamps its send window to min(Cwnd, peer-advertised window).
 	Cwnd() int
@@ -105,9 +105,6 @@ func newCongestionControl(cfg Config) CongestionControl {
 // artifact stays byte-identical (pinned by the cc_equiv tests against
 // the inline reference).
 type reno struct {
-	mss      int
-	initCwnd int
-
 	cwnd       int
 	ssthresh   int
 	cwndAcc    int // byte accumulator for congestion avoidance
@@ -117,10 +114,8 @@ type reno struct {
 }
 
 // Init implements CongestionControl.
-func (r *reno) Init(cfg Config, _ time.Duration) {
-	r.mss = cfg.MSS
-	r.initCwnd = cfg.InitCwndSegs * cfg.MSS
-	r.cwnd = r.initCwnd
+func (r *reno) Init(time.Duration) {
+	r.cwnd = initCwnd
 	r.ssthresh = 1 << 30
 	r.cwndAcc = 0
 	r.dupAcks = 0
@@ -149,7 +144,7 @@ func (r *reno) OnAck(ev AckEvent) CcAction {
 		}
 		// Partial ack: refill the next hole (NewReno) and deflate by
 		// the acked amount, re-inflating one MSS.
-		r.cwnd = max(r.cwnd-ev.Acked+r.mss, r.mss)
+		r.cwnd = max(r.cwnd-ev.Acked+mss, mss)
 		return CcRetransmit
 	}
 	r.dupAcks = 0
@@ -159,14 +154,14 @@ func (r *reno) OnAck(ev AckEvent) CcAction {
 
 func (r *reno) grow(acked int) {
 	if r.cwnd < r.ssthresh {
-		r.cwnd += min(acked, r.mss) // slow start
+		r.cwnd += min(acked, mss) // slow start
 		return
 	}
 	// Congestion avoidance: one MSS per cwnd of acked bytes.
 	r.cwndAcc += acked
 	if r.cwndAcc >= r.cwnd {
 		r.cwndAcc -= r.cwnd
-		r.cwnd += r.mss
+		r.cwnd += mss
 	}
 }
 
@@ -174,12 +169,12 @@ func (r *reno) grow(acked int) {
 func (r *reno) OnDupAck(ev AckEvent) CcAction {
 	r.dupAcks++
 	if r.inRecovery {
-		r.cwnd += r.mss // inflation
+		r.cwnd += mss // inflation
 		return CcNone
 	}
 	if r.dupAcks == 3 {
-		r.ssthresh = max(ev.Flight/2, 2*r.mss)
-		r.cwnd = r.ssthresh + 3*r.mss
+		r.ssthresh = max(ev.Flight/2, 2*mss)
+		r.cwnd = r.ssthresh + 3*mss
 		r.inRecovery = true
 		r.recoverPt = ev.SndNxt
 		return CcRetransmit
@@ -189,8 +184,8 @@ func (r *reno) OnDupAck(ev AckEvent) CcAction {
 
 // OnRTO implements CongestionControl.
 func (r *reno) OnRTO(ev AckEvent) {
-	r.ssthresh = max(ev.Flight/2, 2*r.mss)
-	r.cwnd = r.mss
+	r.ssthresh = max(ev.Flight/2, 2*mss)
+	r.cwnd = mss
 	r.cwndAcc = 0
 	r.dupAcks = 0
 	r.inRecovery = false
@@ -198,6 +193,6 @@ func (r *reno) OnRTO(ev AckEvent) {
 
 // OnIdle implements CongestionControl.
 func (r *reno) OnIdle(time.Duration) {
-	r.cwnd = min(r.cwnd, r.initCwnd)
+	r.cwnd = min(r.cwnd, initCwnd)
 	r.cwndAcc = 0
 }

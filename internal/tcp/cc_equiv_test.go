@@ -28,7 +28,6 @@ import (
 // independent transcription — not a call into the production reno —
 // so a regression in either copy breaks the comparison.
 type inlineReno struct {
-	cfg        Config
 	cwnd       int
 	ssthresh   int
 	cwndAcc    int
@@ -37,8 +36,15 @@ type inlineReno struct {
 	recoverPt  int64
 }
 
-func (r *inlineReno) Init(cfg Config, _ time.Duration) {
-	*r = inlineReno{cfg: cfg, cwnd: cfg.InitCwndSegs * cfg.MSS, ssthresh: 1 << 30}
+// The reference keeps its own copy of the segment size and the
+// 4-segment initial window rather than reading the stack's constants.
+const (
+	refMSS      = 1460
+	refInitCwnd = 4 * refMSS
+)
+
+func (r *inlineReno) Init(time.Duration) {
+	*r = inlineReno{cwnd: refInitCwnd, ssthresh: 1 << 30}
 }
 
 func (r *inlineReno) Cwnd() int        { return r.cwnd }
@@ -55,7 +61,7 @@ func (r *inlineReno) OnAck(ev AckEvent) CcAction {
 			return CcNone
 		}
 		// Partial ack: retransmit the next hole (NewReno).
-		r.cwnd = max(r.cwnd-ev.Acked+r.cfg.MSS, r.cfg.MSS)
+		r.cwnd = max(r.cwnd-ev.Acked+refMSS, refMSS)
 		return CcRetransmit
 	}
 	r.dupAcks = 0
@@ -65,26 +71,26 @@ func (r *inlineReno) OnAck(ev AckEvent) CcAction {
 
 func (r *inlineReno) growCwnd(acked int) {
 	if r.cwnd < r.ssthresh {
-		r.cwnd += min(acked, r.cfg.MSS) // slow start
+		r.cwnd += min(acked, refMSS) // slow start
 		return
 	}
 	// Congestion avoidance: one MSS per cwnd of acked bytes.
 	r.cwndAcc += acked
 	if r.cwndAcc >= r.cwnd {
 		r.cwndAcc -= r.cwnd
-		r.cwnd += r.cfg.MSS
+		r.cwnd += refMSS
 	}
 }
 
 func (r *inlineReno) OnDupAck(ev AckEvent) CcAction {
 	r.dupAcks++
 	if r.inRecovery {
-		r.cwnd += r.cfg.MSS // inflation
+		r.cwnd += refMSS // inflation
 	} else if r.dupAcks == 3 {
 		// enterRecovery, verbatim.
 		flight := ev.Flight
-		r.ssthresh = max(flight/2, 2*r.cfg.MSS)
-		r.cwnd = r.ssthresh + 3*r.cfg.MSS
+		r.ssthresh = max(flight/2, 2*refMSS)
+		r.cwnd = r.ssthresh + 3*refMSS
 		r.inRecovery = true
 		r.recoverPt = ev.SndNxt
 		return CcRetransmit
@@ -94,15 +100,15 @@ func (r *inlineReno) OnDupAck(ev AckEvent) CcAction {
 
 func (r *inlineReno) OnRTO(ev AckEvent) {
 	flight := ev.Flight
-	r.ssthresh = max(flight/2, 2*r.cfg.MSS)
-	r.cwnd = r.cfg.MSS
+	r.ssthresh = max(flight/2, 2*refMSS)
+	r.cwnd = refMSS
 	r.cwndAcc = 0
 	r.dupAcks = 0
 	r.inRecovery = false
 }
 
 func (r *inlineReno) OnIdle(time.Duration) {
-	r.cwnd = min(r.cwnd, r.cfg.InitCwndSegs*r.cfg.MSS)
+	r.cwnd = min(r.cwnd, refInitCwnd)
 	r.cwndAcc = 0
 }
 

@@ -15,20 +15,16 @@ import (
 // epoch, and BBR-lite's PROBE_BW gain cycle must be exactly periodic
 // in RTprop under a steady model.
 
-// propConfig is the defaulted config the synthetic streams use.
-func propConfig() Config { return Config{}.withDefaults() }
-
 // TestCubicNeverShrinksWithoutLoss: across seeded random ack streams
 // (variable acked sizes, inter-ack gaps and RTT estimates, spanning
 // slow start and congestion avoidance) the window is monotone
 // non-decreasing as long as no dup-ack threshold or RTO fires.
 func TestCubicNeverShrinksWithoutLoss(t *testing.T) {
-	cfg := propConfig()
 	for seed := int64(1); seed <= 8; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			cu := &cubic{}
-			cu.Init(cfg, 0)
+			cu.Init(0)
 			// Half the streams start in congestion avoidance.
 			if seed%2 == 0 {
 				cu.ssthresh = cu.cwnd
@@ -38,7 +34,7 @@ func TestCubicNeverShrinksWithoutLoss(t *testing.T) {
 			prev := cu.Cwnd()
 			for i := 0; i < 5000; i++ {
 				now += time.Duration(1+rng.Intn(50)) * time.Millisecond
-				acked := 1 + rng.Intn(cfg.MSS)
+				acked := 1 + rng.Intn(mss)
 				off += int64(acked)
 				cu.OnAck(AckEvent{
 					Now: now, Acked: acked, AckOff: off, SndNxt: off + int64(cu.Cwnd()),
@@ -60,11 +56,10 @@ func TestCubicNeverShrinksWithoutLoss(t *testing.T) {
 // past W_max (convex max-probing). The assertion compares mean growth
 // rates over the three regions — plateau growth must be the slowest.
 func TestCubicConcaveConvexProfile(t *testing.T) {
-	cfg := propConfig()
 	const srtt = 200 * time.Millisecond
 	cu := &cubic{}
-	cu.Init(cfg, 0)
-	cu.cwnd = 60 * cfg.MSS
+	cu.Init(0)
+	cu.cwnd = 60 * mss
 
 	// One loss episode: three dup acks, then the full ack that exits
 	// recovery and re-anchors the curve at W_max = 60 segments.
@@ -96,8 +91,8 @@ func TestCubicConcaveConvexProfile(t *testing.T) {
 	ackOff := off + int64(flight)
 	for now < 8*time.Second {
 		now += 10 * time.Millisecond
-		ackOff += int64(cfg.MSS)
-		cu.OnAck(AckEvent{Now: now, Acked: cfg.MSS, AckOff: ackOff,
+		ackOff += int64(mss)
+		cu.OnAck(AckEvent{Now: now, Acked: mss, AckOff: ackOff,
 			SndNxt: ackOff + int64(cu.Cwnd()), Flight: cu.Cwnd(), SRTT: srtt})
 		if now%(100*time.Millisecond) == 0 {
 			samples = append(samples, sample{at: now, w: cu.Cwnd()})
@@ -137,11 +132,10 @@ func TestCubicConcaveConvexProfile(t *testing.T) {
 // the 8-slot gain cycle — probe at 1.25x BDP, drain at 0.75x, cruise
 // at 1x — with period exactly 8 x RTprop, repeating cycle after cycle.
 func TestBbrProbeCyclePeriodicity(t *testing.T) {
-	cfg := propConfig()
 	const rtProp = 50 * time.Millisecond
 	const bw = 1e6 // bytes/sec
 	b := &bbrLite{}
-	b.Init(cfg, 0)
+	b.Init(0)
 	b.phase = bbrProbeBW
 	b.rtProp = rtProp
 	b.bwWin[0] = bw
@@ -203,10 +197,9 @@ func TestBbrProbeCyclePeriodicity(t *testing.T) {
 // burst in PROBE_BW must not collapse the window below the model —
 // the defining difference from the loss-based controllers.
 func TestBbrStartupExitsOnPlateau(t *testing.T) {
-	cfg := propConfig()
 	const rtProp = 50 * time.Millisecond
 	b := &bbrLite{}
-	b.Init(cfg, 0)
+	b.Init(0)
 	if b.phase != bbrStartup {
 		t.Fatal("fresh bbrLite not in startup")
 	}

@@ -77,20 +77,11 @@ type Conn struct {
 	Stats Stats
 }
 
-// Local and Peer expose the endpoints; State the lifecycle state.
-func (c *Conn) Local() packet.Endpoint { return c.local }
-
-// Peer returns the remote endpoint.
-func (c *Conn) Peer() packet.Endpoint { return c.peer }
-
-// State returns the current lifecycle state.
+// ConnState returns the current lifecycle state.
 func (c *Conn) ConnState() State { return c.state }
 
 // SetCallbacks installs the application callbacks.
 func (c *Conn) SetCallbacks(cb Callbacks) { c.cb = cb }
-
-// Config returns the effective configuration.
-func (c *Conn) Config() Config { return c.cfg }
 
 func newConn(h *Host, cfg Config, local, peer packet.Endpoint) *Conn {
 	cfg = cfg.withDefaults()
@@ -99,7 +90,7 @@ func newConn(h *Host, cfg Config, local, peer packet.Endpoint) *Conn {
 	c.cfg = cfg
 	c.local = local
 	c.peer = peer
-	c.sndWnd = cfg.MSS  // until the peer advertises
+	c.sndWnd = mss      // until the peer advertises
 	c.rto = time.Second // RFC 6298 initial
 	c.rttSampleOff = -1
 	c.finAt = -1
@@ -109,7 +100,7 @@ func newConn(h *Host, cfg Config, local, peer packet.Endpoint) *Conn {
 	if c.cc == nil || c.cc.Name() != resolvedCC(cfg.CC) {
 		c.cc = newCongestionControl(cfg)
 	}
-	c.cc.Init(cfg, h.sch.Now())
+	c.cc.Init(h.sch.Now())
 	return c
 }
 
@@ -121,11 +112,10 @@ func (c *Conn) CC() CongestionControl { return c.cc }
 
 // SetCongestionControl replaces the congestion controller. It must be
 // called before any data flows (i.e. right after Dial or inside a
-// listener's accept callback); the controller is re-initialized for
-// this connection's configuration. Tests use it to inject reference
-// or instrumented controllers.
+// listener's accept callback); the controller is re-initialized.
+// Tests use it to inject reference or instrumented controllers.
 func (c *Conn) SetCongestionControl(cc CongestionControl) {
-	cc.Init(c.cfg, c.host.sch.Now())
+	cc.Init(c.host.sch.Now())
 	c.cc = cc
 }
 
@@ -168,9 +158,6 @@ func (c *Conn) Buffered() int { return c.rcvBuf.Len() }
 // Unsent returns bytes written but not yet transmitted once.
 func (c *Conn) Unsent() int64 { return c.sndBuf.Unsent(c.sndNxt) }
 
-// Unacked returns bytes in flight (sent, not acknowledged).
-func (c *Conn) Unacked() int64 { return c.sndNxt - c.sndUna }
-
 // Read copies up to len(p) readable bytes into p, opening the
 // advertised window.
 func (c *Conn) Read(p []byte) int {
@@ -190,9 +177,6 @@ func (c *Conn) Discard(n int) int {
 // Peek copies readable bytes without consuming them.
 func (c *Conn) Peek(p []byte) int { return c.rcvBuf.Peek(p) }
 
-// RemoteClosed reports whether the peer sent FIN.
-func (c *Conn) RemoteClosed() bool { return c.remoteFin }
-
 // Close half-closes: a FIN is queued after all written data.
 func (c *Conn) Close() {
 	if c.state == StateClosed || c.finAt >= 0 {
@@ -207,7 +191,7 @@ func (c *Conn) Abort() {
 	if c.state == StateClosed {
 		return
 	}
-	seg := c.mkSegment(packet.FlagRST|packet.FlagACK, c.sndNxt, nil, 0)
+	seg := c.mkSegment(packet.FlagRST|packet.FlagACK, c.sndNxt, nil)
 	c.host.send(seg)
 	c.teardown()
 }
@@ -279,7 +263,7 @@ func (c *Conn) advWindow() int {
 	return w
 }
 
-func (c *Conn) mkSegment(flags uint8, off int64, payload []byte, payloadLen int) *packet.Segment {
+func (c *Conn) mkSegment(flags uint8, off int64, payload []byte) *packet.Segment {
 	w := c.advWindow()
 	c.lastAdvW = w
 	seg := c.host.newSeg()
@@ -289,7 +273,6 @@ func (c *Conn) mkSegment(flags uint8, off int64, payload []byte, payloadLen int)
 	seg.Flags = flags
 	seg.Window = w
 	seg.Payload = payload
-	seg.PayloadLen = payloadLen
 	return seg
 }
 
@@ -324,11 +307,11 @@ func (c *Conn) armSYNTimer() {
 
 func (c *Conn) onSYNTimer() {
 	if c.state == StateSynSent {
-		c.rto = min(c.rto*2, c.cfg.MaxRTO)
+		c.rto = min(c.rto*2, maxRTO)
 		c.Stats.Retransmits++
 		c.sendSYN()
 	} else if c.state == StateSynReceived {
-		c.rto = min(c.rto*2, c.cfg.MaxRTO)
+		c.rto = min(c.rto*2, maxRTO)
 		c.Stats.Retransmits++
 		c.sendSYNACK()
 	}
@@ -438,8 +421,8 @@ func (c *Conn) sampleRTT(rtt time.Duration) {
 
 func (c *Conn) updateRTO() {
 	c.rto = c.srtt + max(10*time.Millisecond, 4*c.rttvar)
-	c.rto = max(c.rto, c.cfg.MinRTO)
-	c.rto = min(c.rto, c.cfg.MaxRTO)
+	c.rto = max(c.rto, minRTO)
+	c.rto = min(c.rto, maxRTO)
 }
 
 // ackedOffset converts a wire ACK number to a stream offset.
@@ -519,7 +502,7 @@ func (c *Conn) retransmitOne() {
 		c.transmitFIN()
 		return
 	}
-	n := min(c.cfg.MSS, int(c.maxSent-c.sndUna))
+	n := min(mss, int(c.maxSent-c.sndUna))
 	if n <= 0 {
 		return
 	}
@@ -551,7 +534,7 @@ func (c *Conn) trySend() {
 		if room <= 0 {
 			break
 		}
-		n := min(c.cfg.MSS, int(avail))
+		n := min(mss, int(avail))
 		n = min(n, room)
 		if n <= 0 {
 			break
@@ -586,13 +569,7 @@ func (c *Conn) transmitData(off int64, n int) {
 	if off+int64(n) == c.sndBuf.Len() {
 		flags |= packet.FlagPSH
 	}
-	var seg *packet.Segment
-	if isZero(payload) {
-		seg = c.mkSegment(flags, off, nil, len(payload))
-	} else {
-		seg = c.mkSegment(flags, off, payload, 0)
-	}
-	c.host.send(seg)
+	c.host.send(c.mkSegment(flags, off, payload))
 	c.Stats.SegmentsSent++
 	c.Stats.BytesSent += int64(n)
 	c.lastSendAt = c.host.sch.Now()
@@ -618,43 +595,10 @@ func (c *Conn) transmitData(off int64, n int) {
 }
 
 func (c *Conn) transmitFIN() {
-	seg := c.mkSegment(packet.FlagFIN|packet.FlagACK, c.finAt, nil, 0)
+	seg := c.mkSegment(packet.FlagFIN|packet.FlagACK, c.finAt, nil)
 	c.host.send(seg)
 	c.Stats.SegmentsSent++
 	c.lastSendAt = c.host.sch.Now()
-}
-
-func isZero(p []byte) bool {
-	// Fast check: bulk media slices point into zeroPage.
-	if len(p) == 0 {
-		return false
-	}
-	return &p[0] == &zeroPage[0] || len(p) <= zeroPageSize && sameBacking(p)
-}
-
-func sameBacking(p []byte) bool {
-	// Conservative: only recognize slices of zeroPage itself.
-	if cap(p) == 0 {
-		return false
-	}
-	base := &zeroPage[0]
-	first := &p[:1][0]
-	// Pointer arithmetic without unsafe: compare against the page
-	// bounds by scanning would be O(n); instead, accept only the exact
-	// base (handled above) or fall back to a content check capped at
-	// 64 bytes for slices that merely look zero.
-	if first == base {
-		return true
-	}
-	if len(p) > 64 {
-		return false
-	}
-	for _, b := range p {
-		if b != 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // ---- RTO ----
@@ -675,7 +619,7 @@ func (c *Conn) restartRTO() {
 		return
 	}
 	backoff := c.rto << c.rtoBackoff
-	backoff = min(backoff, c.cfg.MaxRTO)
+	backoff = min(backoff, maxRTO)
 	c.rtoTimer = c.host.sch.RearmAfterTask(c.rtoTimer, backoff, c, connOpRTO)
 }
 
@@ -724,7 +668,7 @@ func (c *Conn) onPersist() {
 	// it as a duplicate and replies with an ACK carrying its
 	// current window, reviving the transfer even when the real
 	// window update was lost.
-	seg := c.mkSegment(packet.FlagACK, c.sndUna-1, zeroPage[:1], 0)
+	seg := c.mkSegment(packet.FlagACK, c.sndUna-1, zeroPage[:1])
 	c.host.send(seg)
 	c.armPersist()
 }
@@ -800,11 +744,7 @@ func (c *Conn) acceptPayload(seg *packet.Segment, skip, take int) {
 		return
 	}
 	c.Stats.BytesReceived += int64(take)
-	if seg.Payload != nil {
-		c.rcvBuf.Push(seg.Payload[skip : skip+take])
-	} else {
-		c.rcvBuf.PushZero(take)
-	}
+	c.rcvBuf.Push(seg.Payload[skip : skip+take])
 }
 
 func (c *Conn) scheduleAck(seg *packet.Segment) {
@@ -821,7 +761,7 @@ func (c *Conn) scheduleAck(seg *packet.Segment) {
 		return
 	}
 	if !c.ackTimer.Active() {
-		c.ackTimer = c.host.sch.RearmAfterTask(c.ackTimer, c.cfg.AckDelay, c, connOpDelAck)
+		c.ackTimer = c.host.sch.RearmAfterTask(c.ackTimer, ackDelay, c, connOpDelAck)
 	}
 }
 
@@ -831,7 +771,7 @@ func (c *Conn) sendAck() {
 	if c.state == StateClosed {
 		return
 	}
-	seg := c.mkSegment(packet.FlagACK, c.sndNxt, nil, 0)
+	seg := c.mkSegment(packet.FlagACK, c.sndNxt, nil)
 	c.host.send(seg)
 }
 
@@ -847,7 +787,7 @@ func (c *Conn) maybeWindowUpdate() {
 	if grew <= 0 {
 		return
 	}
-	if c.lastAdvW < c.cfg.MSS || grew >= c.cfg.RecvBuf/2 || grew >= 2*c.cfg.MSS {
+	if c.lastAdvW < mss || grew >= c.cfg.RecvBuf/2 || grew >= 2*mss {
 		c.sendAck()
 	}
 }

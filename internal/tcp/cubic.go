@@ -25,9 +25,6 @@ const (
 // so runs are bit-identical for a given event sequence (no wall
 // clock, no randomness).
 type cubic struct {
-	mss      int
-	initCwnd int
-
 	cwnd     int
 	ssthresh int
 
@@ -46,10 +43,8 @@ type cubic struct {
 }
 
 // Init implements CongestionControl.
-func (cu *cubic) Init(cfg Config, _ time.Duration) {
-	cu.mss = cfg.MSS
-	cu.initCwnd = cfg.InitCwndSegs * cfg.MSS
-	cu.cwnd = cu.initCwnd
+func (cu *cubic) Init(time.Duration) {
+	cu.cwnd = initCwnd
 	cu.ssthresh = 1 << 30
 	cu.epochStart = -1
 	cu.wMax = 0
@@ -78,12 +73,12 @@ func (cu *cubic) OnAck(ev AckEvent) CcAction {
 			cu.epochStart = -1
 			return CcNone
 		}
-		cu.cwnd = max(cu.cwnd-ev.Acked+cu.mss, cu.mss)
+		cu.cwnd = max(cu.cwnd-ev.Acked+mss, mss)
 		return CcRetransmit
 	}
 	cu.dupAcks = 0
 	if cu.cwnd < cu.ssthresh {
-		cu.cwnd += min(ev.Acked, cu.mss) // slow start
+		cu.cwnd += min(ev.Acked, mss) // slow start
 		return CcNone
 	}
 	cu.avoid(ev)
@@ -92,7 +87,7 @@ func (cu *cubic) OnAck(ev AckEvent) CcAction {
 
 // avoid grows cwnd along the cubic curve (congestion avoidance).
 func (cu *cubic) avoid(ev AckEvent) {
-	cwndSeg := float64(cu.cwnd) / float64(cu.mss)
+	cwndSeg := float64(cu.cwnd) / float64(mss)
 	if cu.epochStart < 0 {
 		cu.epochStart = ev.Now
 		if cwndSeg < cu.wMax {
@@ -128,13 +123,13 @@ func (cu *cubic) avoid(ev AckEvent) {
 	cu.frac += (target - cwndSeg) / cwndSeg * float64(ev.Acked)
 	if cu.frac >= 1 {
 		inc := int(cu.frac)
-		if inc > cu.mss {
-			inc = cu.mss
+		if inc > mss {
+			inc = mss
 		}
 		cu.cwnd += inc
 		cu.frac -= float64(inc)
-		if cu.frac > float64(cu.mss) {
-			cu.frac = float64(cu.mss) // bound carried debt
+		if cu.frac > float64(mss) {
+			cu.frac = float64(mss) // bound carried debt
 		}
 	}
 }
@@ -143,14 +138,14 @@ func (cu *cubic) avoid(ev AckEvent) {
 func (cu *cubic) OnDupAck(ev AckEvent) CcAction {
 	cu.dupAcks++
 	if cu.inRecovery {
-		cu.cwnd += cu.mss // inflation keeps the ack clock running
+		cu.cwnd += mss // inflation keeps the ack clock running
 		return CcNone
 	}
 	if cu.dupAcks == 3 {
 		cu.onLoss()
 		cu.inRecovery = true
 		cu.recoverPt = ev.SndNxt
-		cu.cwnd = cu.ssthresh + 3*cu.mss
+		cu.cwnd = cu.ssthresh + 3*mss
 		return CcRetransmit
 	}
 	return CcNone
@@ -160,20 +155,20 @@ func (cu *cubic) OnDupAck(ev AckEvent) CcAction {
 // curve, with fast convergence (§4.6) when the loss arrived before
 // the window regained the previous wMax.
 func (cu *cubic) onLoss() {
-	cwndSeg := float64(cu.cwnd) / float64(cu.mss)
+	cwndSeg := float64(cu.cwnd) / float64(mss)
 	cu.epochStart = -1
 	if cwndSeg < cu.wMax {
 		cu.wMax = cwndSeg * (2 - cubicBeta) / 2
 	} else {
 		cu.wMax = cwndSeg
 	}
-	cu.ssthresh = max(int(float64(cu.cwnd)*cubicBeta), 2*cu.mss)
+	cu.ssthresh = max(int(float64(cu.cwnd)*cubicBeta), 2*mss)
 }
 
 // OnRTO implements CongestionControl.
 func (cu *cubic) OnRTO(AckEvent) {
 	cu.onLoss()
-	cu.cwnd = cu.mss
+	cu.cwnd = mss
 	cu.frac = 0
 	cu.dupAcks = 0
 	cu.inRecovery = false
@@ -181,7 +176,7 @@ func (cu *cubic) OnRTO(AckEvent) {
 
 // OnIdle implements CongestionControl.
 func (cu *cubic) OnIdle(time.Duration) {
-	cu.cwnd = min(cu.cwnd, cu.initCwnd)
+	cu.cwnd = min(cu.cwnd, initCwnd)
 	cu.epochStart = -1
 	cu.frac = 0
 }

@@ -32,20 +32,13 @@ func matrixLosses() []matrixLoss {
 	}
 }
 
-// matrixAqm builds the policy config for one cell. Thresholds are set
-// low enough that the policies genuinely engage at the suite's
-// transfer size: RED starts marking at an 8 KiB average backlog (with
-// a faster-than-default EWMA so the short transfer reaches it), and
-// 8 KiB at 8 Mbps already serializes for 8 ms > CoDel's 5 ms target.
-func matrixAqm(kind string) netem.AqmConfig {
-	switch kind {
-	case netem.AqmRED:
-		return netem.AqmConfig{Kind: kind, MinTh: 8 << 10, MaxTh: 32 << 10, MaxP: 0.1, Weight: 0.05}
-	case netem.AqmCoDel:
-		return netem.AqmConfig{Kind: kind}
-	default:
-		return netem.AqmConfig{}
-	}
+// matrixRED is the cell's RED policy, tuned low enough to engage at
+// the suite's transfer size: it starts marking at an 8 KiB average
+// backlog, with a faster-than-default EWMA so the short transfer
+// reaches it. CoDel keeps its defaults: 8 KiB at 8 Mbps already
+// serializes for 8 ms > its 5 ms target.
+func matrixRED() *netem.RED {
+	return &netem.RED{MinTh: 8 << 10, MaxTh: 32 << 10, MaxP: 0.1, Weight: 0.05}
 }
 
 // matrixTransfer is runTransfer generalized over the congestion
@@ -58,8 +51,12 @@ func matrixTransfer(t *testing.T, seed int64, cc, aqm string, ml matrixLoss, tot
 	client := NewHost(sch, 10, 0, 0, 1)
 	server := NewHost(sch, 203, 0, 113, 10)
 	prof := netem.Profile{Name: "matrix", Down: 8 * netem.Mbps, Up: 2 * netem.Mbps,
-		RTT: 40 * time.Millisecond, Loss: ml.loss, UpLoss: -1, AQM: matrixAqm(aqm)}
+		RTT: 40 * time.Millisecond, Loss: ml.loss, UpLoss: -1, AQM: netem.AqmConfig{Kind: aqm}}
 	path := netem.NewPath(sch, prof, client, server)
+	if aqm == netem.AqmRED {
+		path.Down.SetAQM(matrixRED())
+		path.Up.SetAQM(matrixRED())
+	}
 	if ml.ge != nil {
 		path.Down.SetLoss(ml.ge)
 	}
@@ -127,7 +124,7 @@ func TestInvariantsMatrix(t *testing.T) {
 						if got := r.snd.CC().Name(); got != cc {
 							t.Fatalf("sender runs %q, cell asked for %q", got, cc)
 						}
-						if w := r.snd.Cwnd(); w < Defaults().MSS {
+						if w := r.snd.Cwnd(); w < mss {
 							t.Fatalf("cwnd %d below one MSS at the horizon", w)
 						}
 						// Drop attribution.

@@ -6,6 +6,11 @@
 // probes against zero windows, and an optional RFC 5681 idle-window
 // reset.
 //
+// The segment size, initial window, RTO bounds and delayed-ACK timer
+// are package constants, one 2011-era stack for every run; a
+// connection's Config chooses only its receive buffer, ACK policy,
+// idle restart and congestion controller.
+//
 // The stack is event-driven and single-threaded on a sim.Scheduler:
 // applications interact through non-blocking reads/writes plus
 // callbacks, which is what lets the player models in internal/player
@@ -16,26 +21,38 @@ package tcp
 
 import "time"
 
-// Config carries per-connection tunables. Zero fields take defaults.
+// Fixed stack parameters. They are the same for every connection the
+// simulations open: the paper's traffic comes from ordinary 2011-era
+// server and client stacks, and what varies between runs is the
+// application above the stack, not the stack itself.
+const (
+	// mss is the maximum segment payload size.
+	mss = 1460
+	// initCwnd is the initial congestion window, 4 segments (typical
+	// for 2011-era server stacks).
+	initCwnd = 4 * mss
+	// minRTO and maxRTO bound the retransmission timeout. The
+	// slightly sub-RFC minimum keeps single-RTO silences below the
+	// analyzer's OFF threshold, the same loss sensitivity the paper
+	// reports in Section 5.1.1.
+	minRTO = 120 * time.Millisecond
+	maxRTO = 60 * time.Second
+	// ackDelay is the delayed-ACK timer.
+	ackDelay = 40 * time.Millisecond
+	// defaultRecvBuf is the receive buffer when Config.RecvBuf is 0.
+	defaultRecvBuf = 256 << 10
+)
+
+// Config carries what a connection's application chooses: its receive
+// buffer, its ACK policy, the idle restart and the congestion
+// controller. Zero fields take defaults.
 type Config struct {
-	// MSS is the maximum segment payload size. Default 1460.
-	MSS int
 	// RecvBuf is the receive buffer capacity in bytes, which bounds
 	// the advertised window. Default 256 KiB.
 	RecvBuf int
-	// InitCwndSegs is the initial congestion window in segments.
-	// Default 4 (typical for 2011-era server stacks).
-	InitCwndSegs int
-	// MinRTO and MaxRTO bound the retransmission timeout.
-	// Defaults 120 ms and 60 s (a slightly sub-RFC minimum keeps
-	// single-RTO silences below the analyzer's OFF threshold, the
-	// same loss sensitivity the paper reports in Section 5.1.1).
-	MinRTO, MaxRTO time.Duration
 	// NoDelayedAck disables the every-other-segment delayed ACK policy
 	// (the zero value keeps delayed ACKs on, matching real stacks).
 	NoDelayedAck bool
-	// AckDelay is the delayed-ACK timer. Default 40 ms.
-	AckDelay time.Duration
 	// IdleReset, when true, applies the RFC 5681 restart: after an
 	// idle period longer than one RTO the congestion window collapses
 	// back to the initial window. The paper observes that streaming
@@ -48,38 +65,9 @@ type Config struct {
 	CC string
 }
 
-// Defaults returns the configuration used unless a player or service
-// overrides specific fields.
-func Defaults() Config {
-	return Config{
-		MSS:          1460,
-		RecvBuf:      256 << 10,
-		InitCwndSegs: 4,
-		MinRTO:       120 * time.Millisecond,
-		MaxRTO:       60 * time.Second,
-		AckDelay:     40 * time.Millisecond,
-	}
-}
-
 func (c Config) withDefaults() Config {
-	d := Defaults()
-	if c.MSS <= 0 {
-		c.MSS = d.MSS
-	}
 	if c.RecvBuf <= 0 {
-		c.RecvBuf = d.RecvBuf
-	}
-	if c.InitCwndSegs <= 0 {
-		c.InitCwndSegs = d.InitCwndSegs
-	}
-	if c.MinRTO <= 0 {
-		c.MinRTO = d.MinRTO
-	}
-	if c.MaxRTO <= 0 {
-		c.MaxRTO = d.MaxRTO
-	}
-	if c.AckDelay <= 0 {
-		c.AckDelay = d.AckDelay
+		c.RecvBuf = defaultRecvBuf
 	}
 	return c
 }
