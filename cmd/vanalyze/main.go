@@ -5,7 +5,7 @@
 // sink pipeline — packets are never buffered in memory (captures that
 // start mid-connection, with no handshake, defer 16 bytes per data
 // packet until EOF; see analysis.Streaming) — and can be fanned out to
-// a normalized pcap re-export at the same time.
+// a pcap re-export at the input's snaplen at the same time.
 //
 // Usage:
 //
@@ -13,36 +13,67 @@
 package main
 
 import (
+	"bytes"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
 	"time"
 
 	"repro/internal/analysis"
+	"repro/internal/pcap"
 	"repro/internal/trace"
 )
 
 func main() {
-	client := flag.String("client", "10.0.0.1", "client (vantage) IPv4 address")
-	duration := flag.Float64("duration", 0, "video duration in seconds (for the WebM rate fallback)")
-	rate := flag.Float64("rate", 0, "known encoding rate in Mbps (optional)")
-	pcapOut := flag.String("pcap", "", "re-export the parsed capture to this pcap file")
-	verbose := flag.Bool("v", false, "print every ON-OFF cycle")
-	flag.Parse()
-	if flag.NArg() != 1 {
-		fatalf("usage: vanalyze [flags] capture.pcap")
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run analyzes the capture that args name and prints the report to
+// stdout. It returns the exit status: 0, 1 for a failed run and 2 for
+// bad flags.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("vanalyze", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	client := fs.String("client", "10.0.0.1", "client (vantage) IPv4 address")
+	duration := fs.Float64("duration", 0, "video duration in seconds (for the WebM rate fallback)")
+	rate := fs.Float64("rate", 0, "known encoding rate in Mbps (optional)")
+	pcapOut := fs.String("pcap", "", "re-export the parsed capture to this pcap file")
+	verbose := fs.Bool("v", false, "print every ON-OFF cycle")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(format string, v ...any) int {
+		fmt.Fprintf(stderr, "vanalyze: "+format+"\n", v...)
+		return 1
+	}
+	if fs.NArg() != 1 {
+		return fail("usage: vanalyze [flags] capture.pcap")
 	}
 	addr, err := parseIPv4(*client)
 	if err != nil {
-		fatalf("%v", err)
+		return fail("%v", err)
 	}
-	f, err := os.Open(flag.Arg(0))
+	f, err := os.Open(fs.Arg(0))
 	if err != nil {
-		fatalf("%v", err)
+		return fail("%v", err)
 	}
 	defer f.Close()
+	// The re-export keeps the input's snaplen, so a truncated capture
+	// re-exports as it was: read the global header first, then replay
+	// its bytes ahead of the records.
+	var header bytes.Buffer
+	pr, err := pcap.NewReader(io.TeeReader(f, &header))
+	if err != nil {
+		return fail("reading capture: %v", err)
+	}
+	input := io.MultiReader(&header, f)
 
 	cfg := analysis.Config{
 		KnownDuration: time.Duration(*duration * float64(time.Second)),
@@ -60,60 +91,63 @@ func main() {
 		// run, so a malformed input never truncates a previous export.
 		out, err = os.Create(tmpOut)
 		if err != nil {
-			fatalf("creating pcap: %v", err)
+			return fail("creating pcap: %v", err)
 		}
-		ps, err := trace.NewPcapSink(out, 0)
+		ps, err := trace.NewPcapSink(out, pr.SnapLen)
 		if err != nil {
-			fatalf("starting pcap stream: %v", err)
+			out.Close()
+			os.Remove(tmpOut)
+			return fail("starting pcap stream: %v", err)
 		}
 		sinks = append(sinks, ps)
 	}
-	abort := func(format string, args ...any) {
+	abort := func(format string, v ...any) int {
 		if out != nil {
 			out.Close()
 			os.Remove(tmpOut)
 		}
-		fatalf(format, args...)
+		return fail(format, v...)
 	}
 	sink := trace.Fanout(sinks...)
-	if err := trace.StreamPcap(f, addr, sink); err != nil {
-		abort("reading capture: %v", err)
+	if err := trace.StreamPcap(input, addr, sink); err != nil {
+		return abort("reading capture: %v", err)
 	}
 	if err := sink.Close(); err != nil {
-		abort("writing pcap: %v", err)
+		return abort("writing pcap: %v", err)
 	}
 	if out != nil {
 		if err := out.Close(); err != nil {
-			fatalf("closing pcap: %v", err)
+			return fail("closing pcap: %v", err)
 		}
 		if err := os.Rename(tmpOut, *pcapOut); err != nil {
-			fatalf("finalizing pcap: %v", err)
+			return fail("finalizing pcap: %v", err)
 		}
 	}
 	a := stream.Result()
-	fmt.Printf("strategy          : %s\n", a.Strategy)
-	fmt.Printf("connections       : %d\n", a.ConnCount)
-	fmt.Printf("total downstream  : %.2f MB over %.1f s\n", float64(a.TotalBytes)/1e6, a.Duration.Seconds())
-	fmt.Printf("buffering phase   : %.2f s, %.2f MB\n", a.BufferingEnd.Seconds(), float64(a.BufferedBytes)/1e6)
+	fmt.Fprintf(stdout, "strategy          : %s\n", a.Strategy)
+	fmt.Fprintf(stdout, "connections       : %d\n", a.ConnCount)
+	fmt.Fprintf(stdout, "total downstream  : %.2f MB over %.1f s\n", float64(a.TotalBytes)/1e6, a.Duration.Seconds())
+	fmt.Fprintf(stdout, "buffering phase   : %.2f s, %.2f MB\n", a.BufferingEnd.Seconds(), float64(a.BufferedBytes)/1e6)
 	if a.HasSteadyState {
-		fmt.Printf("steady state      : %d blocks, median %.0f kB, rate %.2f Mbps\n",
+		fmt.Fprintf(stdout, "steady state      : %d blocks, median %.0f kB, rate %.2f Mbps\n",
 			len(a.Blocks), float64(a.MedianBlock())/1e3, a.SteadyRate/1e6)
 	}
 	if a.Media.EncodingRate > 0 {
-		fmt.Printf("encoding rate     : %.2f Mbps (source: %s, container: %s)\n",
+		fmt.Fprintf(stdout, "encoding rate     : %.2f Mbps (source: %s, container: %s)\n",
 			a.Media.EncodingRate/1e6, a.Media.RateSource, a.Media.Container)
 	}
 	if a.AccumulationRatio > 0 {
-		fmt.Printf("accumulation ratio: %.2f\n", a.AccumulationRatio)
+		fmt.Fprintf(stdout, "accumulation ratio: %.2f\n", a.AccumulationRatio)
 	}
-	fmt.Printf("retransmissions   : %d/%d data segments (%.2f%%)\n", a.Retrans, a.DataSegs, a.RetransRate*100)
-	fmt.Printf("estimated RTT     : %v\n", a.RTT)
+	fmt.Fprintf(stdout, "retransmissions   : %d/%d data segments (%.2f%%)\n", a.Retrans, a.DataSegs, a.RetransRate*100)
+	fmt.Fprintf(stdout, "estimated RTT     : %v\n", a.RTT)
 	if *verbose {
 		for i, c := range a.Cycles {
-			fmt.Printf("cycle %3d: %8.3fs..%8.3fs %10d bytes, OFF %v\n",
+			fmt.Fprintf(stdout, "cycle %3d: %8.3fs..%8.3fs %10d bytes, OFF %v\n",
 				i, c.Start.Seconds(), c.End.Seconds(), c.Bytes, c.OffAfter)
 		}
 	}
+	return 0
 }
 
 func parseIPv4(s string) ([4]byte, error) {
@@ -130,9 +164,4 @@ func parseIPv4(s string) ([4]byte, error) {
 		out[i] = byte(v)
 	}
 	return out, nil
-}
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "vanalyze: "+format+"\n", args...)
-	os.Exit(1)
 }

@@ -16,7 +16,7 @@ import (
 //     associative and commutative, so any visit order folds to the
 //     same value; or
 //   - it only collects the keys into a slice that the same function
-//     later hands to sort/slices (the stats.Sketch keys pattern).
+//     later hands to sort/slices (the httpx header-writing pattern).
 //
 // Anything else needs an explicit `//vlint:unordered <reason>` line
 // carrying the commutativity argument.

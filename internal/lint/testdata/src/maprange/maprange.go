@@ -13,7 +13,7 @@ func Emit(m map[string]int) {
 	}
 }
 
-// Keys collects then sorts — the blessed stats.Sketch pattern.
+// Keys collects then sorts — the blessed httpx header pattern.
 func Keys(m map[string]int) []string {
 	ks := make([]string, 0, len(m))
 	for k := range m {
@@ -62,7 +62,7 @@ func Live(m map[string]int, floor int) int {
 	return n
 }
 
-// Merge folds one count map into another (the stats.Sketch.Merge shape).
+// Merge folds one count map into another.
 func Merge(dst, src map[int]int64) {
 	for k, c := range src {
 		dst[k] += c

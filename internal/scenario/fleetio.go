@@ -103,7 +103,8 @@ func (r *FleetResult) MarshalBinary() ([]byte, error) {
 
 // DecodeFleetResult reads one FleetResult written by AppendBinary.
 // The Fleet spec is supplied by the caller (it is not serialized) and
-// resolved with the same defaulting a run applies.
+// resolved with the same defaulting a run applies. Only the canonical
+// encoding decodes: an accepted record re-encodes to its own bytes.
 func DecodeFleetResult(d *stats.Decoder, f Fleet) (*FleetResult, error) {
 	if d.I64() != fleetResultMagic {
 		if d.Err() != nil {
@@ -148,13 +149,19 @@ func DecodeFleetResult(d *stats.Decoder, f Fleet) (*FleetResult, error) {
 	r.Downloaded = d.I64()
 	r.ActiveClients = int(d.I64())
 	r.StarvedClients = int(d.I64())
-	if d.I64() != 0 {
+	switch d.I64() {
+	case 0:
+	case 1:
 		r.Exact = &FleetExact{}
 		if r.Exact.RateMbps, err = fleetDecodeVec(d); err != nil {
 			return nil, err
 		}
 		if r.Exact.StartupSec, err = fleetDecodeVec(d); err != nil {
 			return nil, err
+		}
+	default:
+		if d.Err() == nil {
+			return nil, fmt.Errorf("scenario: fleet result encoding: bad Exact flag")
 		}
 	}
 	return r, d.Err()

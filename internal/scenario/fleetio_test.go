@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"io"
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -216,4 +217,62 @@ func TestWriteFleetCellsValidatesRange(t *testing.T) {
 			t.Fatalf("range %v accepted", r)
 		}
 	}
+}
+
+// FuzzUnmarshalFleetResult drives the cell-record decoder that
+// MergeFleetCellStreams runs on every record a distributed child
+// sends. Properties: no panic, and either an error or a result that
+// re-encodes to exactly the input bytes. The encoding is canonical, so
+// an accepted record must be its own canonical form; anything else
+// would fold differently from the cell that was sent.
+func FuzzUnmarshalFleetResult(f *testing.F) {
+	spec := serFleet(40) // two cells: 32 clients and a ragged 8
+	spec.Duration = 4 * time.Second
+	spec.Arrival.Window = 2 * time.Second
+	var stream bytes.Buffer
+	if err := WriteFleetCells(&stream, runner.Options{Workers: 1}, spec, 0, spec.Cells()); err != nil {
+		f.Fatal(err)
+	}
+	var recs [][]byte
+	for b := stream.Bytes(); len(b) >= 8; {
+		n := binary.LittleEndian.Uint64(b)
+		recs = append(recs, b[8:8+n])
+		b = b[8+n:]
+	}
+	for _, rec := range recs {
+		f.Add(rec)
+	}
+	cell, err := UnmarshalFleetResult(recs[0], spec)
+	if err != nil {
+		f.Fatal(err)
+	}
+	// Sketch bins at both ends of the key range: the smallest
+	// trackable value and +Inf, which shares the top bin.
+	cell.RateMbps.Add(1e-9)
+	cell.RateMbps.Add(math.Inf(1))
+	f.Add(cell.AppendBinary(nil))
+	// The Exact flag sits where a record without Exact ends.
+	exact := cell.Exact
+	cell.Exact = nil
+	flag := len(cell.AppendBinary(nil)) - 8
+	cell.Exact = exact
+	rec := cell.AppendBinary(nil)
+	rec[flag] = 2
+	f.Add(rec)
+	// A nil sketch encodes as RelErr +0; -0 is not canonical. The
+	// first sketch follows the magic, Clients and Groups.
+	cell.RateMbps = nil
+	rec = cell.AppendBinary(nil)
+	rec[3*8+7] |= 0x80
+	f.Add(rec)
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r, err := UnmarshalFleetResult(data, spec)
+		if err != nil {
+			return
+		}
+		if got := r.AppendBinary(nil); !bytes.Equal(got, data) {
+			t.Fatalf("accepted record re-encodes to other bytes (%d vs %d)", len(got), len(data))
+		}
+	})
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
-	"sort"
 	"time"
 )
 
@@ -12,8 +11,8 @@ import (
 // per-cell results across process boundaries and must merge into the
 // same bytes a single-process run produces, so the encoding is exact
 // and canonical: every float crosses as its IEEE-754 bit pattern
-// (math.Float64bits — no text formatting, no rounding), map keys are
-// emitted in sorted order, and all integers are fixed-width
+// (math.Float64bits — no text formatting, no rounding), sketch bins are
+// emitted in key order, and all integers are fixed-width
 // little-endian. Encoding the same value twice yields identical bytes.
 
 // ErrCodec reports a truncated or structurally invalid encoding.
@@ -71,8 +70,10 @@ func (d *Decoder) I64() int64 { return int64(d.U64()) }
 // F64 reads one float64 bit pattern.
 func (d *Decoder) F64() float64 { return math.Float64frombits(d.U64()) }
 
-// AppendBinary appends the canonical encoding of s to buf. A nil
-// sketch encodes like an empty one with RelErr 0 (decode restores nil).
+// AppendBinary appends the canonical encoding of s to buf: RelErr,
+// zeros, n, sum, min and max, then the occupied bins as (key, count)
+// pairs in increasing key order. A nil sketch encodes like an empty
+// one with RelErr 0 (decode restores nil).
 func (s *Sketch) AppendBinary(buf []byte) []byte {
 	if s == nil {
 		return appendF64(buf, 0)
@@ -83,15 +84,12 @@ func (s *Sketch) AppendBinary(buf []byte) []byte {
 	buf = appendF64(buf, s.sum)
 	buf = appendF64(buf, s.min)
 	buf = appendF64(buf, s.max)
-	keys := make([]int, 0, len(s.counts))
-	for k := range s.counts {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	buf = appendI64(buf, int64(len(keys)))
-	for _, k := range keys {
-		buf = appendI64(buf, int64(k))
-		buf = appendI64(buf, s.counts[k])
+	buf = appendI64(buf, int64(s.used))
+	for i, c := range s.bins {
+		if c != 0 {
+			buf = appendI64(buf, int64(s.offset+i))
+			buf = appendI64(buf, c)
+		}
 	}
 	return buf
 }
@@ -99,16 +97,22 @@ func (s *Sketch) AppendBinary(buf []byte) []byte {
 // DecodeSketch reads one sketch written by AppendBinary. The gamma
 // terms are recomputed from the decoded RelErr exactly as NewSketch
 // computes them, so a round-trip is indistinguishable from the
-// original (reflect.DeepEqual-equal and merge-compatible).
+// original (reflect.DeepEqual-equal and merge-compatible). Only the
+// canonical form decodes. Before it allocates the bin array it
+// rejects a RelErr outside [minRelErr, 1) other than the nil
+// sketch's +0, a key outside the sketch's key range, keys that do not
+// strictly increase, a count below 1, and counts that with zeros do
+// not add up to n. So no input grows a sketch past its key range, and
+// every accepted sketch re-encodes to the bytes it came from.
 func DecodeSketch(d *Decoder) (*Sketch, error) {
 	relErr := d.F64()
 	if d.Err() != nil {
 		return nil, d.Err()
 	}
-	if relErr == 0 {
+	if math.Float64bits(relErr) == 0 {
 		return nil, nil
 	}
-	if relErr < 0 || relErr >= 1 || math.IsNaN(relErr) {
+	if !(relErr >= minRelErr && relErr < 1) {
 		return nil, ErrCodec
 	}
 	s := NewSketch(relErr)
@@ -121,15 +125,37 @@ func DecodeSketch(d *Decoder) (*Sketch, error) {
 	if d.Err() != nil {
 		return nil, d.Err()
 	}
-	if nk < 0 || nk > int64(d.Len()/16) {
+	if nk < 0 || nk > int64(d.Len()/16) || s.zeros < 0 || s.n < s.zeros {
 		return nil, ErrCodec
 	}
-	for i := int64(0); i < nk; i++ {
-		k := d.I64()
-		c := d.I64()
-		s.counts[int(k)] = c
+	kmin, kmax := s.keyRange()
+	pairs := d.off
+	first, prev := int64(0), int64(kmin)-1
+	left := s.n - s.zeros
+	for i := range nk {
+		k, c := d.I64(), d.I64()
+		if k <= prev || k > int64(kmax) || c < 1 || c > left {
+			return nil, ErrCodec
+		}
+		if i == 0 {
+			first = k
+		}
+		prev, left = k, left-c
 	}
-	return s, d.Err()
+	if left != 0 {
+		return nil, ErrCodec
+	}
+	if nk > 0 {
+		s.bins = make([]int64, prev-first+1)
+		s.offset = int(first)
+		s.used = int(nk)
+		d.off = pairs
+		for range nk {
+			k, c := d.I64(), d.I64()
+			s.bins[k-first] = c
+		}
+	}
+	return s, nil
 }
 
 // AppendBinary appends the canonical encoding of b to buf. A nil

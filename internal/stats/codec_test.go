@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"reflect"
@@ -135,5 +136,95 @@ func TestCodecTruncation(t *testing.T) {
 	}
 	if _, err := DecodeSketch(NewDecoder(bad)); err == nil {
 		t.Fatal("absurd key count decoded without error")
+	}
+}
+
+// rawSketch encodes a sketch field by field, whether or not the
+// fields are consistent; bins are (key, count) pairs.
+func rawSketch(relErr float64, zeros, n int64, bins ...int64) []byte {
+	buf := appendF64(nil, relErr)
+	buf = appendI64(buf, zeros)
+	buf = appendI64(buf, n)
+	buf = appendF64(buf, 3) // sum
+	buf = appendF64(buf, 0) // min
+	buf = appendF64(buf, 2) // max
+	buf = appendI64(buf, int64(len(bins)/2))
+	for _, v := range bins {
+		buf = appendI64(buf, v)
+	}
+	return buf
+}
+
+// TestDecodeSketchRejectsNonCanonical pins DecodeSketch's input
+// checks: only the canonical form decodes, and a rejected input
+// allocates no bin array, however far its keys reach.
+func TestDecodeSketchRejectsNonCanonical(t *testing.T) {
+	e := DefaultSketchErr
+	lo, hi := NewSketch(e).keyRange()
+	kmin, kmax := int64(lo), int64(hi)
+	flo, fhi := NewSketch(minRelErr).keyRange()
+	decode := func(b []byte) (*Sketch, error) {
+		d := NewDecoder(b)
+		s, err := DecodeSketch(d)
+		if err == nil && d.Len() != 0 {
+			t.Fatalf("%d bytes left after decode", d.Len())
+		}
+		return s, err
+	}
+
+	for name, b := range map[string][]byte{
+		"bins":      rawSketch(e, 1, 4, 10, 2, 12, 1),
+		"zeros":     rawSketch(e, 3, 3),
+		"range":     rawSketch(e, 0, 2, kmin, 1, kmax, 1),
+		"finest":    rawSketch(minRelErr, 0, 2, int64(flo), 1, int64(fhi), 1),
+		"coarsest":  rawSketch(0.99, 0, 1, 0, 1),
+		"empty":     rawSketch(e, 0, 0),
+		"big-count": rawSketch(e, 0, math.MaxInt64, 7, math.MaxInt64),
+	} {
+		s, err := decode(b)
+		if err != nil {
+			t.Fatalf("%s: canonical sketch rejected: %v", name, err)
+		}
+		if !bytes.Equal(s.AppendBinary(nil), b) {
+			t.Fatalf("%s: decoded sketch re-encodes differently", name)
+		}
+	}
+	// The widest stores the type doc promises: about 36.5k entries at
+	// DefaultSketchErr and 365k at minRelErr.
+	if s, _ := decode(rawSketch(e, 0, 2, kmin, 1, kmax, 1)); len(s.bins) != int(kmax-kmin+1) || len(s.bins) > 36600 || s.Bins() != 2 {
+		t.Fatalf("full-range sketch holds %d array entries, %d bins; want %d, 2", len(s.bins), s.Bins(), kmax-kmin+1)
+	}
+	if span := fhi - flo + 1; span > 366000 {
+		t.Fatalf("key range at minRelErr spans %d bins", span)
+	}
+
+	cases := map[string][]byte{
+		"relerr below minimum": rawSketch(minRelErr/2, 0, 1, 5, 1),
+		"negative relerr":      rawSketch(-e, 0, 1, 5, 1),
+		"nan relerr":           rawSketch(math.NaN(), 0, 1, 5, 1),
+		"relerr one":           rawSketch(1, 0, 1, 5, 1),
+		"negative zero relerr": rawSketch(math.Copysign(0, -1), 0, 0),
+		"key below range":      rawSketch(e, 0, 2, kmin-1, 1, 5, 1),
+		"key above range":      rawSketch(e, 0, 2, 5, 1, kmax+1, 1),
+		"key far above range":  rawSketch(e, 0, 2, -1<<40, 1, 1<<40, 1),
+		"repeated key":         rawSketch(e, 0, 2, 5, 1, 5, 1),
+		"decreasing keys":      rawSketch(e, 0, 2, 6, 1, 5, 1),
+		"zero count":           rawSketch(e, 0, 1, 5, 1, 6, 0),
+		"negative count":       rawSketch(e, 0, 1, 5, 2, 6, -1),
+		"counts short of n":    rawSketch(e, 1, 5, 5, 2, 6, 1),
+		"counts past n":        rawSketch(e, 1, 3, 5, 2, 6, 1),
+		"n without bins":       rawSketch(e, 1, 2),
+		"negative zeros":       rawSketch(e, -1, 1, 5, 2),
+		"counts overflow":      rawSketch(e, 0, math.MaxInt64, 5, math.MaxInt64, 6, math.MaxInt64),
+	}
+	empty := rawSketch(e, 0, 0)
+	base := testing.AllocsPerRun(20, func() { _, _ = decode(empty) })
+	for name, b := range cases {
+		if s, err := decode(b); err == nil {
+			t.Fatalf("%s: decoded without error: %+v", name, s)
+		}
+		if allocs := testing.AllocsPerRun(20, func() { _, _ = decode(b) }); allocs > base {
+			t.Fatalf("%s: rejection allocated %v times, an empty sketch %v", name, allocs, base)
+		}
 	}
 }

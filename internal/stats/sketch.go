@@ -1,9 +1,6 @@
 package stats
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // Sketch is a mergeable streaming quantile sketch with a guaranteed
 // relative error: every quantile estimate is within RelErr of the true
@@ -11,9 +8,16 @@ import (
 // logarithmic bins of width log(gamma), gamma = (1+e)/(1-e) — chosen
 // over rank-based sketches because merging is plain bin-count
 // addition, which keeps fleet shards bit-reproducible for any worker
-// count. Memory is O(log(max/min)/e) regardless of the sample count,
-// so per-client QoE metrics from thousands of sessions cost a few
-// hundred bins instead of a buffered vector.
+// count.
+//
+// The bins are one dense array over the contiguous span of keys the
+// sketch has seen, so Add and Merge index it and Quantile and
+// AppendBinary walk it in key order. Memory follows that span, not
+// the sample count: per-client QoE metrics from thousands of sessions
+// span a few decades, a few hundred bins. Keys never leave
+// [key(minTrackable), key(math.MaxFloat64)], and RelErr is at least
+// minRelErr, so no input grows a sketch past about 365k bins (2.9 MB);
+// at DefaultSketchErr the bound is about 36.5k bins (292 KB).
 //
 // Values must be non-negative (rates, delays, byte counts — every
 // fleet metric); values below minTrackable collapse into a dedicated
@@ -25,12 +29,18 @@ type Sketch struct {
 	gamma   float64 // (1+RelErr)/(1-RelErr)
 	lnGamma float64
 
-	counts map[int]int64
-	zeros  int64
-	n      int64
-	sum    float64
-	min    float64
-	max    float64
+	// bins[i] counts the samples of key offset+i. It spans exactly the
+	// lowest to the highest key added since creation or Reset, so both
+	// of its ends are occupied; used counts its nonzero entries.
+	bins   []int64
+	offset int
+	used   int
+
+	zeros int64
+	n     int64
+	sum   float64
+	min   float64
+	max   float64
 }
 
 // minTrackable is the smallest magnitude the log bins resolve; smaller
@@ -41,13 +51,20 @@ const minTrackable = 1e-9
 // a non-positive one: 1% — invisible next to seed-to-seed variance.
 const DefaultSketchErr = 0.01
 
+// minRelErr is the finest relative error a sketch keeps. It bounds the
+// key range, and so the bin array, at about 365k bins.
+const minRelErr = 0.001
+
 // NewSketch returns an empty sketch with the given relative error
-// guarantee (non-positive means DefaultSketchErr).
+// guarantee: non-positive (or NaN) means DefaultSketchErr, and the
+// rest is held to [minRelErr, 0.99].
 func NewSketch(relErr float64) *Sketch {
-	if relErr <= 0 {
+	switch {
+	case !(relErr > 0):
 		relErr = DefaultSketchErr
-	}
-	if relErr >= 1 {
+	case relErr < minRelErr:
+		relErr = minRelErr
+	case relErr >= 1:
 		relErr = 0.99
 	}
 	gamma := (1 + relErr) / (1 - relErr)
@@ -55,18 +72,20 @@ func NewSketch(relErr float64) *Sketch {
 		RelErr:  relErr,
 		gamma:   gamma,
 		lnGamma: math.Log(gamma),
-		counts:  make(map[int]int64, 128), // presized: ~O(log range) bins, avoids rehash growth on the fleet hot path
 		min:     math.Inf(1),
 		max:     math.Inf(-1),
 	}
 }
 
-// Reset empties the sketch in place, keeping the bin map's backing
+// Reset empties the sketch in place, keeping the bin array's backing
 // storage (and the RelErr geometry) so a recycled sketch accumulates
-// the next stream without rehashing. A reset sketch is
-// indistinguishable from NewSketch(s.RelErr).
+// the next stream without allocating. A reset sketch behaves exactly
+// like NewSketch(s.RelErr).
 func (s *Sketch) Reset() {
-	clear(s.counts)
+	clear(s.bins)
+	s.bins = s.bins[:0]
+	s.offset = 0
+	s.used = 0
 	s.zeros = 0
 	s.n = 0
 	s.sum = 0
@@ -75,15 +94,54 @@ func (s *Sketch) Reset() {
 }
 
 // key returns the bin index covering x: the smallest k with
-// gamma^k >= x, so bin k spans (gamma^(k-1), gamma^k].
+// gamma^k >= x, so bin k spans (gamma^(k-1), gamma^k]. +Inf shares
+// the top bin with math.MaxFloat64.
 func (s *Sketch) key(x float64) int {
-	return int(math.Ceil(math.Log(x) / s.lnGamma))
+	return int(math.Ceil(math.Log(min(x, math.MaxFloat64)) / s.lnGamma))
+}
+
+// keyRange returns the lowest and highest key a sample can take.
+func (s *Sketch) keyRange() (lo, hi int) {
+	return s.key(minTrackable), s.key(math.MaxFloat64)
 }
 
 // estimate returns the midpoint value of bin k; its relative distance
 // to any sample in the bin is at most RelErr.
 func (s *Sketch) estimate(k int) float64 {
 	return 2 * math.Pow(s.gamma, float64(k)) / (s.gamma + 1)
+}
+
+// cover extends the bin array to span keys lo..hi (lo <= hi) as well
+// as the keys it already spans. Entries past len(s.bins) in the
+// backing array are always zero, so growing in place needs no clear
+// at the top.
+func (s *Sketch) cover(lo, hi int) {
+	if len(s.bins) > 0 {
+		lo = min(lo, s.offset)
+		hi = max(hi, s.offset+len(s.bins)-1)
+	}
+	n := hi - lo + 1
+	if n == len(s.bins) {
+		return
+	}
+	old := len(s.bins)
+	shift := 0
+	if old > 0 {
+		shift = s.offset - lo
+	}
+	if n <= cap(s.bins) {
+		s.bins = s.bins[:n]
+		if shift > 0 {
+			copy(s.bins[shift:], s.bins[:old])
+			clear(s.bins[:shift])
+		}
+	} else {
+		kmin, kmax := s.keyRange()
+		grown := make([]int64, n, max(n, min(2*n, kmax-kmin+1)))
+		copy(grown[shift:], s.bins)
+		s.bins = grown
+	}
+	s.offset = lo
 }
 
 // Add inserts one sample. Negative samples are clamped to zero (the
@@ -107,7 +165,15 @@ func (s *Sketch) Add(x float64) {
 		s.zeros++
 		return
 	}
-	s.counts[s.key(x)]++
+	k := s.key(x)
+	if k < s.offset || k >= s.offset+len(s.bins) {
+		s.cover(k, k)
+	}
+	b := &s.bins[k-s.offset]
+	if *b == 0 {
+		s.used++
+	}
+	*b++
 }
 
 // Merge folds o into s. Both sketches must have been created with the
@@ -121,8 +187,15 @@ func (s *Sketch) Merge(o *Sketch) {
 	if o.RelErr != s.RelErr {
 		panic("stats: merging sketches with different relative errors")
 	}
-	for k, c := range o.counts {
-		s.counts[k] += c
+	if len(o.bins) > 0 {
+		s.cover(o.offset, o.offset+len(o.bins)-1)
+		dst := s.bins[o.offset-s.offset:]
+		for i, c := range o.bins {
+			if c != 0 && dst[i] == 0 {
+				s.used++
+			}
+			dst[i] += c
+		}
 	}
 	s.zeros += o.zeros
 	s.n += o.n
@@ -186,16 +259,11 @@ func (s *Sketch) Quantile(q float64) float64 {
 	if rank <= s.zeros {
 		return 0
 	}
-	keys := make([]int, 0, len(s.counts))
-	for k := range s.counts {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
 	cum := s.zeros
-	for _, k := range keys {
-		cum += s.counts[k]
+	for i, c := range s.bins {
+		cum += c
 		if cum >= rank {
-			est := s.estimate(k)
+			est := s.estimate(s.offset + i)
 			if est < s.min {
 				est = s.min
 			}
@@ -211,6 +279,6 @@ func (s *Sketch) Quantile(q float64) float64 {
 // Median returns the 0.5 quantile estimate.
 func (s *Sketch) Median() float64 { return s.Quantile(0.5) }
 
-// Bins returns the number of occupied log bins — the sketch's actual
-// memory footprint, asserted O(log range) by tests.
-func (s *Sketch) Bins() int { return len(s.counts) }
+// Bins returns the number of occupied log bins, asserted O(log range)
+// by tests.
+func (s *Sketch) Bins() int { return s.used }

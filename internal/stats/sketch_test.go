@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"sort"
@@ -147,6 +148,37 @@ func TestSketchEmptyAndEdge(t *testing.T) {
 	s.Add(10)
 	if got := s.Quantile(1); got != 10 {
 		t.Fatalf("max clamp: q1 = %v, want 10", got)
+	}
+	for in, want := range map[float64]float64{
+		math.NaN(): DefaultSketchErr, -1: DefaultSketchErr, 1e-6: minRelErr, 1: 0.99, 0.5: 0.5,
+	} {
+		if got := NewSketch(in).RelErr; got != want {
+			t.Fatalf("NewSketch(%v).RelErr = %v, want %v", in, got, want)
+		}
+	}
+}
+
+// TestSketchInfinityInTopBin pins where +Inf goes: the top bin of the
+// key range, shared with math.MaxFloat64, so the bin array never
+// leaves the range and the sketch still round-trips its codec.
+func TestSketchInfinityInTopBin(t *testing.T) {
+	s := NewSketch(0)
+	_, top := s.keyRange()
+	s.Add(math.Inf(1))
+	if s.Bins() != 1 || s.offset != top || len(s.bins) != 1 {
+		t.Fatalf("+Inf in bin %d (%d bins, array of %d), want top bin %d", s.offset, s.Bins(), len(s.bins), top)
+	}
+	s.Add(math.MaxFloat64)
+	if s.Bins() != 1 || s.bins[0] != 2 {
+		t.Fatalf("MaxFloat64 did not share +Inf's bin: %d bins, counts %v", s.Bins(), s.bins)
+	}
+	if got := s.Quantile(1); !math.IsInf(got, 1) {
+		t.Fatalf("q1 = %v, want +Inf", got)
+	}
+	enc := s.AppendBinary(nil)
+	back, err := DecodeSketch(NewDecoder(enc))
+	if err != nil || !bytes.Equal(back.AppendBinary(nil), enc) {
+		t.Fatalf("top-bin sketch does not round-trip: %v", err)
 	}
 }
 

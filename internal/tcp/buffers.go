@@ -13,10 +13,15 @@ var zeroPage = make([]byte, zeroPageSize)
 
 // sendBuffer stores the outgoing byte stream indexed by absolute
 // stream offset so retransmissions can re-slice any unacknowledged
-// range. Chunks below the acknowledged offset are released.
+// range. Chunks below the acknowledged offset are released by index,
+// and their slots are reclaimed the way recvBuffer reclaims consumed
+// ones, so the chunk array is reused for the connection's whole life
+// (and across lives, through ConnPool) instead of growing behind a
+// marching front.
 type sendBuffer struct {
 	chunks []sendChunk
-	start  int64 // stream offset of chunks[0][0]
+	head   int   // index of the first unreleased chunk
+	start  int64 // acknowledged offset: bytes below it are released
 	end    int64 // stream offset one past the last byte
 }
 
@@ -36,6 +41,15 @@ func (b *sendBuffer) Append(data []byte) {
 	if len(data) == 0 {
 		return
 	}
+	if b.head > 0 && b.head*2 >= len(b.chunks) {
+		// At least half the slots are released: compact the live tail
+		// to the front and reuse the array. Amortized O(1), as in
+		// recvBuffer.Push.
+		n := copy(b.chunks, b.chunks[b.head:])
+		clear(b.chunks[n:])
+		b.chunks = b.chunks[:n]
+		b.head = 0
+	}
 	b.chunks = append(b.chunks, sendChunk{off: b.end, data: data})
 	b.end += int64(len(data))
 }
@@ -54,12 +68,9 @@ func (b *sendBuffer) AppendZero(n int) {
 
 // Release drops storage for bytes below offset off (they were acked).
 func (b *sendBuffer) Release(off int64) {
-	i := 0
-	for i < len(b.chunks) && b.chunks[i].off+int64(len(b.chunks[i].data)) <= off {
-		i++
-	}
-	if i > 0 {
-		b.chunks = b.chunks[i:]
+	for b.head < len(b.chunks) && b.chunks[b.head].off+int64(len(b.chunks[b.head].data)) <= off {
+		b.chunks[b.head] = sendChunk{}
+		b.head++
 	}
 	b.start = off
 }
@@ -76,7 +87,7 @@ func (b *sendBuffer) Slice(off int64, n int) ([]byte, bool) {
 		n = int(avail)
 	}
 	// Binary search for the chunk containing off.
-	lo, hi := 0, len(b.chunks)
+	lo, hi := b.head, len(b.chunks)
 	for lo < hi {
 		mid := (lo + hi) / 2
 		c := b.chunks[mid]

@@ -72,6 +72,41 @@ func TestSendBufferAppendZero(t *testing.T) {
 	}
 }
 
+// TestSendBufferReusesChunkArray: a connection appends and releases
+// chunks for its whole life with a bounded unacknowledged window in
+// between, so released slots must be reused. Once warm, the cycle
+// allocates nothing and the chunk array stays within a few windows.
+func TestSendBufferReusesChunkArray(t *testing.T) {
+	var b sendBuffer
+	data := []byte("0123456789")
+	const window = 40 // unacknowledged chunks
+	step := func() {
+		b.Append(data)
+		// Acknowledge to mid-chunk, so releases are partial too.
+		if acked := b.Len() - window*int64(len(data)) - 5; acked > b.start {
+			b.Release(acked)
+		}
+	}
+	for range 10_000 {
+		step()
+	}
+	cycle := func() {
+		for range 1000 {
+			step()
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, cycle); allocs != 0 {
+		t.Fatalf("1000 steady Append/Release steps allocate %v times; the chunk array keeps growing", allocs)
+	}
+	if c := cap(b.chunks); c > 4*window {
+		t.Fatalf("chunk array capacity %d for a window of %d chunks", c, window)
+	}
+	got, ok := b.Slice(b.start, 2*len(data))
+	if want := "56789" + "0123456789" + "01234"; !ok || string(got) != want {
+		t.Fatalf("Slice at the acknowledged offset = %q, %v; want %q", got, ok, want)
+	}
+}
+
 func TestRecvBufferReadDiscardPeek(t *testing.T) {
 	var b recvBuffer
 	b.Push([]byte("one"))
