@@ -149,9 +149,8 @@ func DecodeFleetResult(d *stats.Decoder, f Fleet) (*FleetResult, error) {
 	r.Downloaded = d.I64()
 	r.ActiveClients = int(d.I64())
 	r.StarvedClients = int(d.I64())
-	switch d.I64() {
-	case 0:
-	case 1:
+	switch exact := d.I64(); {
+	case exact == 1:
 		r.Exact = &FleetExact{}
 		if r.Exact.RateMbps, err = fleetDecodeVec(d); err != nil {
 			return nil, err
@@ -159,10 +158,8 @@ func DecodeFleetResult(d *stats.Decoder, f Fleet) (*FleetResult, error) {
 		if r.Exact.StartupSec, err = fleetDecodeVec(d); err != nil {
 			return nil, err
 		}
-	default:
-		if d.Err() == nil {
-			return nil, fmt.Errorf("scenario: fleet result encoding: bad Exact flag")
-		}
+	case exact != 0:
+		return nil, fmt.Errorf("scenario: fleet result encoding: bad Exact flag %d", exact)
 	}
 	return r, d.Err()
 }

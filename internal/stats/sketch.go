@@ -116,18 +116,13 @@ func (s *Sketch) estimate(k int) float64 {
 // backing array are always zero, so growing in place needs no clear
 // at the top.
 func (s *Sketch) cover(lo, hi int) {
-	if len(s.bins) > 0 {
-		lo = min(lo, s.offset)
-		hi = max(hi, s.offset+len(s.bins)-1)
+	if len(s.bins) == 0 {
+		s.offset = lo
 	}
-	n := hi - lo + 1
-	if n == len(s.bins) {
+	lo, hi = min(lo, s.offset), max(hi, s.offset+len(s.bins)-1)
+	n, old, shift := hi-lo+1, len(s.bins), s.offset-lo
+	if n == old {
 		return
-	}
-	old := len(s.bins)
-	shift := 0
-	if old > 0 {
-		shift = s.offset - lo
 	}
 	if n <= cap(s.bins) {
 		s.bins = s.bins[:n]
