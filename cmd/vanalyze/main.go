@@ -86,6 +86,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	sinks := []trace.Sink{stream}
 	var out *os.File
 	tmpOut := *pcapOut + ".tmp"
+	abort := func(format string, v ...any) int {
+		if out != nil {
+			out.Close()
+			os.Remove(tmpOut)
+		}
+		return fail(format, v...)
+	}
 	if *pcapOut != "" {
 		// Stream into a temp file and rename only after a successful
 		// run, so a malformed input never truncates a previous export.
@@ -95,18 +102,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		ps, err := trace.NewPcapSink(out, pr.SnapLen)
 		if err != nil {
-			out.Close()
-			os.Remove(tmpOut)
-			return fail("starting pcap stream: %v", err)
+			return abort("starting pcap stream: %v", err)
 		}
 		sinks = append(sinks, ps)
-	}
-	abort := func(format string, v ...any) int {
-		if out != nil {
-			out.Close()
-			os.Remove(tmpOut)
-		}
-		return fail(format, v...)
 	}
 	sink := trace.Fanout(sinks...)
 	if err := trace.StreamPcap(input, addr, sink); err != nil {
