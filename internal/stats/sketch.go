@@ -114,7 +114,8 @@ func (s *Sketch) estimate(k int) float64 {
 // cover extends the bin array to span keys lo..hi (lo <= hi) as well
 // as the keys it already spans. Entries past len(s.bins) in the
 // backing array are always zero, so growing in place needs no clear
-// at the top.
+// at the top. A new lowest key shifts the array up, O(span); a stream
+// in random order meets a new lowest key about ln(n) times.
 func (s *Sketch) cover(lo, hi int) {
 	if len(s.bins) == 0 {
 		s.offset = lo
