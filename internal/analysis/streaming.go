@@ -353,7 +353,8 @@ const maxHeaderBytes = 4096
 // flow. It keeps only pieces that can still contribute to that prefix:
 // out-of-window and contained duplicates are discarded on arrival, so
 // the state is bounded by the window size, not the flow length, while
-// finish reproduces Trace.Reassemble byte for byte.
+// finish reproduces the buffered walk over every piece (the tests'
+// reassembleTrace) byte for byte.
 //
 // One divergence is accepted: pieces are filtered against the base
 // known at arrival, so a SYN captured only after data that moves the
@@ -420,8 +421,8 @@ func (a *headerAsm) clip() {
 	a.pieces = kept
 }
 
-// finish runs the same stable-sorted merge walk as Trace.Reassemble
-// over the retained pieces.
+// finish runs the buffered reference's stable-sorted merge walk over
+// the retained pieces.
 func (a *headerAsm) finish() []byte {
 	if len(a.pieces) == 0 {
 		return nil

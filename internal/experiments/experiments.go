@@ -61,13 +61,6 @@ func (a *Artifact) Addf(format string, args ...any) {
 	a.lines = append(a.lines, fmt.Sprintf(format, args...))
 }
 
-// AddBlock appends a multi-line block verbatim.
-func (a *Artifact) AddBlock(block string) {
-	for _, ln := range strings.Split(strings.TrimRight(block, "\n"), "\n") {
-		a.lines = append(a.lines, ln)
-	}
-}
-
 func (a *Artifact) String() string {
 	return "== " + a.Title + " ==\n" + strings.Join(a.lines, "\n") + "\n"
 }

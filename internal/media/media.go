@@ -376,13 +376,3 @@ func NetPC(n int, seed int64) Dataset {
 	}
 	return Dataset{Name: "NetPC", Videos: vids}
 }
-
-// NetMob subsets NetPC (the paper used 50 of the 200).
-func NetMob(n int, seed int64) Dataset {
-	base := NetPC(max(n*4, n), seed)
-	vids := make([]Video, n)
-	for i := range vids {
-		vids[i] = base.Videos[i*len(base.Videos)/max(n, 1)]
-	}
-	return Dataset{Name: "NetMob", Videos: vids}
-}

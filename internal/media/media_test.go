@@ -181,10 +181,6 @@ func TestNetflixDatasets(t *testing.T) {
 			t.Fatalf("movie duration %v too short", v.Duration)
 		}
 	}
-	mob := NetMob(10, 5)
-	if len(mob.Videos) != 10 {
-		t.Fatalf("NetMob size %d", len(mob.Videos))
-	}
 	if len(NetflixLadder) < 3 {
 		t.Fatal("ladder too small")
 	}

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 )
@@ -127,6 +127,6 @@ func (a Arrival) TimesInto(dst []time.Duration, n int, rng *rand.Rand) []time.Du
 	default: // AllAtOnce: zeros
 		clear(out)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }

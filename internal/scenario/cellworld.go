@@ -18,9 +18,10 @@ import (
 // (and garbage-collect) its own copy — so instead the world is built
 // once and reset at the top of each cell: the World under its Reset
 // contract, the tree (links rewind rings, counters and taps and take
-// fresh AQM instances), and the sketches and binned series, which zero
-// in place. The fresh-vs-recycled equivalence tests pin that a
-// recycled cell's bytes equal a fresh world's.
+// fresh AQM instances), and the aggregation-link series, which zeroes
+// in place. A cell's result is not world state: each run builds a
+// fresh shell and hands it over. The fresh-vs-recycled equivalence
+// tests pin that a recycled cell's bytes equal a fresh world's.
 type cellWorld struct {
 	f   Fleet // resolved spec, fixed at construction
 	per int   // clients per cell (== Tree.ClientsPerAgg)
@@ -37,10 +38,6 @@ type cellWorld struct {
 	aggBin  *stats.Binned
 	aggTap  utilTap
 	coreTap utilTap
-
-	// free holds result shells whose cells have been emitted; their
-	// sketches and series are scrubbed and reused for later cells.
-	free []*FleetResult
 }
 
 // newCellWorld builds the world's permanent wiring for f (already
@@ -75,10 +72,9 @@ func newCellWorld(f Fleet) *cellWorld {
 }
 
 // run simulates global clients [from, to) — one aggregation group — on
-// the recycled world and returns its streaming statistics. The caller
-// must hand the result back via putResult once it has been folded or
-// serialized; until then the world may run further cells (shells come
-// from a pool, not from the world's hot state).
+// the recycled world and returns its streaming statistics in a fresh
+// shell. The result is the caller's to keep: later cells on this world
+// do not touch it.
 func (w *cellWorld) run(from, to int) *FleetResult {
 	n := to - from
 	f := w.f
@@ -90,7 +86,7 @@ func (w *cellWorld) run(from, to int) *FleetResult {
 	world.Reset(fleetCellSeed(f.Seed, from))
 	tree.Reset()
 
-	res := w.takeResult()
+	res := newFleetResult(f)
 	res.Clients = n
 
 	w.coreTap.bins = append(w.coreTap.bins[:0], res.CoreUtil)
@@ -171,51 +167,4 @@ func (w *cellWorld) run(from, to int) *FleetResult {
 	// InducedCoreLoss is derived once, in finalize, from the merged
 	// counters — it covers the single-cell case too.
 	return res
-}
-
-// takeResult returns an empty result shell: a scrubbed recycled one
-// when available, a fresh allocation otherwise.
-func (w *cellWorld) takeResult() *FleetResult {
-	if k := len(w.free); k > 0 {
-		r := w.free[k-1]
-		w.free[k-1] = nil
-		w.free = w.free[:k-1]
-		return r
-	}
-	return newFleetResult(w.f)
-}
-
-// putResult scrubs an emitted shell and parks it for the next cell.
-// Sketches and binned series reset in place (backing maps and slices
-// survive), so a steady-state wave allocates no result storage at all.
-func (w *cellWorld) putResult(r *FleetResult) {
-	r.Clients = 0
-	r.Groups = 0
-	r.RateMbps.Reset()
-	r.StartupSec.Reset()
-	r.RebufCount.Reset()
-	r.RebufSec.Reset()
-	r.SwitchCount.Reset()
-	r.FetchedMbps.Reset()
-	r.RungSec = r.RungSec[:0]
-	r.CoreUtil.Reset()
-	r.AggUtil.Reset()
-	r.AccessUtil.Reset()
-	r.ConcurrencyDeltas.Reset()
-	r.AggBurst.Reset()
-	r.CoreBurst.Reset()
-	r.CoreOffered = 0
-	r.CoreDropped = 0
-	r.AggDropped = 0
-	r.AccessDropped = 0
-	r.Unrouted = 0
-	r.InducedCoreLoss = 0
-	r.Downloaded = 0
-	r.ActiveClients = 0
-	r.StarvedClients = 0
-	if r.Exact != nil {
-		r.Exact.RateMbps = r.Exact.RateMbps[:0]
-		r.Exact.StartupSec = r.Exact.StartupSec[:0]
-	}
-	w.free = append(w.free, r)
 }

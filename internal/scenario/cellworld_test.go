@@ -66,8 +66,34 @@ func runCellBytes(t testing.TB, w *cellWorld, cell int) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.putResult(r)
 	return b
+}
+
+// TestEmittedCellResultsStayValid pins that a cell's result belongs to
+// emit: a consumer that keeps every emitted result must still hold each
+// cell's own bytes after the range has run later cells on the same
+// recycled worlds.
+func TestEmittedCellResultsStayValid(t *testing.T) {
+	spec := fuzzFleet(5)
+	var kept []*FleetResult
+	runFleetCellRange(runner.Options{Workers: 2}, spec, 0, spec.cells(), func(cell int, r *FleetResult) {
+		if cell != len(kept) {
+			t.Fatalf("emitted cell %d, want cell %d", cell, len(kept))
+		}
+		kept = append(kept, r)
+	})
+	if len(kept) != spec.cells() {
+		t.Fatalf("emitted %d cells, want %d", len(kept), spec.cells())
+	}
+	for cell, r := range kept {
+		got, err := r.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := runCellBytes(t, newCellWorld(spec), cell); !bytes.Equal(got, want) {
+			t.Fatalf("cell %d: the emitted result changed after later cells ran", cell)
+		}
+	}
 }
 
 // FuzzCellWorldReset dirties a recycled world with an arbitrary

@@ -104,7 +104,6 @@ func TestCellConservation(t *testing.T) {
 			if res.Downloaded == 0 || offered(tr.CoreDown) == 0 {
 				t.Errorf("%s cell %d: no traffic (downloaded %d, core offered %d)", f.Name, cell, res.Downloaded, offered(tr.CoreDown))
 			}
-			w.putResult(res)
 		}
 	}
 }

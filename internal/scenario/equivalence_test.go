@@ -90,8 +90,8 @@ func TestStreamingMatchesBufferedAllPlayers(t *testing.T) {
 			}
 			rec := &trace.Trace{}
 			recorded := runOne(t, sp, rec)
-			if rec.Len() == 0 || rec.Len() != recorded.Packets {
-				t.Fatalf("recording holds %d packets, the session captured %d", rec.Len(), recorded.Packets)
+			if len(rec.Records) == 0 || len(rec.Records) != recorded.Packets {
+				t.Fatalf("recording holds %d packets, the session captured %d", len(rec.Records), recorded.Packets)
 			}
 			if got := replay(rec, recorded.Config.AnalysisConfig()); !reflect.DeepEqual(recorded.Analysis, got) {
 				t.Fatalf("live analysis != replay of the recording\nlive:   %+v\nreplay: %+v", recorded.Analysis, got)

@@ -536,9 +536,11 @@ func (r *FleetResult) finalize() {
 
 // newFleetResult builds an empty result shell for f: the sketches,
 // binned series and Exact buffers a cell (or the fleet accumulator)
-// folds into. cellWorld recycles these shells; merging a cell into a
-// fresh shell is exact, so the accumulator path produces the same
-// bytes the old adopt-first-cell fold did.
+// folds into. Each cell fills a fresh shell and hands it to its
+// consumer; an empty sketch holds no bins, so a shell costs little
+// more than its four series. Merging a cell into a fresh shell is
+// exact, so the accumulator path produces the same bytes the old
+// adopt-first-cell fold did.
 func newFleetResult(f Fleet) *FleetResult {
 	r := &FleetResult{
 		Fleet:             f,
@@ -576,10 +578,11 @@ const fleetWave = 1024
 //
 // Each pool worker keeps one cellWorld for the whole range, so a wave
 // reuses Workers worlds instead of constructing fleetWave of them; the
-// wave-sized result and producer arrays are allocated once and shells
-// return to their producing world after emit. Workers own disjoint
-// wave indexes (runner.MapN), so the per-index writes need no locks
-// and the emit order — global cell order — is untouched.
+// wave-sized result array is allocated once. A cell's result belongs
+// to emit, which may keep it: the engine drops its own reference once
+// emit returns. Workers own disjoint wave indexes (runner.MapN), so
+// the per-index writes need no locks and the emit order — global cell
+// order — is untouched.
 func runFleetCellRange(o runner.Options, f Fleet, lo, hi int, emit func(cell int, r *FleetResult)) SimWork {
 	if hi <= lo {
 		return SimWork{}
@@ -592,7 +595,6 @@ func runFleetCellRange(o runner.Options, f Fleet, lo, hi int, emit func(cell int
 	worlds := make([]*cellWorld, o.NumWorkers())
 	work := make([]SimWork, len(worlds))
 	results := make([]*FleetResult, waveCap)
-	producers := make([]*cellWorld, waveCap)
 	for base := lo; base < hi; base += fleetWave {
 		n := hi - base
 		if n > fleetWave {
@@ -615,17 +617,12 @@ func runFleetCellRange(o runner.Options, f Fleet, lo, hi int, emit func(cell int
 				to = f.Clients
 			}
 			results[i] = w.run(from, to)
-			producers[i] = w
 			work[worker].Events += w.world.Sch.Events
 			work[worker].Retires += w.world.Sch.Retires
 		})
 		for i := 0; i < n; i++ {
 			emit(base+i, results[i])
-		}
-		for i := 0; i < n; i++ {
-			producers[i].putResult(results[i])
 			results[i] = nil
-			producers[i] = nil
 		}
 	}
 	var total SimWork

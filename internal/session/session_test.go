@@ -276,8 +276,8 @@ func TestSessionPcapExport(t *testing.T) {
 	if err := trace.StreamPcap(&buf, ClientAddr, back); err != nil {
 		t.Fatal(err)
 	}
-	if back.Len() != r.Packets {
-		t.Fatalf("pcap round trip: %d records, session captured %d", back.Len(), r.Packets)
+	if len(back.Records) != r.Packets {
+		t.Fatalf("pcap round trip: %d records, session captured %d", len(back.Records), r.Packets)
 	}
 	// The re-read capture must analyze identically.
 	st := analysis.NewStreaming(analysis.Config{})
@@ -364,9 +364,9 @@ func TestPooledPcapSinkMatchesRecording(t *testing.T) {
 	if err := rec.WritePcap(&recorded, 0); err != nil {
 		t.Fatal(err)
 	}
-	if rec.Len() != r.Packets || !bytes.Equal(live.Bytes(), recorded.Bytes()) {
+	if len(rec.Records) != r.Packets || !bytes.Equal(live.Bytes(), recorded.Bytes()) {
 		t.Fatalf("live pcap (%d bytes) != recording's pcap (%d bytes, %d of %d packets)",
-			live.Len(), recorded.Len(), rec.Len(), r.Packets)
+			live.Len(), recorded.Len(), len(rec.Records), r.Packets)
 	}
 }
 
@@ -401,7 +401,7 @@ func TestStartAtDelaysPlayer(t *testing.T) {
 		Player: player.NewFlashPlayer("x"), Network: netem.Research, Seed: 5,
 		Duration: 60 * time.Second, StartAt: 30 * time.Second, Capture: rec,
 	})
-	if rec.Len() == 0 {
+	if len(rec.Records) == 0 {
 		t.Fatal("delayed session captured nothing")
 	}
 	if first := rec.Records[0].TS; first < 30*time.Second {

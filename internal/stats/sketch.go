@@ -30,8 +30,8 @@ type Sketch struct {
 	lnGamma float64
 
 	// bins[i] counts the samples of key offset+i. It spans exactly the
-	// lowest to the highest key added since creation or Reset, so both
-	// of its ends are occupied; used counts its nonzero entries.
+	// lowest to the highest key added, so both of its ends are
+	// occupied; used counts its nonzero entries.
 	bins   []int64
 	offset int
 	used   int
@@ -75,22 +75,6 @@ func NewSketch(relErr float64) *Sketch {
 		min:     math.Inf(1),
 		max:     math.Inf(-1),
 	}
-}
-
-// Reset empties the sketch in place, keeping the bin array's backing
-// storage (and the RelErr geometry) so a recycled sketch accumulates
-// the next stream without allocating. A reset sketch behaves exactly
-// like NewSketch(s.RelErr).
-func (s *Sketch) Reset() {
-	clear(s.bins)
-	s.bins = s.bins[:0]
-	s.offset = 0
-	s.used = 0
-	s.zeros = 0
-	s.n = 0
-	s.sum = 0
-	s.min = math.Inf(1)
-	s.max = math.Inf(-1)
 }
 
 // key returns the bin index covering x: the smallest k with

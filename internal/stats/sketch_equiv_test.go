@@ -12,8 +12,8 @@ import (
 
 // The equivalence suite pins Sketch's dense bin array against the
 // bin store it replaced, preserved below as an executable reference.
-// Both run the same seeded streams, merge trees and resets; their
-// encodings, summaries, bin counts and quantiles must be identical.
+// Both run the same seeded streams and merge trees; their encodings,
+// summaries, bin counts and quantiles must be identical.
 // This is the test that guarantees every fleet result, golden and
 // fingerprint encoded before the change still means what it meant.
 
@@ -48,12 +48,6 @@ func newMapSketch(relErr float64) *mapSketch {
 		min:     math.Inf(1),
 		max:     math.Inf(-1),
 	}
-}
-
-func (m *mapSketch) reset() {
-	clear(m.counts)
-	m.zeros, m.n, m.sum = 0, 0, 0
-	m.min, m.max = math.Inf(1), math.Inf(-1)
 }
 
 func (m *mapSketch) key(x float64) int {
@@ -255,7 +249,7 @@ func TestSketchDenseMatchesMapStore(t *testing.T) {
 				}
 				sameSketch(t, "stream", got, want)
 
-				// Leaves of a merge tree, one reset and reused.
+				// Leaves of a merge tree.
 				const leaves = 8
 				gs := make([]*Sketch, leaves)
 				ws := make([]*mapSketch, leaves)
@@ -267,16 +261,6 @@ func TestSketchDenseMatchesMapStore(t *testing.T) {
 					gs[i].Add(x)
 					ws[i].add(x)
 				}
-				j := r.Intn(leaves)
-				gs[j].Reset()
-				ws[j].reset()
-				sameSketch(t, "reset", gs[j], ws[j])
-				for range 300 {
-					x := next()
-					gs[j].Add(x)
-					ws[j].add(x)
-				}
-				sameSketch(t, "reused", gs[j], ws[j])
 
 				// The fleet's fold: every leaf into a fresh accumulator.
 				acc, wacc := NewSketch(relErr), newMapSketch(relErr)

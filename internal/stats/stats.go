@@ -60,22 +60,6 @@ func (c *CDF) Quantile(q float64) float64 {
 // Median returns the 0.5 quantile.
 func (c *CDF) Median() float64 { return c.Quantile(0.5) }
 
-// Min and Max return the extremes.
-func (c *CDF) Min() float64 {
-	if len(c.sorted) == 0 {
-		return math.NaN()
-	}
-	return c.sorted[0]
-}
-
-// Max returns the largest sample.
-func (c *CDF) Max() float64 {
-	if len(c.sorted) == 0 {
-		return math.NaN()
-	}
-	return c.sorted[len(c.sorted)-1]
-}
-
 // Points samples the CDF at n evenly spaced sample indices, returning
 // (x, P(X<=x)) pairs suitable for plotting a figure series.
 func (c *CDF) Points(n int) [][2]float64 {
@@ -185,31 +169,4 @@ func (h *Histogram) Mode() (center float64, share float64) {
 		return math.NaN(), 0
 	}
 	return (float64(best) + 0.5) * h.BinWidth, float64(bestN) / float64(h.total)
-}
-
-// Summary is a compact numeric description of a sample set.
-type Summary struct {
-	N                  int
-	Mean, Median, Std  float64
-	Min, Max, P10, P90 float64
-}
-
-// Summarize computes a Summary.
-func Summarize(xs []float64) Summary {
-	c := NewCDF(xs)
-	return Summary{
-		N:      len(xs),
-		Mean:   Mean(xs),
-		Median: c.Median(),
-		Std:    Std(xs),
-		Min:    c.Min(),
-		Max:    c.Max(),
-		P10:    c.Quantile(0.1),
-		P90:    c.Quantile(0.9),
-	}
-}
-
-func (s Summary) String() string {
-	return fmt.Sprintf("n=%d mean=%.4g median=%.4g std=%.4g min=%.4g p10=%.4g p90=%.4g max=%.4g",
-		s.N, s.Mean, s.Median, s.Std, s.Min, s.P10, s.P90, s.Max)
 }

@@ -113,9 +113,3 @@ type Stats struct {
 	FastRetransmit int
 	DupAcksSeen    int
 }
-
-// seqLT reports a < b in 32-bit sequence space.
-func seqLT(a, b uint32) bool { return int32(a-b) < 0 }
-
-// seqLEQ reports a <= b in 32-bit sequence space.
-func seqLEQ(a, b uint32) bool { return int32(a-b) <= 0 }

@@ -413,21 +413,6 @@ func TestIdleResetAblation(t *testing.T) {
 	}
 }
 
-func TestSequenceOffsets(t *testing.T) {
-	if seqLT(1, 2) != true || seqLT(2, 1) != false {
-		t.Fatal("seqLT basic")
-	}
-	// Wraparound.
-	var a uint32 = 0xFFFFFFF0
-	var b uint32 = 0x10
-	if !seqLT(a, b) {
-		t.Fatal("seqLT must handle wraparound")
-	}
-	if !seqLEQ(a, a) {
-		t.Fatal("seqLEQ reflexive")
-	}
-}
-
 func TestStateString(t *testing.T) {
 	for s := StateSynSent; s <= StateClosed; s++ {
 		if s.String() == "UNKNOWN" {

@@ -79,8 +79,8 @@ func TestStreamPcapMatchesReadPcap(t *testing.T) {
 	if err := StreamPcap(bytes.NewReader(buf.Bytes()), [4]byte{10, 0, 0, 1}, got); err != nil {
 		t.Fatal(err)
 	}
-	if got.Len() != tr.Len() {
-		t.Fatalf("streamed %d records, want %d", got.Len(), tr.Len())
+	if len(got.Records) != len(tr.Records) {
+		t.Fatalf("streamed %d records, want %d", len(got.Records), len(tr.Records))
 	}
 	for i := range got.Records {
 		if got.Records[i].Dir != tr.Records[i].Dir || got.Records[i].TS != tr.Records[i].TS {
@@ -110,39 +110,31 @@ func TestPcapSinkStreamsRecords(t *testing.T) {
 	}
 }
 
-// TestFlowIndexIncremental: the flow accessors must stay correct as
-// records are appended after earlier accessor calls, and after
-// truncation.
+// TestFlowIndexIncremental: the series views must stay correct as
+// records are appended after earlier calls, and after truncation.
 func TestFlowIndexIncremental(t *testing.T) {
 	tr := &Trace{}
 	dt, ut := tr.Tap(Down), tr.Tap(Up)
 	ut.Capture(0, &packet.Segment{Flow: up, Seq: 9, Flags: packet.FlagSYN, Window: 65536})
 	dt.Capture(1, dataSeg(100, nil, 50))
-	if got := tr.DownBytes(); got != 50 {
-		t.Fatalf("DownBytes = %d", got)
+	if pts := tr.DownloadSeries(); len(pts) != 1 || pts[0].Bytes != 50 {
+		t.Fatalf("download series = %v", pts)
 	}
-	// Append after the index was built.
+	// Append after the first views were taken.
 	dt.Capture(2, dataSeg(150, nil, 70))
 	ut.Capture(3, ackSeg(1000))
-	if got := tr.DownBytes(); got != 120 {
-		t.Fatalf("DownBytes after append = %d", got)
+	if pts := tr.DownloadSeries(); len(pts) != 2 || pts[1].Bytes != 120 {
+		t.Fatalf("download series after append = %v", pts)
 	}
-	if got := len(tr.FlowRecords(down, Down)); got != 2 {
-		t.Fatalf("down records = %d", got)
+	if pts := tr.ReceiveWindowSeries(); len(pts) != 2 || pts[1].Window != 1000 {
+		t.Fatalf("window series after append = %v", pts)
 	}
-	if got := len(tr.FlowRecords(down, Up)); got != 2 {
-		t.Fatalf("up records = %d", got)
-	}
-	if flows := tr.Flows(); len(flows) != 1 || flows[0] != down {
-		t.Fatalf("Flows = %v", flows)
-	}
-	// Truncation forces a rebuild.
 	tr.Records = tr.Records[:1]
-	if got := tr.DownBytes(); got != 0 {
-		t.Fatalf("DownBytes after truncation = %d", got)
+	if pts := tr.DownloadSeries(); len(pts) != 0 {
+		t.Fatalf("download series after truncation = %v", pts)
 	}
-	if flows := tr.Flows(); len(flows) != 0 {
-		t.Fatalf("Flows after truncation = %v", flows)
+	if pts := tr.ReceiveWindowSeries(); len(pts) != 1 {
+		t.Fatalf("window series after truncation = %v", pts)
 	}
 }
 

@@ -2,13 +2,12 @@
 // vantage point (like tcpdump in the paper's methodology) flow through
 // Sinks (sink.go) — the online analyzer, figure series, live pcap
 // export. Trace is the one Sink that keeps every packet: a reference
-// recording with flow-level views and TCP payload reassembly, for
-// tests that replay or inspect a capture after the run.
+// recording that tests replay, export as pcap or turn into the
+// download and receive-window series after the run.
 package trace
 
 import (
 	"io"
-	"sort"
 	"time"
 
 	"repro/internal/packet"
@@ -39,7 +38,7 @@ type Record struct {
 
 // Trace is the reference recording: a Sink that keeps every packet,
 // so tests can replay a capture, write it as pcap, or inspect its
-// flows after the run. Sessions never need one; they stream.
+// records after the run. Sessions never need one; they stream.
 type Trace struct {
 	Records []Record
 }
@@ -66,56 +65,6 @@ func (t *Trace) Replay(s Sink) {
 // the corresponding netem link.
 func (t *Trace) Tap(d Dir) TapDir { return SinkTap(t, d) }
 
-// Len returns the number of captured packets.
-func (t *Trace) Len() int { return len(t.Records) }
-
-// Duration returns the timestamp of the last record.
-func (t *Trace) Duration() time.Duration {
-	if len(t.Records) == 0 {
-		return 0
-	}
-	return t.Records[len(t.Records)-1].TS
-}
-
-// DownBytes sums payload bytes in the Down direction.
-func (t *Trace) DownBytes() int64 {
-	var n int64
-	for _, r := range t.Records {
-		if r.Dir == Down {
-			n += int64(r.Seg.Len())
-		}
-	}
-	return n
-}
-
-// Flows returns the distinct Down-direction flows in first-seen order.
-func (t *Trace) Flows() []packet.Flow {
-	var out []packet.Flow
-	seen := map[packet.Flow]bool{}
-	for _, r := range t.Records {
-		if r.Dir == Down && !seen[r.Seg.Flow] {
-			seen[r.Seg.Flow] = true
-			out = append(out, r.Seg.Flow)
-		}
-	}
-	return out
-}
-
-// FlowRecords returns the records of one Down flow (data) or its
-// reverse (acks), in capture order.
-func (t *Trace) FlowRecords(f packet.Flow, d Dir) []Record {
-	if d == Up {
-		f = f.Reverse()
-	}
-	var out []Record
-	for _, r := range t.Records {
-		if r.Dir == d && r.Seg.Flow == f {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
 // WritePcap serializes the capture as a libpcap file, through the same
 // PcapSink a live session exports with.
 func (t *Trace) WritePcap(w io.Writer, snaplen int) error {
@@ -125,69 +74,6 @@ func (t *Trace) WritePcap(w io.Writer, snaplen int) error {
 	}
 	t.Replay(ps)
 	return ps.Close()
-}
-
-// Reassemble rebuilds the in-order payload byte stream of one Down
-// flow up to maxBytes, using sequence numbers (duplicates collapse,
-// gaps stop reassembly). Snaplen-truncated payloads contribute the
-// bytes that were captured; missing tails render as zeros, mirroring
-// what a real trace analyzer can recover.
-func (t *Trace) Reassemble(f packet.Flow, maxBytes int) []byte {
-	type piece struct {
-		seq     uint32
-		payload []byte
-		length  int
-	}
-	var pieces []piece
-	var base uint32
-	haveBase := false
-	for _, r := range t.FlowRecords(f, Down) {
-		if r.Seg.HasFlag(packet.FlagSYN) {
-			base = r.Seg.Seq + 1
-			haveBase = true
-			continue
-		}
-		if r.Seg.Len() == 0 {
-			continue
-		}
-		if !haveBase {
-			base = r.Seg.Seq
-			haveBase = true
-		}
-		pieces = append(pieces, piece{seq: r.Seg.Seq, payload: r.Seg.Payload, length: r.Seg.Len()})
-	}
-	if len(pieces) == 0 {
-		return nil
-	}
-	sort.SliceStable(pieces, func(i, j int) bool {
-		return int32(pieces[i].seq-pieces[j].seq) < 0
-	})
-	out := make([]byte, 0, maxBytes)
-	next := base
-	for _, p := range pieces {
-		off := int32(p.seq - next)
-		if off+int32(p.length) <= 0 {
-			continue // fully duplicate
-		}
-		if off > 0 {
-			break // gap: cannot reassemble past it
-		}
-		skip := int(-off)
-		take := p.length - skip
-		if take <= 0 {
-			continue
-		}
-		chunk := make([]byte, take)
-		if p.payload != nil && skip < len(p.payload) {
-			copy(chunk, p.payload[skip:])
-		}
-		out = append(out, chunk...)
-		next += uint32(take)
-		if len(out) >= maxBytes {
-			return out[:maxBytes]
-		}
-	}
-	return out
 }
 
 // DownloadPoint is one step of the cumulative download curve.

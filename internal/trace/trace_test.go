@@ -40,24 +40,17 @@ func mkTrace() *Trace {
 
 func TestTraceBasics(t *testing.T) {
 	tr := mkTrace()
-	if tr.Len() != 6 {
-		t.Fatalf("Len = %d", tr.Len())
+	if len(tr.Records) != 6 {
+		t.Fatalf("%d records, want 6", len(tr.Records))
 	}
-	if tr.Duration() != 50*time.Millisecond {
-		t.Fatalf("Duration = %v", tr.Duration())
+	downs := 0
+	for _, r := range tr.Records {
+		if r.Dir == Down {
+			downs++
+		}
 	}
-	if got := tr.DownBytes(); got != 2004 {
-		t.Fatalf("DownBytes = %d", got)
-	}
-	flows := tr.Flows()
-	if len(flows) != 1 || flows[0] != down {
-		t.Fatalf("Flows = %v", flows)
-	}
-	if got := len(tr.FlowRecords(down, Down)); got != 4 {
-		t.Fatalf("down flow records = %d", got)
-	}
-	if got := len(tr.FlowRecords(down, Up)); got != 2 {
-		t.Fatalf("up flow records = %d", got)
+	if downs != 4 {
+		t.Fatalf("%d Down records, want 4", downs)
 	}
 }
 
@@ -88,55 +81,6 @@ func TestReceiveWindowSeries(t *testing.T) {
 	}
 }
 
-func TestReassembleInOrder(t *testing.T) {
-	tr := &Trace{}
-	dt := tr.Tap(Down)
-	dt.Capture(0, &packet.Segment{Flow: down, Seq: 999, Flags: packet.FlagSYN | packet.FlagACK})
-	dt.Capture(1*time.Millisecond, dataSeg(1000, []byte("hello "), 0))
-	dt.Capture(2*time.Millisecond, dataSeg(1006, []byte("world"), 0))
-	got := tr.Reassemble(down, 100)
-	if string(got) != "hello world" {
-		t.Fatalf("reassembled %q", got)
-	}
-}
-
-func TestReassembleDuplicatesAndReordering(t *testing.T) {
-	tr := &Trace{}
-	dt := tr.Tap(Down)
-	dt.Capture(0, &packet.Segment{Flow: down, Seq: 999, Flags: packet.FlagSYN | packet.FlagACK})
-	dt.Capture(2*time.Millisecond, dataSeg(1006, []byte("world"), 0))  // arrives early
-	dt.Capture(3*time.Millisecond, dataSeg(1000, []byte("hello "), 0)) // the hole
-	dt.Capture(4*time.Millisecond, dataSeg(1000, []byte("hello "), 0)) // retransmit
-	dt.Capture(5*time.Millisecond, dataSeg(1003, []byte("lo wor"), 0)) // partial overlap
-	got := tr.Reassemble(down, 100)
-	if string(got) != "hello world" {
-		t.Fatalf("reassembled %q", got)
-	}
-}
-
-func TestReassembleStopsAtGap(t *testing.T) {
-	tr := &Trace{}
-	dt := tr.Tap(Down)
-	dt.Capture(0, &packet.Segment{Flow: down, Seq: 999, Flags: packet.FlagSYN | packet.FlagACK})
-	dt.Capture(1*time.Millisecond, dataSeg(1000, []byte("abc"), 0))
-	dt.Capture(2*time.Millisecond, dataSeg(1010, []byte("xyz"), 0)) // gap at 1003
-	got := tr.Reassemble(down, 100)
-	if string(got) != "abc" {
-		t.Fatalf("reassembled %q, want stop at gap", got)
-	}
-}
-
-func TestReassembleMaxBytes(t *testing.T) {
-	tr := &Trace{}
-	dt := tr.Tap(Down)
-	dt.Capture(0, &packet.Segment{Flow: down, Seq: 999, Flags: packet.FlagSYN | packet.FlagACK})
-	dt.Capture(1*time.Millisecond, dataSeg(1000, bytes.Repeat([]byte{7}, 100), 0))
-	got := tr.Reassemble(down, 10)
-	if len(got) != 10 {
-		t.Fatalf("len = %d, want 10", len(got))
-	}
-}
-
 func TestPcapRoundTripPreservesDirections(t *testing.T) {
 	tr := mkTrace()
 	var buf bytes.Buffer
@@ -147,8 +91,8 @@ func TestPcapRoundTripPreservesDirections(t *testing.T) {
 	if err := StreamPcap(&buf, [4]byte{10, 0, 0, 1}, got); err != nil {
 		t.Fatal(err)
 	}
-	if got.Len() != tr.Len() {
-		t.Fatalf("round trip lost records: %d vs %d", got.Len(), tr.Len())
+	if len(got.Records) != len(tr.Records) {
+		t.Fatalf("round trip lost records: %d vs %d", len(got.Records), len(tr.Records))
 	}
 	for i, r := range got.Records {
 		want := tr.Records[i]
@@ -161,9 +105,6 @@ func TestPcapRoundTripPreservesDirections(t *testing.T) {
 		if r.Seg.Len() != want.Seg.Len() {
 			t.Fatalf("record %d len %d, want %d", i, r.Seg.Len(), want.Seg.Len())
 		}
-	}
-	if got.DownBytes() != tr.DownBytes() {
-		t.Fatal("byte accounting differs after round trip")
 	}
 }
 
