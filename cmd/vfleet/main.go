@@ -66,7 +66,7 @@ func main() {
 	cellRange := flag.String("cells", "", "child mode: run cells lo:hi and stream serialized per-cell results to stdout")
 	resultOut := flag.String("result-out", "", "write the serialized FleetResult to this file (bit-identical across -workers/-distributed)")
 	freshWorlds := flag.Bool("fresh-worlds", false, "build a fresh cell world per cell instead of recycling one per worker (slow; results are bit-identical either way)")
-	memstats := flag.Bool("memstats", false, "print Go runtime memory statistics (HeapAlloc/TotalAlloc/NumGC) after the run")
+	memstats := flag.Bool("memstats", false, "print Go runtime memory statistics after the run: the live heap after a GC, and the run's total alloc and GC count")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file (taken after the run)")
 	flag.Parse()
@@ -222,10 +222,15 @@ func main() {
 		fmt.Printf("[result: %d bytes -> %s]\n", len(data), *resultOut)
 	}
 	if *memstats {
+		// The run's totals come first, so the collection that makes
+		// the heap figure the live heap does not count in them.
 		var ms runtime.MemStats
 		runtime.ReadMemStats(&ms)
-		fmt.Printf("[memstats: heap %.1f MB, total alloc %.1f MB, gc %d]\n",
-			float64(ms.HeapAlloc)/(1<<20), float64(ms.TotalAlloc)/(1<<20), ms.NumGC)
+		total, gcs := ms.TotalAlloc, ms.NumGC
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		fmt.Printf("[memstats: live heap %.1f MB, total alloc %.1f MB, gc %d]\n",
+			float64(ms.HeapAlloc)/(1<<20), float64(total)/(1<<20), gcs)
 	}
 	fmt.Printf("[fleet completed in %v]\n", time.Since(start).Round(time.Millisecond))
 }

@@ -103,10 +103,15 @@ func reassembleTrace(tr *trace.Trace, f packet.Flow, maxBytes int) []byte {
 // reassembler against the buffered reassembleTrace walk on randomized
 // segment streams: duplicates, partial overlaps, reordering, gaps,
 // payload-free (snaplen-truncated) pieces, present or missing SYN.
+// Offsets are drawn from the stream's base, the way a sender's stream
+// grows, so most trials reassemble something and many reach the
+// maxHeaderBytes cap; the trial mix is checked at the end, so the
+// comparison cannot drift back to mostly empty outputs.
 func TestHeaderAsmMatchesTraceReassemble(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	const base = uint32(5000)
-	for trial := 0; trial < 300; trial++ {
+	const base, trials = uint32(5000), 300
+	var empty, partial, full int
+	for trial := 0; trial < trials; trial++ {
 		tr := &trace.Trace{}
 		asm := headerAsm{}
 		feed := func(seg *packet.Segment) {
@@ -116,25 +121,58 @@ func TestHeaderAsmMatchesTraceReassemble(t *testing.T) {
 		if rng.Intn(4) > 0 { // usually the SYN is captured
 			feed(&packet.Segment{Flow: downFlow, Seq: base - 1, Flags: packet.FlagSYN | packet.FlagACK})
 		}
-		segs := 1 + rng.Intn(24)
-		for i := 0; i < segs; i++ {
-			off := uint32(rng.Intn(6000))
-			n := 1 + rng.Intn(1600)
-			seq := base + off
+		var segs []*packet.Segment
+		sent := 0 // stream bytes sent so far, from the base
+		for i, n := 0, 1+rng.Intn(24); i < n; i++ {
+			size := 1 + rng.Intn(1600)
+			var off int
+			switch r := rng.Intn(10); {
+			case r < 6: // the next in-order segment
+				off = sent
+			case r < 8: // a duplicate or an overlap of what was sent
+				off = rng.Intn(sent + 1)
+			default: // a gap: a lost segment's worth is skipped
+				off = sent + 1 + rng.Intn(1600)
+			}
+			sent = max(sent, off+size)
+			seq := base + uint32(off)
 			var payload []byte
 			if rng.Intn(5) > 0 {
-				payload = payloadFor(seq, n)
-				if rng.Intn(8) == 0 && n > 3 {
-					payload = payload[:n/2] // snaplen truncation
+				payload = payloadFor(seq, size)
+				if rng.Intn(8) == 0 && size > 3 {
+					payload = payload[:size/2] // snaplen truncation
 				}
 			}
-			feed(&packet.Segment{Flow: downFlow, Seq: seq, Flags: packet.FlagACK, Payload: payload, PayloadLen: n})
+			segs = append(segs, &packet.Segment{Flow: downFlow, Seq: seq, Flags: packet.FlagACK, Payload: payload, PayloadLen: size})
+		}
+		if rng.Intn(3) == 0 { // reordering
+			rng.Shuffle(len(segs), func(i, j int) { segs[i], segs[j] = segs[j], segs[i] })
+		}
+		for _, seg := range segs {
+			feed(seg)
+		}
+		for _, p := range asm.pieces { // the state stays inside the window
+			if off := int32(p.seq - asm.base); off >= maxHeaderBytes || off+p.length <= 0 {
+				t.Fatalf("trial %d: kept a piece at offset %d+%d, outside the %d-byte window", trial, off, p.length, maxHeaderBytes)
+			}
 		}
 		want := reassembleTrace(tr, downFlow, maxHeaderBytes)
 		got := asm.finish()
 		if !bytes.Equal(want, got) {
 			t.Fatalf("trial %d: online reassembly diverged: want %d bytes, got %d", trial, len(want), len(got))
 		}
+		switch len(want) {
+		case 0:
+			empty++
+		case maxHeaderBytes:
+			full++
+		default:
+			partial++
+		}
+	}
+	t.Logf("%d trials: %d empty, %d partial, %d full", trials, empty, partial, full)
+	if empty > trials/4 || partial < trials/10 || full < trials/10 {
+		t.Fatalf("trial mix %d empty, %d partial, %d full of %d: too few exercise the reassembly", empty, partial, full, trials)
 	}
 }
 

@@ -1,6 +1,7 @@
 package runner_test
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -149,4 +150,62 @@ func TestAggregateLossArtifactByteIdentical(t *testing.T) {
 	if seq != par {
 		t.Fatalf("AggregateLoss artifact differs between Workers=1 and Workers=8:\n--- sequential ---\n%s\n--- parallel ---\n%s", seq, par)
 	}
+}
+
+// mixedBatch returns n 30 s sessions, each with its own seed, cycling
+// through Flash, Firefox and Silverlight on Research and Residence.
+func mixedBatch(n int) []session.Config {
+	flash := media.Video{ID: 1, EncodingRate: 1e6, Duration: 300 * time.Second, Container: media.Flash, Resolution: "360p"}
+	html5 := media.Video{ID: 2, EncodingRate: 1e6, Duration: 300 * time.Second, Container: media.HTML5, Resolution: "360p"}
+	netflix := media.Video{ID: 3, EncodingRate: 3800e3, Duration: 40 * time.Minute, Container: media.Silverlight, Resolution: "adaptive"}
+	cfgs := make([]session.Config, n)
+	for i := range cfgs {
+		c := session.Config{Service: session.YouTube, Network: netem.Research, Seed: int64(100 + i), Duration: 30 * time.Second}
+		if i%2 == 1 {
+			c.Network = netem.Residence
+		}
+		switch i / 2 % 3 {
+		case 0:
+			c.Video, c.Player = flash, player.NewFlashPlayer("Firefox")
+		case 1:
+			c.Video, c.Player = html5, player.NewFirefoxHtml5()
+		default:
+			c.Video, c.Player, c.Service = netflix, player.NewSilverlightPC("Internet Explorer"), session.Netflix
+		}
+		cfgs[i] = c
+	}
+	return cfgs
+}
+
+// liveHeapGrowth runs cfgs through runner.Sessions and returns how far
+// the live heap grew by the time the batch returned, with the results.
+func liveHeapGrowth(cfgs []session.Config) (int64, []*session.Result) {
+	var m runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m)
+	before := int64(m.HeapAlloc)
+	res := runner.Sessions(runner.Options{Workers: 2}, cfgs)
+	runtime.GC()
+	runtime.ReadMemStats(&m)
+	return int64(m.HeapAlloc) - before, res
+}
+
+// TestSessionsHoldNoFinishedWorlds bounds what a finished batch keeps:
+// with every config and result held, each extra session may add at
+// most 32 KB of live heap (its player, result and analysis), not its
+// whole world. The 6-session growth can be negative, so the arithmetic
+// is signed.
+func TestSessionsHoldNoFinishedWorlds(t *testing.T) {
+	small, large := mixedBatch(6), mixedBatch(30)
+	dSmall, resSmall := liveHeapGrowth(small)
+	dLarge, resLarge := liveHeapGrowth(large)
+	per := (dLarge - dSmall) / int64(len(large)-len(small))
+	t.Logf("live heap: %+d B for %d sessions, %+d B for %d; %d B per extra session", dSmall, len(small), dLarge, len(large), per)
+	if per > 32<<10 {
+		t.Fatalf("a finished session keeps %d B of live heap, want at most %d", per, 32<<10)
+	}
+	runtime.KeepAlive(small)
+	runtime.KeepAlive(large)
+	runtime.KeepAlive(resSmall)
+	runtime.KeepAlive(resLarge)
 }

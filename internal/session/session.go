@@ -13,6 +13,11 @@
 // number of such clients each captured on its own; Run, the paper's
 // isolated measurement, is its one-client case. Fleet cells (package
 // scenario) put a World on a netem.Tree.
+//
+// A finished Shared run releases its World: the players its Results
+// and the caller's Configs keep hold their counters and playback
+// buffers, not the scheduler, hosts and pools. A batch of runs then
+// holds one world per run still going, not one per run it made.
 package session
 
 import (
@@ -214,7 +219,10 @@ func (s *Shared) Add(cfg Config) {
 }
 
 // Run attaches the captures, runs the world to the horizon and returns
-// one Result per client, by index.
+// one Result per client, by index. Once the results are read it
+// releases the world, so the players no longer reach the scheduler,
+// the hosts or the pools. Path and Switch counters stay readable; the
+// Shared must not Run again.
 func (s *Shared) Run() []*Result {
 	s.Path.AddTaps(&clientTap{dir: trace.Down, sinks: s.sinks}, &clientTap{dir: trace.Up, sinks: s.sinks})
 	s.world.Run(s.horizon)
@@ -233,6 +241,7 @@ func (s *Shared) Run() []*Result {
 			Elapsed:    now,
 		}
 	}
+	s.world.release()
 	return out
 }
 

@@ -3,14 +3,18 @@ package session
 import (
 	"bytes"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
+	"weak"
 
 	"repro/internal/analysis"
 	"repro/internal/media"
 	"repro/internal/netem"
 	"repro/internal/packet"
 	"repro/internal/player"
+	"repro/internal/sim"
+	"repro/internal/tcp"
 	"repro/internal/trace"
 )
 
@@ -540,5 +544,85 @@ func TestSessionSurfacesQoEAndRenditionCycles(t *testing.T) {
 	}
 	if len(legacy.QoE.RungSec) != 0 {
 		t.Fatal("single-bitrate session must not report rung occupancy")
+	}
+}
+
+// worldRefs are weak pointers to the parts of a world that a finished
+// run's players and results must no longer reach.
+type worldRefs struct {
+	sch     weak.Pointer[sim.Scheduler]
+	server  weak.Pointer[tcp.Host]
+	clients []weak.Pointer[tcp.Host]
+	segs    weak.Pointer[packet.Pool]
+}
+
+// runWatched runs cfgs as one Shared run, the way Run runs one config,
+// and returns the results with weak pointers into the run's world. The
+// Shared does not escape.
+func runWatched(cfgs []Config) ([]*Result, worldRefs) {
+	s := NewShared(cfgs[0])
+	for _, c := range cfgs {
+		s.Add(c)
+	}
+	w := s.world
+	refs := worldRefs{sch: weak.Make(w.Sch), server: weak.Make(w.Server), segs: weak.Make(w.segPool)}
+	for _, h := range w.hosts {
+		refs.clients = append(refs.clients, weak.Make(h))
+	}
+	return s.Run(), refs
+}
+
+// TestRunReleasesWorld pins the ownership rule of a finished run: the
+// caller keeps every Result and player, but once the Shared is dropped
+// the scheduler, the server and client hosts and the segment pool are
+// garbage, and each player still reports what its Result recorded.
+func TestRunReleasesWorld(t *testing.T) {
+	adaptive := netflixVideo().WithLadder(media.NetflixLadder...)
+	for _, tc := range []struct {
+		name string
+		cfgs []Config
+	}{
+		{"flash", []Config{{Video: flashVideo(), Service: YouTube, Player: player.NewFlashPlayer("Firefox"), Network: netem.Research, Seed: 1}}},
+		{"ipad", []Config{{Video: html5Video(), Service: YouTube, Player: player.NewIPadYouTube(), Network: netem.Research, Seed: 2}}},
+		{"silverlight-pc", []Config{{Video: netflixVideo(), Service: Netflix, Player: player.NewSilverlightPC("Internet Explorer"), Network: netem.Academic, Seed: 3}}},
+		{"abr", []Config{{Video: adaptive, Service: Netflix, Player: player.NewABRPlayer(player.ABRConfig{}), Network: netem.Residence, Seed: 4}}},
+		{"shared-3", []Config{
+			{Video: flashVideo(), Service: YouTube, Player: player.NewFlashPlayer("Chrome"), Network: netem.Residence, Seed: 5},
+			{Video: html5Video(), Service: YouTube, Player: player.NewFirefoxHtml5(), StartAt: 2 * time.Second},
+			{Video: html5Video(), Service: YouTube, Player: player.NewChromeHtml5(), StartAt: 4 * time.Second},
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.cfgs[0].Duration = 30 * time.Second
+			res, refs := runWatched(tc.cfgs)
+			runtime.GC()
+			runtime.GC()
+			if refs.sch.Value() != nil {
+				t.Error("the scheduler outlives the run")
+			}
+			if refs.server.Value() != nil {
+				t.Error("the server host outlives the run")
+			}
+			for j, c := range refs.clients {
+				if c.Value() != nil {
+					t.Errorf("client host %d outlives the run", j)
+				}
+			}
+			if refs.segs.Value() != nil {
+				t.Error("the segment pool outlives the run")
+			}
+			for i, r := range res {
+				p := tc.cfgs[i].Player
+				if r.Config.Player != p || r.Downloaded <= 0 {
+					t.Fatalf("client %d: result lost its player or downloaded nothing (%d bytes)", i, r.Downloaded)
+				}
+				if got := p.Downloaded(); got != r.Downloaded {
+					t.Errorf("client %d: released player reports %d bytes, result %d", i, got, r.Downloaded)
+				}
+				if got := p.QoE(r.Elapsed); !reflect.DeepEqual(got, r.QoE) {
+					t.Errorf("client %d: released player's QoE %+v, result %+v", i, got, r.QoE)
+				}
+			}
+		})
 	}
 }

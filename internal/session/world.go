@@ -24,6 +24,10 @@ import (
 // event before Run starts the players, so what the caller draws or
 // schedules first (arrival offsets, dynamics timelines) comes first in
 // the rng and event streams.
+//
+// Players outlive their run in the caller's Configs and Results, so a
+// world that runs once (a Shared run's) is released when its results
+// are read; a recycled one (a fleet cell's) is Reset instead.
 type World struct {
 	Sch    *sim.Scheduler
 	Server *tcp.Host
@@ -128,3 +132,14 @@ func (w *World) Run(horizon time.Duration) {
 
 // Player returns the player in slot j.
 func (w *World) Player(j int) player.Player { return w.slots[j].player }
+
+// release zeroes each client host's conns and clears every Env, so a
+// finished player reaches only its own counters, its PlaybackBuffer
+// and empty Conns, not the world. The caller's topology stays
+// readable. The world must not run or Reset again.
+func (w *World) release() {
+	for _, h := range w.hosts[:len(w.slots)] {
+		h.Release()
+	}
+	clear(w.envs)
+}

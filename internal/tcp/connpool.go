@@ -87,3 +87,17 @@ func (h *Host) Reset(a, b, c, d byte) {
 	h.nextISS = 10000
 	h.retained = false
 }
+
+// Release zeroes every connection the host drew from its ConnPool,
+// buffers and controller included, and forgets them all, so an
+// application that outlives the run holds only empty Conns, which
+// reach neither the host, its scheduler nor its pools. The host must
+// not be used again.
+func (h *Host) Release() {
+	for _, c := range h.created {
+		*c = Conn{}
+	}
+	h.created = nil
+	clear(h.conns)
+	h.last = nil
+}

@@ -3,6 +3,7 @@ package tcp
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -123,5 +124,51 @@ func BenchmarkHostDeliver(b *testing.B) {
 				h.Deliver(acks[i%n])
 			}
 		})
+	}
+}
+
+// TestHostReleaseZeroesConns: after a transfer between pooled hosts,
+// Release leaves every conn each host created equal to Conn{}, buffers
+// and controller included, and the host remembers none of them.
+func TestHostReleaseZeroesConns(t *testing.T) {
+	p := newPair(3, noLossProfile())
+	conns, segs := &ConnPool{}, &packet.Pool{}
+	for _, h := range []*Host{p.client, p.server} {
+		h.SetConnPool(conns)
+		h.SetSegmentPool(segs)
+	}
+	const total = 256 << 10
+	p.server.Listen(80, Config{}, func(c *Conn) {
+		c.SetCallbacks(Callbacks{OnConnected: func() {
+			c.WriteZero(total)
+			c.Close()
+		}})
+	})
+	var dialed []*Conn
+	for range 2 {
+		c := p.client.Dial(Config{}, testServerEP)
+		c.SetCallbacks(Callbacks{OnReadable: func() { c.Discard(total) }})
+		dialed = append(dialed, c)
+	}
+	p.sch.RunUntil(5 * time.Second)
+	for i, c := range dialed {
+		if c.Stats.BytesReceived != total {
+			t.Fatalf("conn %d received %d of %d bytes", i, c.Stats.BytesReceived, total)
+		}
+	}
+	for _, h := range []*Host{p.client, p.server} {
+		created := append([]*Conn(nil), h.created...)
+		if len(created) != 2 {
+			t.Fatalf("%v created %d conns, want 2", h, len(created))
+		}
+		h.Release()
+		for i, c := range created {
+			if !reflect.ValueOf(*c).IsZero() {
+				t.Errorf("%v: conn %d is not zero after Release", h, i)
+			}
+		}
+		if len(h.conns) != 0 || len(h.created) != 0 || h.last != nil {
+			t.Errorf("%v still remembers conns: map %d, created %d, last %p", h, len(h.conns), len(h.created), h.last)
+		}
 	}
 }
