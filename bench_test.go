@@ -3,7 +3,7 @@
 //
 //	go test -bench=. -benchmem
 //
-// Each benchmark runs the corresponding experiment at paper scale
+// BenchmarkExperiment runs each registered experiment at paper scale
 // (180 s captures) and prints the rows/series the paper reports on its
 // first iteration, so a bench run doubles as the reproduction log; the
 // small-scale artifacts are pinned under
@@ -106,185 +106,18 @@ func BenchmarkSingleSessionPcap(b *testing.B) {
 	}
 }
 
-func BenchmarkTable1StrategyMatrix(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res := experiments.Table1(benchOpts())
-		emit(b, &res.Artifact)
-	}
-}
-
-func BenchmarkTable2StrategyComparison(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res := experiments.Table2(benchOpts())
-		emit(b, &res.Artifact)
-	}
-}
-
-func BenchmarkFigure1Phases(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res := experiments.Figure1(benchOpts())
-		emit(b, &res.Artifact)
-	}
-}
-
-func BenchmarkFigure2ShortOnOff(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res := experiments.Figure2(benchOpts())
-		emit(b, &res.Artifact)
-	}
-}
-
-func BenchmarkFigure3Buffering(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res := experiments.Figure3(benchOpts())
-		emit(b, &res.Artifact)
-	}
-}
-
-func BenchmarkFigure4FlashSteadyState(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res := experiments.Figure4(benchOpts())
-		emit(b, &res.Artifact)
-	}
-}
-
-func BenchmarkFigure5Html5SteadyState(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res := experiments.Figure5(benchOpts())
-		emit(b, &res.Artifact)
-	}
-}
-
-func BenchmarkFigure6LongOnOff(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res := experiments.Figure6(benchOpts())
-		emit(b, &res.Artifact)
-	}
-}
-
-func BenchmarkFigure7IPad(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res := experiments.Figure7(benchOpts())
-		emit(b, &res.Artifact)
-	}
-}
-
-func BenchmarkFigure8NoOnOff(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res := experiments.Figure8(benchOpts())
-		emit(b, &res.Artifact)
-	}
-}
-
-func BenchmarkFigure9AckClock(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res := experiments.Figure9(benchOpts(), false)
-		emit(b, &res.Artifact)
-	}
-}
-
-func BenchmarkFigure10NetflixStrategies(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res := experiments.Figure10(benchOpts())
-		emit(b, &res.Artifact)
-	}
-}
-
-func BenchmarkFigure11NetflixBuffering(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res := experiments.Figure11(benchOpts())
-		emit(b, &res.Artifact)
-	}
-}
-
-func BenchmarkFigure12NetflixBlocks(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res := experiments.Figure12(benchOpts())
-		emit(b, &res.Artifact)
-	}
-}
-
-func BenchmarkModelAggregate(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res := experiments.ModelAggregate(benchOpts())
-		emit(b, &res.Artifact)
-	}
-}
-
-func BenchmarkModelSmoothness(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res := experiments.ModelSmoothness(benchOpts())
-		emit(b, &res.Artifact)
-	}
-}
-
-func BenchmarkModelInterruptionThreshold(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res := experiments.ModelInterruption(benchOpts())
-		emit(b, &res.Artifact)
-	}
-}
-
-func BenchmarkModelWaste(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res := experiments.ModelWaste(benchOpts())
-		emit(b, &res.Artifact)
-	}
-}
-
-func BenchmarkAblationIdleReset(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res := experiments.AblationIdleReset(benchOpts())
-		emit(b, &res.Artifact)
-	}
-}
-
-func BenchmarkAblationDelayedAck(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res := experiments.AblationDelayedAck(benchOpts())
-		emit(b, &res.Artifact)
-	}
-}
-
-func BenchmarkAblationRecvBuffer(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res := experiments.AblationRecvBuffer(benchOpts())
-		emit(b, &res.Artifact)
-	}
-}
-
-func BenchmarkAblationLoss(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res := experiments.AblationLoss(benchOpts())
-		emit(b, &res.Artifact)
-	}
-}
-
-func BenchmarkExtensionAggregateLoss(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res := experiments.AggregateLoss(benchOpts())
-		emit(b, &res.Artifact)
-	}
-}
-
-func BenchmarkExtensionFluidCheck(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res := experiments.AggregateFluidCheck(benchOpts())
-		emit(b, &res.Artifact)
-	}
-}
-
-func BenchmarkScenarioRateDrop(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res := experiments.ScenarioRateDrop(benchOpts())
-		emit(b, &res.Artifact)
-	}
-}
-
-func BenchmarkScenarioFlashCrowd(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res := experiments.ScenarioFlashCrowd(benchOpts())
-		emit(b, &res.Artifact)
+// BenchmarkExperiment runs every registered experiment at benchOpts
+// scale, one sub-benchmark per id in experiments.Registry() order
+// (`vsweep -list` prints the ids):
+//
+//	go test -run '^$' -bench 'BenchmarkExperiment/<id>' -benchtime 1x .
+func BenchmarkExperiment(b *testing.B) {
+	for _, e := range experiments.Registry() {
+		b.Run(e.ID, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				emit(b, e.Run(benchOpts()))
+			}
+		})
 	}
 }
 

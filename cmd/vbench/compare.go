@@ -15,9 +15,10 @@ import (
 // benchstat-style delta table over two BENCH_<n>.json reports and, with
 // -fail-allocs / -fail-bytes <pct>, exits non-zero when any
 // benchmark's allocs/op or B/op regresses past the threshold — the CI
-// perf-smoke gate. The fleet per-client columns divide both reports by
-// the same client count, so the B/op gate is exactly the B/op/client
-// gate for the BenchmarkFleet rows.
+// perf-smoke gate. With -only, a selected benchmark missing from
+// either report, or a pattern that selects none, fails the gate too. The fleet per-client columns
+// divide both reports by the same client count, so the B/op gate is
+// exactly the B/op/client gate for the BenchmarkFleet rows.
 
 // loadReport reads one BENCH_<n>.json file.
 func loadReport(path string) (Report, error) {
@@ -93,7 +94,8 @@ func fmtCount(v float64) string {
 // benchmark's allocs/op regression exceeds failAllocsPct or its B/op
 // regression exceeds failBytesPct (a non-positive threshold never
 // fails). only, when non-nil, restricts the comparison to matching
-// benchmark names.
+// benchmark names, which must then be the same, and at least one, in
+// both reports.
 func compareReports(oldRep, newRep Report, only *regexp.Regexp, failAllocsPct, failBytesPct float64) (string, bool) {
 	newIdx := map[string]*Result{}
 	for i := range newRep.Benchmarks {
@@ -117,6 +119,7 @@ func compareReports(oldRep, newRep Report, only *regexp.Regexp, failAllocsPct, f
 			fmtCount(float64(o.AllocsPerOp)/div), fmtCount(float64(n.AllocsPerOp)/div), delta(float64(o.AllocsPerOp), float64(n.AllocsPerOp)))
 	}
 	var onlyOld, onlyNew []string
+	compared := 0
 	for i := range oldRep.Benchmarks {
 		o := &oldRep.Benchmarks[i]
 		oldIdx[o.Name] = true
@@ -128,6 +131,7 @@ func compareReports(oldRep, newRep Report, only *regexp.Regexp, failAllocsPct, f
 			onlyOld = append(onlyOld, o.Name)
 			continue
 		}
+		compared++
 		row(o.Name, o, n, 1)
 		if m := clientsRe.FindStringSubmatch(o.Name); m != nil {
 			if clients, err := strconv.ParseFloat(m[1], 64); err == nil && clients > 0 {
@@ -158,7 +162,17 @@ func compareReports(oldRep, newRep Report, only *regexp.Regexp, failAllocsPct, f
 		fmt.Fprintf(&b, "only in new: %s\n", name)
 	}
 
+	// A gate must compare every row it names: with -only set, a row
+	// missing from either report, or a pattern that selects nothing,
+	// fails, or a dropped or misspelled benchmark would pass unchecked.
 	fail := false
+	if missing := len(onlyOld) + len(onlyNew); only != nil && missing > 0 {
+		fmt.Fprintf(&b, "FAIL: %d benchmark(s) matching -only are missing from one report\n", missing)
+		fail = true
+	} else if only != nil && compared == 0 {
+		fmt.Fprintf(&b, "FAIL: -only matches no benchmark\n")
+		fail = true
+	}
 	if !math.IsInf(worst, -1) {
 		fmt.Fprintf(&b, "worst allocs/op change: %+.1f%% (%s)\n", worst, worstName)
 		if failAllocsPct > 0 && worst > failAllocsPct {

@@ -132,6 +132,43 @@ func TestCompareMissingBenchmarks(t *testing.T) {
 	}
 }
 
+// TestCompareOnlyMissingBenchmarks pins the gate's completeness rule:
+// a benchmark that -only selects must be in both reports, and -only
+// must select one, or a gated row dropped from the new run (or a
+// misspelled pattern) would pass unchecked.
+func TestCompareOnlyMissingBenchmarks(t *testing.T) {
+	both := Result{Name: "BenchmarkBoth", NsPerOp: 1e6, AllocsPerOp: 10}
+	gone := Result{Name: "BenchmarkGone", NsPerOp: 1e6, AllocsPerOp: 10}
+	only := regexp.MustCompile("Both|Gone")
+	for _, tc := range []struct {
+		name           string
+		oldRep, newRep Report
+		want           string
+	}{
+		{"dropped from new", rep(both, gone), rep(both), "only in old: BenchmarkGone"},
+		{"absent from old", rep(both), rep(both, gone), "only in new: BenchmarkGone"},
+	} {
+		table, fail := compareReports(tc.oldRep, tc.newRep, only, 25, 0)
+		if !fail {
+			t.Errorf("%s: a selected row missing from one report must fail:\n%s", tc.name, table)
+		}
+		for _, want := range []string{tc.want, "FAIL: 1 benchmark(s) matching -only are missing from one report"} {
+			if !strings.Contains(table, want) {
+				t.Errorf("%s: missing %q:\n%s", tc.name, want, table)
+			}
+		}
+	}
+	// A row outside the -only selection may be missing.
+	if table, fail := compareReports(rep(both, gone), rep(both), regexp.MustCompile("Both"), 25, 0); fail {
+		t.Fatalf("a row -only does not select tripped the gate:\n%s", table)
+	}
+	// A pattern that selects nothing gates nothing.
+	table, fail := compareReports(rep(both), rep(both), regexp.MustCompile("Bothe"), 25, 0)
+	if !fail || !strings.Contains(table, "FAIL: -only matches no benchmark") {
+		t.Fatalf("an -only pattern matching no benchmark must fail:\n%s", table)
+	}
+}
+
 func TestCompareZeroBaseline(t *testing.T) {
 	oldRep := rep(Result{Name: "BenchmarkZ", NsPerOp: 1e6})
 	newRep := rep(Result{Name: "BenchmarkZ", NsPerOp: 1e6, AllocsPerOp: 50})

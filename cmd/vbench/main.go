@@ -127,7 +127,7 @@ func main() {
 	stamp := flag.String("stamp", "", "override generated_at (RFC3339) so reports diff reproducibly in CI")
 	note := flag.String("note", "", "free-form notes field recorded in the report")
 	compare := flag.Bool("compare", false, "compare two BENCH_<n>.json files (positional: old.json new.json) and print a delta table")
-	only := flag.String("only", "", "with -compare: restrict to benchmarks matching this regex")
+	only := flag.String("only", "", "with -compare: restrict to benchmarks matching this regex; exit 1 unless it matches at least one and each is in both reports")
 	failAllocs := flag.Float64("fail-allocs", 0, "with -compare: exit 1 if any benchmark's allocs/op regresses by more than this percent")
 	failBytes := flag.Float64("fail-bytes", 0, "with -compare: exit 1 if any benchmark's B/op (and so its per-client column) regresses by more than this percent")
 	flag.Parse()

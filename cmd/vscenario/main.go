@@ -5,7 +5,6 @@
 // Usage:
 //
 //	vscenario -list
-//	vscenario -preset ratedrop                # built-in experiment sweeps
 //	vscenario -player flash -profile Residence \
 //	    -down "rate@30s=800kbps; loss@90s=0.02; outage@120s=5s"
 //	vscenario -player chrome -sessions 8 -shared \
@@ -24,7 +23,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/experiments"
 	"repro/internal/netem"
 	"repro/internal/runner"
 	"repro/internal/scenario"
@@ -32,19 +30,9 @@ import (
 	"repro/internal/tcp"
 )
 
-// presets are the canned experiment sweeps (artifact output, same
-// registry style as cmd/vsweep).
-var presets = map[string]func(experiments.Options) string{
-	"ratedrop":   func(o experiments.Options) string { return experiments.ScenarioRateDrop(o).Artifact.String() },
-	"flashcrowd": func(o experiments.Options) string { return experiments.ScenarioFlashCrowd(o).Artifact.String() },
-}
-
-var presetOrder = []string{"ratedrop", "flashcrowd"}
-
 func main() {
 	var (
-		list    = flag.Bool("list", false, "list presets, players and profiles, then exit")
-		preset  = flag.String("preset", "", "run a built-in scenario sweep (see -list)")
+		list    = flag.Bool("list", false, "list players and profiles, then exit")
 		playerF = flag.String("player", "flash", "player kind (see -list)")
 		profile = flag.String("profile", "Research", "vantage profile name")
 		sess    = flag.Int("sessions", 1, "number of sessions")
@@ -55,7 +43,6 @@ func main() {
 		upDyn   = flag.String("up", "", "upstream dynamics timeline")
 		dur     = flag.Duration("duration", session.DefaultDuration, "capture horizon")
 		seed    = flag.Int64("seed", 1, "random seed")
-		n       = flag.Int("n", 8, "preset scale (videos/sessions per cell)")
 		shared  = flag.Bool("shared", false, "run all sessions on one shared bottleneck (dumbbell)")
 		workers = flag.Int("workers", 0, "worker pool size for isolated runs (0 = one per CPU)")
 		cc      = flag.String("cc", "", "server congestion control: reno|cubic|bbr (empty = reno)")
@@ -64,10 +51,6 @@ func main() {
 	flag.Parse()
 
 	if *list {
-		fmt.Println("presets:")
-		for _, p := range presetOrder {
-			fmt.Println("  " + p)
-		}
 		fmt.Println("players:")
 		for _, k := range scenario.PlayerKinds() {
 			fmt.Printf("  %-16s (%s: %s)\n", k, k.Service(), k.New().Name())
@@ -77,15 +60,6 @@ func main() {
 			fmt.Printf("  %-10s %.1f/%.1f Mbps, RTT %v, loss %.3f%%\n",
 				p.Name, float64(p.Down)/1e6, float64(p.Up)/1e6, p.RTT, p.Loss*100)
 		}
-		return
-	}
-
-	if *preset != "" {
-		run, ok := presets[strings.ToLower(*preset)]
-		if !ok {
-			fail("unknown preset %q (try -list)", *preset)
-		}
-		fmt.Print(run(experiments.Options{N: *n, Seed: *seed, Duration: *dur, Workers: *workers}))
 		return
 	}
 

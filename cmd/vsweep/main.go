@@ -4,6 +4,7 @@
 //
 // Usage:
 //
+//	vsweep -list                  # every experiment id, in -exp all order
 //	vsweep -exp table1            # one experiment
 //	vsweep -exp all -n 16         # everything, 16 videos per cell
 package main
@@ -12,65 +13,12 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
 	"repro/internal/experiments"
 )
-
-type runner func(experiments.Options) string
-
-var registry = map[string]runner{
-	"table1": func(o experiments.Options) string { return experiments.Table1(o).Artifact.String() },
-	"table2": func(o experiments.Options) string { return experiments.Table2(o).Artifact.String() },
-	"fig1":   func(o experiments.Options) string { return experiments.Figure1(o).Artifact.String() },
-	"fig2":   func(o experiments.Options) string { return experiments.Figure2(o).Artifact.String() },
-	"fig3":   func(o experiments.Options) string { return experiments.Figure3(o).Artifact.String() },
-	"fig4":   func(o experiments.Options) string { return experiments.Figure4(o).Artifact.String() },
-	"fig5":   func(o experiments.Options) string { return experiments.Figure5(o).Artifact.String() },
-	"fig6":   func(o experiments.Options) string { return experiments.Figure6(o).Artifact.String() },
-	"fig7":   func(o experiments.Options) string { return experiments.Figure7(o).Artifact.String() },
-	"fig8":   func(o experiments.Options) string { return experiments.Figure8(o).Artifact.String() },
-	"fig9":   func(o experiments.Options) string { return experiments.Figure9(o, false).Artifact.String() },
-	"fig9-idlereset": func(o experiments.Options) string {
-		return experiments.Figure9(o, true).Artifact.String()
-	},
-	"fig10":     func(o experiments.Options) string { return experiments.Figure10(o).Artifact.String() },
-	"fig11":     func(o experiments.Options) string { return experiments.Figure11(o).Artifact.String() },
-	"fig12":     func(o experiments.Options) string { return experiments.Figure12(o).Artifact.String() },
-	"model-agg": func(o experiments.Options) string { return experiments.ModelAggregate(o).Artifact.String() },
-	"model-smooth": func(o experiments.Options) string {
-		return experiments.ModelSmoothness(o).Artifact.String()
-	},
-	"model-interrupt": func(o experiments.Options) string {
-		return experiments.ModelInterruption(o).Artifact.String()
-	},
-	"model-waste": func(o experiments.Options) string { return experiments.ModelWaste(o).Artifact.String() },
-	"scenario-ratedrop": func(o experiments.Options) string {
-		return experiments.ScenarioRateDrop(o).Artifact.String()
-	},
-	"scenario-flashcrowd": func(o experiments.Options) string {
-		return experiments.ScenarioFlashCrowd(o).Artifact.String()
-	},
-	"fleet-burstiness": func(o experiments.Options) string {
-		return experiments.AggregateBurstiness(o).Artifact.String()
-	},
-	"abr-ratedrop": func(o experiments.Options) string {
-		return experiments.AbrRateDrop(o).Artifact.String()
-	},
-	"ccmatrix": func(o experiments.Options) string {
-		return experiments.CcMatrix(o).Artifact.String()
-	},
-}
-
-// order fixes the presentation sequence for -exp all.
-var order = []string{
-	"table1", "fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7",
-	"fig8", "fig9", "fig9-idlereset", "fig10", "fig11", "fig12",
-	"table2", "model-agg", "model-smooth", "model-interrupt", "model-waste",
-	"scenario-ratedrop", "scenario-flashcrowd", "fleet-burstiness",
-	"abr-ratedrop", "ccmatrix",
-}
 
 func main() {
 	exp := flag.String("exp", "all", "experiment id or 'all' (see -list)")
@@ -81,9 +29,10 @@ func main() {
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	flag.Parse()
 
+	exps := experiments.Registry()
 	if *list {
-		for _, id := range order {
-			fmt.Println(id)
+		for _, e := range exps {
+			fmt.Println(e.ID)
 		}
 		return
 	}
@@ -92,19 +41,17 @@ func main() {
 		Duration: time.Duration(*capture * float64(time.Second)),
 		Workers:  *workers,
 	}
-	ids := []string{*exp}
-	if *exp == "all" {
-		ids = order
-	}
-	for _, id := range ids {
-		run, ok := registry[strings.ToLower(id)]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "vsweep: unknown experiment %q (try -list)\n", id)
+	if *exp != "all" {
+		i := slices.IndexFunc(exps, func(e experiments.Experiment) bool { return e.ID == strings.ToLower(*exp) })
+		if i < 0 {
+			fmt.Fprintf(os.Stderr, "vsweep: unknown experiment %q (try -list)\n", *exp)
 			os.Exit(1)
 		}
+		exps = exps[i : i+1]
+	}
+	for _, e := range exps {
 		start := time.Now()
-		out := run(o)
-		fmt.Print(out)
-		fmt.Printf("[%s completed in %v]\n\n", id, time.Since(start).Round(time.Millisecond))
+		fmt.Print(e.Run(o))
+		fmt.Printf("[%s completed in %v]\n\n", e.ID, time.Since(start).Round(time.Millisecond))
 	}
 }

@@ -16,57 +16,16 @@ import (
 	"repro/internal/trace"
 )
 
-// Ablation experiments for the simulator's design choices: server idle
-// reset, delayed ACKs, the receive buffer and loss (the README's
-// architecture map lists them under internal/experiments). They operate at the substrate level (raw TCP over netem) or via
-// session overrides, isolating one mechanism each.
-
-// AblationIdleResetResult compares the first-RTT burst with and
-// without the RFC 5681 idle restart (the Figure 9 discussion).
-type AblationIdleResetResult struct {
-	MedianOffKB, MedianOnKB float64
-	Artifact                Artifact
-}
-
-// AblationIdleReset runs Flash sessions with both server settings.
-func AblationIdleReset(o Options) *AblationIdleResetResult {
-	o = o.withDefaults()
-	res := &AblationIdleResetResult{Artifact: Artifact{Title: "Ablation: RFC 5681 idle cwnd reset"}}
-	v := media.Video{ID: 51, EncodingRate: 1e6, Duration: 300 * time.Second, Container: media.Flash, Resolution: "360p"}
-	settings := []bool{false, true}
-	cfgs := make([]session.Config, len(settings))
-	for i, reset := range settings {
-		cfgs[i] = session.Config{
-			Video: v, Service: session.YouTube,
-			Player: player.NewFlashPlayer("x"), Network: netem.Research,
-			Seed: o.Seed, Duration: o.Duration,
-			ServerTCP: tcp.Config{IdleReset: reset},
-		}
-	}
-	results := runSessions(o, cfgs)
-	for i, reset := range settings {
-		var samples []float64
-		for _, b := range results[i].Analysis.FirstRTTBytes {
-			samples = append(samples, kb(b))
-		}
-		m := stats.Median(samples)
-		if reset {
-			res.MedianOnKB = m
-		} else {
-			res.MedianOffKB = m
-		}
-		res.Artifact.Addf("idleReset=%-5v first-RTT median %.0f kB (n=%d)", reset, m, len(samples))
-	}
-	res.Artifact.Addf("without the reset the server blasts the whole 64 kB block back-to-back")
-	return res
-}
+// Ablation experiments for the simulator's design choices: the receive
+// buffer and loss (the server's idle reset is fig9-idlereset). They
+// operate at the substrate level (raw TCP over netem) or via session
+// overrides, isolating one mechanism each.
 
 // lab is a bare two-host TCP testbed whose path is tapped by the
 // online analyzer and the window series.
 type lab struct {
 	sch            *sim.Scheduler
 	client, server *tcp.Host
-	path           *netem.Path
 	stream         *analysis.Streaming
 	series         *trace.Series
 }
@@ -81,38 +40,7 @@ func newLab(seed int64, prof netem.Profile) *lab {
 	stream, series := analysis.NewStreaming(analysis.Config{}), &trace.Series{}
 	sink := trace.Fanout(stream, series)
 	path.AddTaps(trace.SinkTap(sink, trace.Down), trace.SinkTap(sink, trace.Up))
-	return &lab{sch: sch, client: client, server: server, path: path, stream: stream, series: series}
-}
-
-// AblationDelayedAckResult compares upstream ACK volume.
-type AblationDelayedAckResult struct {
-	AcksWith, AcksWithout int
-	Artifact              Artifact
-}
-
-// AblationDelayedAck transfers 4 MB with and without delayed ACKs and
-// counts upstream packets.
-func AblationDelayedAck(o Options) *AblationDelayedAckResult {
-	o = o.withDefaults()
-	res := &AblationDelayedAckResult{Artifact: Artifact{Title: "Ablation: delayed ACKs"}}
-	run := func(noDelay bool) int {
-		l := newLab(o.Seed, netem.Profile{Name: "lab", Down: 20 * netem.Mbps, Up: 20 * netem.Mbps, RTT: 40 * time.Millisecond})
-		l.server.Listen(80, tcp.Config{}, func(c *tcp.Conn) {
-			c.SetCallbacks(tcp.Callbacks{OnConnected: func() { c.WriteZero(4 << 20) }})
-		})
-		c := l.client.Dial(tcp.Config{RecvBuf: 1 << 20, NoDelayedAck: noDelay}, packet.EP(203, 0, 113, 10, 80))
-		c.SetCallbacks(tcp.Callbacks{OnReadable: func() { c.Discard(1 << 30) }})
-		l.sch.RunUntil(time.Minute)
-		return l.path.Up.Sent
-	}
-	counts := runner.Map(o.pool(), []bool{false, true}, func(_ int, noDelay bool) int {
-		return run(noDelay)
-	})
-	res.AcksWith, res.AcksWithout = counts[0], counts[1]
-	res.Artifact.Addf("delayed ACKs on : %d upstream packets", res.AcksWith)
-	res.Artifact.Addf("delayed ACKs off: %d upstream packets", res.AcksWithout)
-	res.Artifact.Addf("delayed ACKs roughly halve the upstream packet load")
-	return res
+	return &lab{sch: sch, client: client, server: server, stream: stream, series: series}
 }
 
 // AblationRecvBufferResult shows that pull pacing needs the advertised

@@ -2,27 +2,6 @@ package experiments
 
 import "testing"
 
-func TestAblationIdleReset(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	res := AblationIdleReset(testOpts())
-	if res.MedianOnKB >= res.MedianOffKB {
-		t.Fatalf("idle reset must shrink the first-RTT burst: on=%.0f off=%.0f",
-			res.MedianOnKB, res.MedianOffKB)
-	}
-	if res.MedianOffKB < 48 {
-		t.Fatalf("without reset the full 64 kB block should arrive in one RTT, got %.0f", res.MedianOffKB)
-	}
-}
-
-func TestAblationDelayedAck(t *testing.T) {
-	res := AblationDelayedAck(testOpts())
-	if res.AcksWith >= res.AcksWithout {
-		t.Fatalf("delayed ACKs must reduce upstream packets: %d vs %d", res.AcksWith, res.AcksWithout)
-	}
-}
-
 func TestAblationRecvBuffer(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")

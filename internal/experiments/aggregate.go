@@ -2,11 +2,9 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"repro/internal/media"
-	"repro/internal/model"
 	"repro/internal/netem"
 	"repro/internal/packet"
 	"repro/internal/player"
@@ -145,39 +143,5 @@ func AggregateLoss(o Options) *AggregateLossResult {
 			row.ModelMean)
 	}
 	res.Artifact.Addf("bulk transfers slam the queue hardest; rate-limited strategies spread the load")
-	return res
-}
-
-// AggregateFluidCheckResult compares the packet-level aggregate
-// variance against the fluid model's strategy-independence claim at
-// matched utilization.
-type AggregateFluidCheckResult struct {
-	PacketVar map[string]float64
-	FluidVar  float64
-	Artifact  Artifact
-}
-
-// AggregateFluidCheck reuses the fluid simulator at the packet
-// experiment's operating point, verifying eq. 4 remains a usable
-// dimensioning rule when real TCP dynamics replace fluid downloads.
-func AggregateFluidCheck(o Options) *AggregateFluidCheckResult {
-	o = o.withDefaults()
-	res := &AggregateFluidCheckResult{
-		PacketVar: map[string]float64{},
-		Artifact:  Artifact{Title: "Extension: fluid model vs packet-level aggregate"},
-	}
-	p := model.Params{Lambda: 0.1, MeanRate: 1.2e6, MeanDuration: 300, MeanDownRate: 20e6}
-	res.FluidVar = model.VarAggregate(p)
-	res.Artifact.Addf("fluid model: E[R]=%.1f Mbps  Std=%.2f Mbps",
-		model.MeanAggregate(p)/1e6, math.Sqrt(res.FluidVar)/1e6)
-	for _, s := range []model.Strategy{model.Bulk, model.ShortCycles} {
-		cfg := model.SimConfig{
-			Params: p, Strategy: s, BlockBits: 64 << 13, Accum: 1.25,
-			Horizon: 8000, Step: 1, Seed: o.Seed, RateJitter: 0.2, DurJitter: 0.2,
-		}
-		r := model.Simulate(cfg)
-		res.PacketVar[s.String()] = r.Var
-		res.Artifact.Addf("%-14s Std=%.2f Mbps", s, math.Sqrt(r.Var)/1e6)
-	}
 	return res
 }

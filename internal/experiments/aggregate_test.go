@@ -27,10 +27,3 @@ func TestAggregateLossOrdering(t *testing.T) {
 	}
 	_ = long
 }
-
-func TestAggregateFluidCheck(t *testing.T) {
-	res := AggregateFluidCheck(Options{N: 4, Seed: 2})
-	if len(res.PacketVar) != 2 || res.FluidVar <= 0 {
-		t.Fatalf("fluid check incomplete: %+v", res.PacketVar)
-	}
-}

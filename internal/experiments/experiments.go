@@ -1,10 +1,12 @@
 // Package experiments contains one runner per table and figure of the
-// paper's evaluation (see the README's architecture map; small-scale
-// artifacts are pinned under testdata/golden). Each runner
+// paper's evaluation, plus its extensions and ablations. Each runner
 // executes the necessary simulated sessions, computes the paper's
 // metric, and returns both a printable artifact (the rows/series the
-// paper reports) and structured values that the tests and benches
-// assert shape properties on.
+// paper reports) and structured values that the tests assert shape
+// properties on. Registry lists every runner once, by id: cmd/vsweep
+// runs it, the root bench suite times it as BenchmarkExperiment/<id>,
+// and TestGoldenArtifacts pins its artifact at the entry's Golden scale
+// in testdata/golden/<id>.golden.
 package experiments
 
 import (

@@ -17,55 +17,37 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite the golden artifacts under testdata/golden")
 
-// TestGoldenArtifacts pins small-scale experiment artifacts
-// byte-for-byte. Every PR in this repository has claimed
-// "byte-identical artifacts" after refactors; this harness turns that
-// claim from a manual diff into an enforced regression test. The
-// cases span the major artifact families (paper table, fluid model,
-// scenario engine, fleet engine) at scales that run in a few seconds.
+// TestGoldenArtifacts pins every registered experiment's artifact at
+// its Golden scale byte-for-byte, in testdata/golden/<ID>.golden, plus
+// players_180s. Every PR in this repository has claimed "byte-identical
+// artifacts" after refactors; this harness turns that claim from a
+// manual diff into an enforced regression test. A subtest's name
+// carries the scale it pins (N and, when set, the capture seconds), so
+// a failure says which vsweep run reproduces it.
 //
 // To re-bless after an intentional artifact change:
 //
 //	go test ./internal/experiments -run TestGoldenArtifacts -update
 func TestGoldenArtifacts(t *testing.T) {
-	cases := []struct {
-		name string
-		run  func() string
-	}{
-		{"table1_n2_40s", func() string {
-			return Table1(Options{N: 2, Seed: 1, Duration: 40 * time.Second}).Artifact.String()
-		}},
-		{"model-agg_n2", func() string {
-			return ModelAggregate(Options{N: 2, Seed: 1}).Artifact.String()
-		}},
-		{"scenario-ratedrop_n1_120s", func() string {
-			return ScenarioRateDrop(Options{N: 1, Seed: 1, Duration: 120 * time.Second}).Artifact.String()
-		}},
-		// Six clients on one shared bottleneck per strategy: the
-		// multi-client session.Shared path.
-		{"scenario-flashcrowd_n1_90s", func() string {
-			return ScenarioFlashCrowd(Options{N: 1, Seed: 1, Duration: 90 * time.Second}).Artifact.String()
-		}},
-		// 150 s is the shortest horizon whose post-warmup window is
-		// fully steady-state; shorter horizons pin a transient-phase
-		// artifact whose burstiness ordering is not the paper's claim.
-		{"fleet-burstiness_n1_150s", func() string {
-			return AggregateBurstiness(Options{N: 1, Seed: 1, Duration: 150 * time.Second}).Artifact.String()
-		}},
-		{"abr-ratedrop_n1_120s", func() string {
-			return AbrRateDrop(Options{N: 1, Seed: 1, Duration: 120 * time.Second}).Artifact.String()
-		}},
-		{"ccmatrix_n1_120s", func() string {
-			return CcMatrix(Options{N: 1, Seed: 1, Duration: 120 * time.Second}).Artifact.String()
-		}},
-		// Every player kind over a full 180 s capture: the paper's
-		// nine clients and the ABR kinds, each on its own path.
-		{"players_180s", playersGolden},
+	type goldenCase struct {
+		name, file string
+		run        func() string
 	}
+	var cases []goldenCase
+	for _, e := range Registry() {
+		name := fmt.Sprintf("%s_n%d", e.ID, e.Golden.N)
+		if d := e.Golden.Duration; d > 0 {
+			name += fmt.Sprintf("_%.0fs", d.Seconds())
+		}
+		cases = append(cases, goldenCase{name, e.ID, func() string { return e.Run(e.Golden).String() }})
+	}
+	// Every player kind over a full 180 s capture: the paper's
+	// nine clients and the ABR kinds, each on its own path.
+	cases = append(cases, goldenCase{"players_180s", "players_180s", playersGolden})
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			got := tc.run()
-			path := filepath.Join("testdata", "golden", tc.name+".golden")
+			path := filepath.Join("testdata", "golden", tc.file+".golden")
 			if *updateGolden {
 				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 					t.Fatal(err)
