@@ -55,15 +55,23 @@ type Report struct {
 	Benchmarks  []Result `json:"benchmarks"`
 }
 
-// benchLine matches `BenchmarkName-8  3  41330152 ns/op  17964480 B/op  332352 allocs/op`
-// (the -8 GOMAXPROCS suffix and the memory columns are optional).
-// benchHead matches the name and iteration count; the measurement
-// columns after it are `<value> <unit>` pairs parsed by field walk,
-// so custom b.ReportMetric units (e.g. `pkts/client`) pass through
-// without confusing the ns/op, B/op and allocs/op extraction.
-var benchHead = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+(\d+)((?:\s+[\d.]+ \S+)+)\s*$`)
+// benchHead matches `BenchmarkName-8  3  41330152 ns/op  17964480 B/op  332352 allocs/op`
+// up to the name and iteration count (the memory columns are
+// optional); the measurement columns after it are `<value> <unit>`
+// pairs parsed by field walk, so custom b.ReportMetric units (e.g.
+// `pkts/client`) pass through without confusing the ns/op, B/op and
+// allocs/op extraction.
+var benchHead = regexp.MustCompile(`^(Benchmark\S+)\s+(\d+)((?:\s+[\d.]+ \S+)+)\s*$`)
 
-func parse(r io.Reader, echo io.Writer) []Result {
+// parse reads `go test -bench` output run at GOMAXPROCS procs. go test
+// appends "-<procs>" to every name when procs is not 1, and only that
+// suffix is stripped: a benchmark whose own name ends in "-<digits>"
+// keeps it.
+func parse(r io.Reader, echo io.Writer, procs int) []Result {
+	suffix := ""
+	if procs != 1 {
+		suffix = "-" + strconv.Itoa(procs)
+	}
 	out := []Result{} // never nil, so the JSON field is [] not null
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -76,7 +84,7 @@ func parse(r io.Reader, echo io.Writer) []Result {
 		if m == nil {
 			continue
 		}
-		res := Result{Name: m[1]}
+		res := Result{Name: strings.TrimSuffix(m[1], suffix)}
 		res.Iterations, _ = strconv.ParseInt(m[2], 10, 64)
 		cols := strings.Fields(m[3])
 		for i := 0; i+1 < len(cols); i += 2 {
@@ -122,7 +130,7 @@ func main() {
 	bench := flag.String("bench", ".", "benchmark regex passed to go test")
 	benchtime := flag.String("benchtime", "1x", "benchtime passed to go test")
 	pkg := flag.String("pkg", ".", "package to benchmark")
-	stdin := flag.Bool("stdin", false, "parse `go test -bench` output from stdin instead of running it")
+	stdin := flag.Bool("stdin", false, "parse `go test -bench` output from stdin instead of running it; names lose only the -<GOMAXPROCS> suffix of this process's GOMAXPROCS")
 	out := flag.String("out", "", "output path (default BENCH_<n>.json)")
 	stamp := flag.String("stamp", "", "override generated_at (RFC3339) so reports diff reproducibly in CI")
 	note := flag.String("note", "", "free-form notes field recorded in the report")
@@ -155,7 +163,7 @@ func main() {
 	start := time.Now()
 	if *stdin {
 		rep.Command = "stdin"
-		rep.Benchmarks = parse(os.Stdin, nil)
+		rep.Benchmarks = parse(os.Stdin, nil, runtime.GOMAXPROCS(0))
 	} else {
 		args := []string{"test", "-run", "^$", "-bench", *bench, "-benchtime", *benchtime, "-benchmem", *pkg}
 		rep.Command = "go " + strings.Join(args, " ")
@@ -170,7 +178,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "vbench:", err)
 			os.Exit(1)
 		}
-		rep.Benchmarks = parse(pipe, os.Stdout)
+		rep.Benchmarks = parse(pipe, os.Stdout, runtime.GOMAXPROCS(0))
 		if err := cmd.Wait(); err != nil {
 			fmt.Fprintln(os.Stderr, "vbench: go test failed:", err)
 			os.Exit(1)

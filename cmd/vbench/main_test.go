@@ -22,7 +22,7 @@ BenchmarkNoMem 	     100	    123456 ns/op
 PASS
 ok  	repro	92.1s
 `
-	got := parse(strings.NewReader(out), nil)
+	got := parse(strings.NewReader(out), nil, 8)
 	want := []Result{
 		{Name: "BenchmarkSingleSession", Iterations: 36, NsPerOp: 31092341, BytesPerOp: 804416, AllocsPerOp: 1045},
 		{Name: "BenchmarkFleet/clients=4096", Iterations: 1, NsPerOp: 28712345678, BytesPerOp: 498000000, AllocsPerOp: 401234,
@@ -39,9 +39,30 @@ ok  	repro	92.1s
 // noise never produce results, and the empty case is [] not nil (the
 // JSON schema promises an array).
 func TestParseIgnoresNonBenchLines(t *testing.T) {
-	got := parse(strings.NewReader("goos: linux\nPASS\nok \trepro\t1.0s\n"), nil)
+	got := parse(strings.NewReader("goos: linux\nPASS\nok \trepro\t1.0s\n"), nil, 1)
 	if got == nil || len(got) != 0 {
 		t.Fatalf("parse of non-bench output = %#v, want empty non-nil slice", got)
+	}
+}
+
+// TestParseStripsOnlyGOMAXPROCS: go test appends "-<GOMAXPROCS>" to
+// every benchmark name unless GOMAXPROCS is 1, and parse strips that
+// suffix alone. A sub-benchmark whose own name ends in "-2" stays apart
+// from its sibling at GOMAXPROCS 1 and at GOMAXPROCS 2.
+func TestParseStripsOnlyGOMAXPROCS(t *testing.T) {
+	want := []Result{
+		{Name: "BenchmarkExperiment/fig9-2", Iterations: 1, NsPerOp: 100},
+		{Name: "BenchmarkExperiment/fig9", Iterations: 1, NsPerOp: 200},
+	}
+	for _, c := range []struct {
+		procs  int
+		suffix string
+	}{{1, ""}, {2, "-2"}} {
+		out := "BenchmarkExperiment/fig9-2" + c.suffix + " \t1\t100 ns/op\n" +
+			"BenchmarkExperiment/fig9" + c.suffix + " \t1\t200 ns/op\n"
+		if got := parse(strings.NewReader(out), nil, c.procs); !reflect.DeepEqual(got, want) {
+			t.Fatalf("GOMAXPROCS %d: parse:\n got %+v\nwant %+v", c.procs, got, want)
+		}
 	}
 }
 

@@ -58,8 +58,7 @@ func main() {
 	coreDown := flag.Float64("core-down", 0, "core down-link Mbps (0 = 2000)")
 	series := flag.Bool("series", false, "print the per-bin core/agg utilization and concurrency series")
 	players := flag.Bool("players", false, "list player kind names and exit")
-	abrMode := flag.Bool("abr", false, "run the ABR headline comparison: fixed-top vs rate-based vs buffer-based controllers under a rate-drop timeline")
-	down := flag.String("down", "", `dynamics timeline for every aggregation downstream link, e.g. "rate@40s=24Mbps; outage@90s=5s" (with -abr, default drops to 24 Mbps at duration/3)`)
+	down := flag.String("down", "", `dynamics timeline for every aggregation downstream link, e.g. "rate@40s=24Mbps; outage@90s=5s"`)
 	ccMix := flag.String("cc", "", "server congestion-control mix per client, e.g. cubic or reno:2+cubic:1+bbr:1 (empty = reno)")
 	aqm := flag.String("aqm", "", "queue policy on aggregation+access downstream links: droptail, red or codel (empty = droptail)")
 	distributed := flag.Int("distributed", 0, "fork the run across N OS processes (merged result is bit-identical to -distributed 0)")
@@ -92,8 +91,6 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-	} else if *abrMode {
-		dyn = netem.Dynamics{}.Then(netem.RateStep(dur/3, 24*netem.Mbps))
 	}
 	f := scenario.Fleet{
 		Mix:      entries,
@@ -126,9 +123,6 @@ func main() {
 	}
 	if err := f.Validate(); err != nil {
 		fatal(err)
-	}
-	if *abrMode && (*distributed > 0 || *cellRange != "" || *resultOut != "") {
-		fatal(fmt.Errorf("-abr runs three fleets; it cannot combine with -distributed, -cells or -result-out"))
 	}
 
 	if *cpuprofile != "" {
@@ -166,27 +160,6 @@ func main() {
 		if err := scenario.WriteFleetCells(os.Stdout, runner.Options{Workers: *workers}, f, lo, hi); err != nil {
 			fatal(err)
 		}
-		return
-	}
-
-	if *abrMode {
-		// The headline comparison: the same fleet under the same
-		// timeline, once per controller. Mix is overridden.
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "mix" {
-				fmt.Fprintln(os.Stderr, "vfleet: -abr runs one fleet per controller; ignoring -mix")
-			}
-		})
-		start := time.Now()
-		for _, k := range []scenario.PlayerKind{scenario.AbrFixed, scenario.AbrRate, scenario.AbrBuffer} {
-			cf := f
-			cf.Name = "abr/" + k.String()
-			cf.Mix = []scenario.MixEntry{{Player: k, Weight: 1}}
-			res := scenario.RunFleet(runner.Options{Workers: *workers}, cf)
-			fmt.Print(res.Render())
-			fmt.Println()
-		}
-		fmt.Printf("[abr comparison completed in %v]\n", time.Since(start).Round(time.Millisecond))
 		return
 	}
 

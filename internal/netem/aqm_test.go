@@ -221,11 +221,11 @@ func TestTreeAqmDroppedAtTier(t *testing.T) {
 	sch := sim.NewScheduler(1)
 	sink := &collector{sch: sch}
 	cfg := TreeConfig{
-		Access:        Tier{Down: 100 * Mbps, Up: 100 * Mbps, Delay: time.Millisecond, Queue: 1 << 20},
-		Agg:           Tier{Down: 2 * Mbps, Up: 100 * Mbps, Delay: time.Millisecond, Queue: 1 << 20},
-		Core:          Tier{Down: 1000 * Mbps, Up: 1000 * Mbps, Delay: time.Millisecond, Queue: 1 << 20},
+		Access:        Tier{Down: 100 * Mbps},
+		Agg:           Tier{Down: 2 * Mbps},
 		ClientsPerAgg: 4,
 	}
+	cfg.Core.Down = 1000 * Mbps
 	tree := NewTree(sch, cfg, sink)
 	tree.AggDown.SetAQM(&RED{MinTh: 4 << 10, MaxTh: 16 << 10, MaxP: 0.2, Weight: 0.1})
 	addr := [4]byte{10, 0, 0, 1}

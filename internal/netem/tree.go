@@ -6,21 +6,34 @@ import (
 	"repro/internal/sim"
 )
 
-// Tier describes one level of a Tree topology: the rates, one-way
-// propagation delay, queue depth and downstream loss its links get.
-// Upstream (ACK-direction) links of a tier are loss-free — exactly the
-// UpLoss<0 convention profiles use for asymmetric paths — because
-// upstream loss was never a reported artefact and fleet runs care
-// about downstream aggregation behaviour.
+// Tier is what a fleet chooses for one edge tier of a Tree: the rate
+// of its downstream (data-direction) links and their queue policy.
+// The rest of every tier is fixed by the tier constants below.
 type Tier struct {
-	Down, Up Bandwidth
-	Delay    time.Duration // one-way propagation per direction
-	Queue    int           // bytes of buffering per link per direction
-	Loss     float64       // downstream random loss per link
+	Down Bandwidth
 	// AQM selects the queue policy on this tier's downstream links
 	// (the data direction, where queues build). Zero = drop-tail.
 	AQM AqmConfig
 }
+
+// The fixed part of a Tree's tiers: upstream (ACK-direction) rates,
+// one-way propagation delays per direction and queue bytes per link
+// per direction. No tier link drops at random; a fleet that wants
+// loss or extra delay applies a Dynamics timeline (a loss or delay
+// step at 0 s) to its aggregation links.
+const (
+	accessUp    = 1 * Mbps
+	accessDelay = 2 * time.Millisecond
+	accessQueue = 64 << 10
+
+	aggUp    = 200 * Mbps
+	aggDelay = 1 * time.Millisecond
+	aggQueue = 512 << 10
+
+	coreUp    = 2 * Gbps
+	coreDelay = 5 * time.Millisecond
+	coreQueue = 4 << 20
+)
 
 // TreeConfig sizes a Tree. The zero value yields a plausible ISP-ish
 // shape: 6/1 Mbps access links, 32 clients per 200 Mbps aggregation
@@ -29,7 +42,9 @@ type Tier struct {
 type TreeConfig struct {
 	Access Tier
 	Agg    Tier
-	Core   Tier
+	// Core sets the core uplink's downstream rate; its queue is
+	// always drop-tail.
+	Core struct{ Down Bandwidth }
 	// ClientsPerAgg is how many access links share one aggregation
 	// link: the number of clients a fleet cell attaches to its Tree.
 	// Default 32.
@@ -44,38 +59,11 @@ func (c TreeConfig) WithDefaults() TreeConfig {
 	if c.Access.Down == 0 {
 		c.Access.Down = 6 * Mbps
 	}
-	if c.Access.Up == 0 {
-		c.Access.Up = 1 * Mbps
-	}
-	if c.Access.Delay == 0 {
-		c.Access.Delay = 2 * time.Millisecond
-	}
-	if c.Access.Queue == 0 {
-		c.Access.Queue = 64 << 10
-	}
 	if c.Agg.Down == 0 {
 		c.Agg.Down = 200 * Mbps
 	}
-	if c.Agg.Up == 0 {
-		c.Agg.Up = 200 * Mbps
-	}
-	if c.Agg.Delay == 0 {
-		c.Agg.Delay = 1 * time.Millisecond
-	}
-	if c.Agg.Queue == 0 {
-		c.Agg.Queue = 512 << 10
-	}
 	if c.Core.Down == 0 {
 		c.Core.Down = 2 * Gbps
-	}
-	if c.Core.Up == 0 {
-		c.Core.Up = 2 * Gbps
-	}
-	if c.Core.Delay == 0 {
-		c.Core.Delay = 5 * time.Millisecond
-	}
-	if c.Core.Queue == 0 {
-		c.Core.Queue = 4 << 20
 	}
 	return c
 }
@@ -113,12 +101,11 @@ type Tree struct {
 func NewTree(sch *sim.Scheduler, cfg TreeConfig, server Receiver) *Tree {
 	cfg = cfg.WithDefaults()
 	t := &Tree{cfg: cfg, sch: sch, sw: NewSwitch()}
-	t.CoreDown = NewLink(sch, cfg.Core.Down, cfg.Core.Delay, cfg.Core.Queue, RandomLoss{Rate: cfg.Core.Loss}, nil)
-	t.CoreDown.SetAQM(cfg.Core.AQM.New(cfg.Core.Queue))
-	t.CoreUp = NewLink(sch, cfg.Core.Up, cfg.Core.Delay, cfg.Core.Queue, nil, server)
-	t.AggDown = NewLink(sch, cfg.Agg.Down, cfg.Agg.Delay, cfg.Agg.Queue, RandomLoss{Rate: cfg.Agg.Loss}, t.sw)
-	t.AggDown.SetAQM(cfg.Agg.AQM.New(cfg.Agg.Queue))
-	t.AggUp = NewLink(sch, cfg.Agg.Up, cfg.Agg.Delay, cfg.Agg.Queue, nil, t.CoreUp)
+	t.CoreDown = NewLink(sch, cfg.Core.Down, coreDelay, coreQueue, nil, nil)
+	t.CoreUp = NewLink(sch, coreUp, coreDelay, coreQueue, nil, server)
+	t.AggDown = NewLink(sch, cfg.Agg.Down, aggDelay, aggQueue, nil, t.sw)
+	t.AggDown.SetAQM(cfg.Agg.AQM.New(aggQueue))
+	t.AggUp = NewLink(sch, aggUp, aggDelay, aggQueue, nil, t.CoreUp)
 	t.CoreDown.dst = t.AggDown
 	return t
 }
@@ -133,11 +120,11 @@ func (t *Tree) Clients() int { return t.nClients }
 func (t *Tree) Attach(addr [4]byte, client Receiver) *Link {
 	j := t.nClients
 	if j == len(t.AccessDown) {
-		accessDown := NewLink(t.sch, t.cfg.Access.Down, t.cfg.Access.Delay, t.cfg.Access.Queue, RandomLoss{Rate: t.cfg.Access.Loss}, client)
-		accessDown.SetAQM(t.cfg.Access.AQM.New(t.cfg.Access.Queue))
-		accessUp := NewLink(t.sch, t.cfg.Access.Up, t.cfg.Access.Delay, t.cfg.Access.Queue, nil, t.AggUp)
-		t.AccessDown = append(t.AccessDown, accessDown)
-		t.AccessUp = append(t.AccessUp, accessUp)
+		down := NewLink(t.sch, t.cfg.Access.Down, accessDelay, accessQueue, nil, client)
+		down.SetAQM(t.cfg.Access.AQM.New(accessQueue))
+		up := NewLink(t.sch, accessUp, accessDelay, accessQueue, nil, t.AggUp)
+		t.AccessDown = append(t.AccessDown, down)
+		t.AccessUp = append(t.AccessUp, up)
 	} else {
 		t.AccessDown[j].dst = client
 	}
@@ -155,13 +142,13 @@ func (t *Tree) Attach(addr [4]byte, client Receiver) *Link {
 // must be Reset in the same pass.
 func (t *Tree) Reset() {
 	cfg := t.cfg
-	t.CoreDown.Reset(cfg.Core.Down, cfg.Core.Delay, cfg.Core.Queue, RandomLoss{Rate: cfg.Core.Loss}, cfg.Core.AQM.New(cfg.Core.Queue))
-	t.CoreUp.Reset(cfg.Core.Up, cfg.Core.Delay, cfg.Core.Queue, nil, nil)
-	t.AggDown.Reset(cfg.Agg.Down, cfg.Agg.Delay, cfg.Agg.Queue, RandomLoss{Rate: cfg.Agg.Loss}, cfg.Agg.AQM.New(cfg.Agg.Queue))
-	t.AggUp.Reset(cfg.Agg.Up, cfg.Agg.Delay, cfg.Agg.Queue, nil, nil)
+	t.CoreDown.Reset(cfg.Core.Down, coreDelay, coreQueue, nil, nil)
+	t.CoreUp.Reset(coreUp, coreDelay, coreQueue, nil, nil)
+	t.AggDown.Reset(cfg.Agg.Down, aggDelay, aggQueue, nil, cfg.Agg.AQM.New(aggQueue))
+	t.AggUp.Reset(aggUp, aggDelay, aggQueue, nil, nil)
 	for j := range t.AccessDown {
-		t.AccessDown[j].Reset(cfg.Access.Down, cfg.Access.Delay, cfg.Access.Queue, RandomLoss{Rate: cfg.Access.Loss}, cfg.Access.AQM.New(cfg.Access.Queue))
-		t.AccessUp[j].Reset(cfg.Access.Up, cfg.Access.Delay, cfg.Access.Queue, nil, nil)
+		t.AccessDown[j].Reset(cfg.Access.Down, accessDelay, accessQueue, nil, cfg.Access.AQM.New(accessQueue))
+		t.AccessUp[j].Reset(accessUp, accessDelay, accessQueue, nil, nil)
 	}
 	t.sw.Reset()
 	t.nClients = 0

@@ -11,16 +11,16 @@ import (
 // treeAddr numbers tree-test clients 10.0.0.1 upward.
 func treeAddr(i int) [4]byte { return [4]byte{10, 0, 0, byte(i + 1)} }
 
-// buildTestTree attaches n collector clients under a lossless tree
-// with round rates for exact timing math.
+// buildTestTree attaches n collector clients under a tree with round
+// downstream rates for exact timing math.
 func buildTestTree(sch *sim.Scheduler, n int) (*Tree, *collector, []*collector) {
 	server := &collector{sch: sch}
 	cfg := TreeConfig{
-		Access:        Tier{Down: 8 * Mbps, Up: 8 * Mbps, Delay: 2 * time.Millisecond, Queue: 1 << 20},
-		Agg:           Tier{Down: 80 * Mbps, Up: 80 * Mbps, Delay: 1 * time.Millisecond, Queue: 1 << 20},
-		Core:          Tier{Down: 800 * Mbps, Up: 800 * Mbps, Delay: 5 * time.Millisecond, Queue: 1 << 20},
+		Access:        Tier{Down: 8 * Mbps},
+		Agg:           Tier{Down: 80 * Mbps},
 		ClientsPerAgg: 2,
 	}
+	cfg.Core.Down = 800 * Mbps
 	tr := NewTree(sch, cfg, server)
 	clients := make([]*collector, n)
 	for i := range clients {
@@ -65,7 +65,7 @@ func TestTreeRoutesDownstreamPerClient(t *testing.T) {
 }
 
 // TestTreeDownstreamTiming: end-to-end latency is the sum of the three
-// serialization times plus the three propagation delays — the hops
+// serialization times plus the three fixed tier delays — the hops
 // genuinely chain rather than short-circuit.
 func TestTreeDownstreamTiming(t *testing.T) {
 	sch := sim.NewScheduler(1)
@@ -77,9 +77,9 @@ func TestTreeDownstreamTiming(t *testing.T) {
 		t.Fatalf("client got %d packets", len(clients[0].at))
 	}
 	wire := seg.WireLen()
-	want := (800 * Mbps).TxTime(wire) + 5*time.Millisecond +
-		(80 * Mbps).TxTime(wire) + 1*time.Millisecond +
-		(8 * Mbps).TxTime(wire) + 2*time.Millisecond
+	want := (800 * Mbps).TxTime(wire) + coreDelay +
+		(80 * Mbps).TxTime(wire) + aggDelay +
+		(8 * Mbps).TxTime(wire) + accessDelay
 	if got := clients[0].at[0]; got != want {
 		t.Fatalf("arrival at %v, want %v", got, want)
 	}
@@ -144,18 +144,17 @@ type tapFunc func(time.Duration, *packet.Segment)
 
 func (f tapFunc) Capture(at time.Duration, seg *packet.Segment) { f(at, seg) }
 
-// TestTreeDroppedAtTier: an undersized access queue drops there and
-// only there, and the per-tier accounting attributes it correctly.
+// TestTreeDroppedAtTier: a burst of twice the fixed access queue,
+// sent at once down a 1 Mbps access link, drops there and only there,
+// and the per-tier accounting attributes it correctly.
 func TestTreeDroppedAtTier(t *testing.T) {
 	sch := sim.NewScheduler(1)
 	server := &collector{sch: sch}
-	cfg := TreeConfig{
-		Access: Tier{Down: 1 * Mbps, Up: 1 * Mbps, Delay: time.Millisecond, Queue: 1500},
-	}
-	tr := NewTree(sch, cfg, server)
+	tr := NewTree(sch, TreeConfig{Access: Tier{Down: 1 * Mbps}}, server)
 	client := &collector{sch: sch}
 	tr.Attach(treeAddr(0), client)
-	for i := 0; i < 10; i++ {
+	n := 2 * accessQueue / 1500 // 1500-byte packets on the wire
+	for i := 0; i < n; i++ {
 		tr.CoreDown.Send(segTo(treeAddr(0), 1460))
 	}
 	sch.Run()
@@ -164,10 +163,10 @@ func TestTreeDroppedAtTier(t *testing.T) {
 		t.Fatalf("drops above the bottleneck tier: core=%d agg=%d", core, agg)
 	}
 	if access == 0 {
-		t.Fatal("tight access queue dropped nothing")
+		t.Fatal("overflowed access queue dropped nothing")
 	}
-	if got := len(client.segs) + access; got != 10 {
-		t.Fatalf("delivered+dropped = %d, want 10", got)
+	if got := len(client.segs) + access; got != n {
+		t.Fatalf("delivered+dropped = %d, want %d", got, n)
 	}
 }
 
@@ -202,11 +201,13 @@ func (t *Tree) inFlight() int {
 // lane record (delivered to the next hop or the endpoint) or still in
 // flight, so the scheduler's retire count equals the links' Sent total
 // minus what is in flight — mid-run, at the horizon and once drained.
-// Drops never enter a lane: an undersized access queue drops some.
+// Drops never enter a lane: each client's eight bursts of ten
+// 1500-byte packets (120 KB) overflow its 1 Mbps access link's fixed
+// 64 KB queue.
 func TestTreeLaneRetiresConserveHops(t *testing.T) {
 	sch := sim.NewScheduler(1)
 	server := &collector{sch: sch}
-	tr := NewTree(sch, TreeConfig{ClientsPerAgg: 2, Access: Tier{Queue: 4000}}, server)
+	tr := NewTree(sch, TreeConfig{ClientsPerAgg: 2, Access: Tier{Down: 1 * Mbps}}, server)
 	const clients = 5
 	ups := make([]*Link, clients)
 	for i := range ups {
@@ -216,7 +217,7 @@ func TestTreeLaneRetiresConserveHops(t *testing.T) {
 		at := time.Duration(k) * 700 * time.Microsecond
 		i := k % clients
 		sch.At(at, func() {
-			for range 3 { // the access queue holds two of them
+			for range 10 {
 				tr.CoreDown.Send(segTo(treeAddr(i), 1460))
 			}
 			up := &packet.Segment{Flow: packet.Flow{
@@ -243,7 +244,7 @@ func TestTreeLaneRetiresConserveHops(t *testing.T) {
 	sch.Run()
 	check("drained")
 	if _, _, access := tr.DroppedAtTier(); access == 0 {
-		t.Fatal("the tight access queue dropped nothing")
+		t.Fatal("the overflowed access queue dropped nothing")
 	}
 	if sent := tr.hopsSent(); sent != int(sch.Retires) || sch.Pending() != 0 {
 		t.Fatalf("drained: Sent %d, Retires %d, Pending %d", sent, sch.Retires, sch.Pending())

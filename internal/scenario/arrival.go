@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"slices"
 	"strings"
@@ -24,8 +23,8 @@ const (
 	// second, truncated to Window (a session that would arrive after
 	// the window joins at its end).
 	Poisson
-	// FlashCrowd packs every arrival into the first Burst fraction of
-	// Window (default 10%): the sudden-audience workload.
+	// FlashCrowd packs every arrival into the first flashCrowdBurst
+	// (10%) of Window: the sudden-audience workload.
 	FlashCrowd
 )
 
@@ -61,12 +60,15 @@ func ParseArrivalKind(name string) (ArrivalKind, error) {
 	return 0, fmt.Errorf("unknown arrival process %q", name)
 }
 
+// flashCrowdBurst is the leading fraction of Window that FlashCrowd
+// arrivals land in.
+const flashCrowdBurst = 0.1
+
 // Arrival is a declarative arrival process.
 type Arrival struct {
 	Kind   ArrivalKind
 	Window time.Duration // span arrivals land in; 0 means 60 s
 	Rate   float64       // Poisson arrivals per second; 0 means n/Window
-	Burst  float64       // FlashCrowd: leading fraction of Window; 0 means 0.1
 }
 
 // Times returns n sorted start offsets drawn from the process using
@@ -113,11 +115,7 @@ func (a Arrival) TimesInto(dst []time.Duration, n int, rng *rand.Rand) []time.Du
 			out[i] = d
 		}
 	case FlashCrowd:
-		burst := a.Burst
-		if burst <= 0 {
-			burst = 0.1
-		}
-		span := time.Duration(math.Min(burst, 1) * float64(window))
+		span := time.Duration(flashCrowdBurst * float64(window))
 		if span <= 0 {
 			span = 1
 		}

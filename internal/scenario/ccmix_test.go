@@ -15,25 +15,35 @@ import (
 
 // ccMixFleet is the heterogeneous-transport fleet the determinism
 // suite runs: all three congestion controllers interleaved across the
-// clients of a tree whose contended tiers run AQM — the full PR 9
-// surface in one spec. Spanning several cells makes the CC assignment
-// cross cell boundaries, which is exactly where a sharding-dependent
-// assignment bug would show.
+// clients of a tree whose contended tiers run AQM — the whole
+// congestion-control and AQM surface in one spec. Spanning several
+// cells makes the CC assignment cross cell boundaries, which is
+// exactly where a sharding-dependent assignment bug would show.
 func ccMixFleet() Fleet {
 	f := detFleet()
 	f.Clients = 100 // 4 cells on the default 32-per-agg grouping
 	f.CCMix = []string{tcp.CCReno, tcp.CCCubic, tcp.CCBbr}
 	f.Tree.Agg.AQM = netem.AqmConfig{Kind: netem.AqmCoDel}
 	f.Tree.Access.AQM = netem.AqmConfig{Kind: netem.AqmRED}
-	f.Exact = true
 	return f
+}
+
+// writeCells returns the WriteFleetCells stream of cells [lo, hi).
+func writeCells(t *testing.T, o runner.Options, f Fleet, lo, hi int) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := WriteFleetCells(&buf, o, f, lo, hi); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 // TestFleetMixedCCDeterministic: a mixed-CC, AQM-enabled fleet is the
 // worker-count determinism guarantee's hardest case — per-client
 // controller state must be derived from the global client index alone.
-// One worker and an oversubscribed pool must produce DeepEqual results
-// and byte-identical serialized artifacts.
+// One worker and an oversubscribed pool must produce DeepEqual results,
+// byte-identical serialized artifacts and byte-identical per-cell
+// record streams, which pin which cell each client's samples land in.
 func TestFleetMixedCCDeterministic(t *testing.T) {
 	f := ccMixFleet()
 	seq := RunFleet(runner.Options{Workers: 1}, f)
@@ -53,6 +63,11 @@ func TestFleetMixedCCDeterministic(t *testing.T) {
 	if !bytes.Equal(a, b) {
 		t.Fatal("serialized mixed-CC FleetResult differs between worker counts")
 	}
+	seqCells := writeCells(t, runner.Options{Workers: 1}, f, 0, f.Cells())
+	parCells := writeCells(t, runner.Options{Workers: runtime.NumCPU() + 3}, f, 0, f.Cells())
+	if !bytes.Equal(seqCells, parCells) {
+		t.Fatal("mixed-CC cell records differ between worker counts")
+	}
 	if seq.ActiveClients == 0 || seq.Downloaded == 0 {
 		t.Fatalf("mixed-CC fleet streamed nothing: %s", seq.Render())
 	}
@@ -61,7 +76,8 @@ func TestFleetMixedCCDeterministic(t *testing.T) {
 // TestFleetMixedCCDistributedInvariant: the serialized distributed
 // path (WriteFleetCells streams merged with MergeFleetCellStreams, what
 // `vfleet -distributed` children emit) must reproduce the
-// single-process mixed-CC result bit for bit.
+// single-process mixed-CC result bit for bit, and the split streams
+// must hold the same cell records as one single-worker stream.
 func TestFleetMixedCCDistributedInvariant(t *testing.T) {
 	f := ccMixFleet()
 	single := RunFleet(runner.Options{Workers: 1}, f)
@@ -72,12 +88,14 @@ func TestFleetMixedCCDistributedInvariant(t *testing.T) {
 	}
 	cuts := []int{0, cells / 2, cells}
 	var readers []io.Reader
+	var split []byte
 	for i := 0; i+1 < len(cuts); i++ {
-		var buf bytes.Buffer
-		if err := WriteFleetCells(&buf, runner.Options{Workers: 2}, f, cuts[i], cuts[i+1]); err != nil {
-			t.Fatal(err)
-		}
-		readers = append(readers, &buf)
+		part := writeCells(t, runner.Options{Workers: 2}, f, cuts[i], cuts[i+1])
+		split = append(split, part...)
+		readers = append(readers, bytes.NewReader(part))
+	}
+	if !bytes.Equal(split, writeCells(t, runner.Options{Workers: 1}, f, 0, cells)) {
+		t.Fatal("split mixed-CC cell streams differ from one single-worker stream")
 	}
 	merged, err := MergeFleetCellStreams(f, readers...)
 	if err != nil {
@@ -121,18 +139,13 @@ func TestParseCCMix(t *testing.T) {
 	}
 }
 
-// TestFleetCCMixValidation: unknown controller names must be rejected
-// at spec validation, both in the mix and in the server default.
+// TestFleetCCMixValidation: unknown controller names in the mix must
+// be rejected at spec validation.
 func TestFleetCCMixValidation(t *testing.T) {
 	f := detFleet()
 	f.CCMix = []string{"reno", "vegas"}
 	if err := f.Validate(); err == nil {
 		t.Fatal("unknown CC in mix validated")
-	}
-	f = detFleet()
-	f.ServerTCP.CC = "vegas"
-	if err := f.Validate(); err == nil {
-		t.Fatal("unknown ServerTCP.CC validated")
 	}
 	f = detFleet()
 	f.CCMix = []string{tcp.CCCubic}

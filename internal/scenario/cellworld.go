@@ -46,7 +46,7 @@ type cellWorld struct {
 // runs; all cell-specific state is installed by run.
 func newCellWorld(f Fleet) *cellWorld {
 	per := f.Tree.ClientsPerAgg
-	world := session.NewWorld(f.Seed, f.Mix[0].Player.Service(), f.ServerTCP) // re-seeded per cell by run
+	world := session.NewWorld(f.Seed, f.Mix[0].Player.Service(), tcp.Config{}) // re-seeded per cell by run
 	w := &cellWorld{f: f, per: per, world: world}
 	w.tree = netem.NewTree(world.Sch, f.Tree, world.Server)
 	world.Server.SetLink(w.tree.CoreDown)
@@ -91,9 +91,6 @@ func (w *cellWorld) run(from, to int) *FleetResult {
 
 	w.coreTap.bins = append(w.coreTap.bins[:0], res.CoreUtil)
 	tree.CoreDown.AddTap(&w.coreTap)
-	if f.ExtraCoreTap != nil {
-		tree.CoreDown.AddTap(f.ExtraCoreTap)
-	}
 
 	// Arrival offsets come first in the cell's rng stream.
 	w.starts = f.Arrival.TimesInto(w.starts, n, world.Sch.Rand())
@@ -135,9 +132,6 @@ func (w *cellWorld) run(from, to int) *FleetResult {
 		if c.first < 0 {
 			res.StarvedClients++
 			res.RateMbps.Add(0)
-			if res.Exact != nil {
-				res.Exact.RateMbps = append(res.Exact.RateMbps, 0)
-			}
 			continue
 		}
 		res.ActiveClients++
@@ -145,15 +139,10 @@ func (w *cellWorld) run(from, to int) *FleetResult {
 		if c.last > c.first {
 			rate = float64(c.bytes) * 8 / (c.last - c.first).Seconds() / 1e6
 		}
-		startup := (c.first - c.start).Seconds()
 		res.RateMbps.Add(rate)
-		res.StartupSec.Add(startup)
+		res.StartupSec.Add((c.first - c.start).Seconds())
 		res.ConcurrencyDeltas.Add(c.first, 1)
 		res.ConcurrencyDeltas.Add(c.last, -1)
-		if res.Exact != nil {
-			res.Exact.RateMbps = append(res.Exact.RateMbps, rate)
-			res.Exact.StartupSec = append(res.Exact.StartupSec, startup)
-		}
 	}
 	res.AggBurst.Add(stats.CV(w.aggBin.From(f.Warmup)))
 	res.CoreBurst.Add(stats.CV(res.CoreUtil.From(f.Warmup)))

@@ -44,8 +44,7 @@ type Fleet struct {
 	// etc.; parse textual specs with ParseCCMix). Like Mix, the
 	// assignment depends only on the global client index, never on
 	// sharding, so mixed-CC results stay bit-identical across any
-	// worker/shard/process split. Empty keeps ServerTCP.CC for
-	// everyone.
+	// worker/shard/process split. Empty serves everyone with Reno.
 	CCMix   []string
 	Clients int // total sessions; default 64
 	// Tree shapes the topology; zero fields take netem defaults
@@ -66,23 +65,14 @@ type Fleet struct {
 	Seed   int64
 	// Down is a dynamics timeline applied to every aggregation
 	// downstream link of every cell — the fleet-scale form of the
-	// PR 2 rate-drop scenarios (mid-run congestion at the contended
-	// tier). Empty leaves the links frozen.
+	// rate-drop scenarios (mid-run congestion at the contended tier),
+	// and the way to give a whole fleet random loss or extra delay
+	// (a loss or delay step at 0 s). Empty leaves the links frozen.
 	Down netem.Dynamics
 	// UtilBin is the width of the fixed-width utilization/concurrency
 	// bins; 0 → 1 s. The quantile sketches always use
 	// stats.DefaultSketchErr (1%).
-	UtilBin   time.Duration
-	ServerTCP tcp.Config
-	// Exact additionally retains exact per-client metric vectors
-	// (FleetResult.Exact) — the buffered computation the sketch
-	// equivalence tests pin the streaming one against. O(clients)
-	// extra memory; leave false at scale.
-	Exact bool
-	// ExtraCoreTap, when non-nil, is attached to each shard's core
-	// downstream link — the hook equivalence tests use to observe the
-	// raw packet stream next to the streaming accumulators.
-	ExtraCoreTap netem.Tap
+	UtilBin time.Duration
 	// FreshWorlds is a diagnostic knob: build a fresh cell world for
 	// every cell instead of recycling one per worker. Results must be
 	// byte-identical either way — this is the baseline the
@@ -225,9 +215,6 @@ func (f Fleet) Validate() error {
 			return fmt.Errorf("fleet %q: unknown congestion control %q", f.Name, cc)
 		}
 	}
-	if !tcp.ValidCC(f.ServerTCP.CC) {
-		return fmt.Errorf("fleet %q: unknown congestion control %q", f.Name, f.ServerTCP.CC)
-	}
 	return nil
 }
 
@@ -347,17 +334,6 @@ type FleetResult struct {
 	InducedCoreLoss               float64
 	Downloaded                    int64 // player-consumed bytes, fleet-wide
 	ActiveClients, StarvedClients int   // got ≥1 payload byte / got none
-
-	// Exact per-client vectors in global client order; nil unless
-	// Fleet.Exact.
-	Exact *FleetExact
-}
-
-// FleetExact is the buffered companion the sketch tests compare
-// against: the same per-client samples the sketches absorbed.
-type FleetExact struct {
-	RateMbps   []float64
-	StartupSec []float64
 }
 
 // Concurrency returns the per-bin count of clients with an active
@@ -519,10 +495,6 @@ func (r *FleetResult) merge(sh *FleetResult) {
 	r.Downloaded += sh.Downloaded
 	r.ActiveClients += sh.ActiveClients
 	r.StarvedClients += sh.StarvedClients
-	if r.Exact != nil && sh.Exact != nil {
-		r.Exact.RateMbps = append(r.Exact.RateMbps, sh.Exact.RateMbps...)
-		r.Exact.StartupSec = append(r.Exact.StartupSec, sh.Exact.StartupSec...)
-	}
 }
 
 // finalize derives the quotient fields once every cell has been folded
@@ -534,15 +506,15 @@ func (r *FleetResult) finalize() {
 	}
 }
 
-// newFleetResult builds an empty result shell for f: the sketches,
-// binned series and Exact buffers a cell (or the fleet accumulator)
-// folds into. Each cell fills a fresh shell and hands it to its
-// consumer; an empty sketch holds no bins, so a shell costs little
-// more than its four series. Merging a cell into a fresh shell is
+// newFleetResult builds an empty result shell for f: the sketches and
+// binned series a cell (or the fleet accumulator) folds into. Each
+// cell fills a fresh shell and hands it to its consumer; an empty
+// sketch holds no bins, so a shell costs little more than its four
+// series. Merging a cell into a fresh shell is
 // exact, so the accumulator path produces the same bytes the old
 // adopt-first-cell fold did.
 func newFleetResult(f Fleet) *FleetResult {
-	r := &FleetResult{
+	return &FleetResult{
 		Fleet:             f,
 		RateMbps:          stats.NewSketch(stats.DefaultSketchErr),
 		StartupSec:        stats.NewSketch(stats.DefaultSketchErr),
@@ -557,10 +529,6 @@ func newFleetResult(f Fleet) *FleetResult {
 		AggBurst:          stats.NewSketch(stats.DefaultSketchErr),
 		CoreBurst:         stats.NewSketch(stats.DefaultSketchErr),
 	}
-	if f.Exact {
-		r.Exact = &FleetExact{}
-	}
-	return r
 }
 
 // fleetWave bounds how many per-cell results exist at once: cells run
@@ -656,11 +624,6 @@ func RunFleetWork(o runner.Options, f Fleet) (*FleetResult, SimWork) {
 	f = f.withDefaults()
 	if err := f.Validate(); err != nil {
 		panic("scenario: " + err.Error())
-	}
-	if f.ExtraCoreTap != nil {
-		// The extra tap is shared mutable state across cells: run them
-		// sequentially so it observes the packet stream in cell order.
-		o.Workers = 1
 	}
 	res := newFleetResult(f)
 	work := runFleetCellRange(o, f, 0, f.cells(), func(_ int, sh *FleetResult) {

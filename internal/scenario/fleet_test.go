@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/netem"
-	"repro/internal/packet"
 	"repro/internal/runner"
 	"repro/internal/stats"
 )
@@ -147,44 +146,59 @@ func exactQuantile(samples []float64, q float64) float64 {
 	return s[rank-1]
 }
 
-// coreRecorder buffers the raw core-link capture — the exact,
-// buffered computation the streaming accumulators are pinned against.
-type coreRecorder struct {
-	at   []time.Duration
-	size []int
-}
-
-func (r *coreRecorder) Capture(at time.Duration, seg *packet.Segment) {
-	r.at = append(r.at, at)
-	r.size = append(r.size, seg.WireLen())
-}
-
-// TestFleetSketchMatchesExact runs one fleet with both pipelines
-// attached: the streaming quantile sketches must sit within their
-// pinned relative-error bound of the exact buffered quantiles, and
-// the streaming binned utilization must equal the offline binning of
-// the buffered capture bit-for-bit (same values, same addition
-// order). This mirrors the streaming/buffered analyzer equivalence
-// suite one level up.
+// TestFleetSketchMatchesExact runs a fleet cell by cell on one
+// cellWorld and keeps, after each cell, the exact per-client samples
+// its client states hold and the wire bytes its core link carried. The
+// streaming quantile sketches must sit within their pinned
+// relative-error bound of the exact quantiles, their means must match,
+// and the binned core utilization must sum to the core link's bytes.
+// The cells folded in order must also be RunFleet's result, byte for
+// byte. This mirrors the streaming/buffered analyzer equivalence suite
+// one level up.
 func TestFleetSketchMatchesExact(t *testing.T) {
-	rec := &coreRecorder{}
 	f := Fleet{
-		Mix:          []MixEntry{{Player: Flash, Weight: 1}, {Player: ChromeHtml5, Weight: 2}},
-		Clients:      48,
-		Duration:     40 * time.Second,
-		Arrival:      Arrival{Kind: Poisson, Window: 10 * time.Second},
-		Seed:         5,
-		UtilBin:      500 * time.Millisecond,
-		Exact:        true,
-		ExtraCoreTap: rec,
+		Mix:      []MixEntry{{Player: Flash, Weight: 1}, {Player: ChromeHtml5, Weight: 2}},
+		Clients:  48,
+		Duration: 40 * time.Second,
+		Arrival:  Arrival{Kind: Poisson, Window: 10 * time.Second},
+		Seed:     5,
+		UtilBin:  500 * time.Millisecond,
+	}.withDefaults()
+	w := newCellWorld(f)
+	res := newFleetResult(f)
+	var rates, startups []float64
+	var coreBytes int64
+	for from := 0; from < f.Clients; from += w.per {
+		to := min(from+w.per, f.Clients)
+		res.merge(w.run(from, to))
+		for _, c := range w.states[:to-from] {
+			if c.first < 0 {
+				rates = append(rates, 0)
+				continue
+			}
+			rate := 0.0
+			if c.last > c.first {
+				rate = float64(c.bytes) * 8 / (c.last - c.first).Seconds() / 1e6
+			}
+			rates = append(rates, rate)
+			startups = append(startups, (c.first - c.start).Seconds())
+		}
+		coreBytes += w.tree.CoreDown.Bytes
 	}
-	res := RunFleet(runner.Options{}, f)
+	res.finalize()
 
-	if res.Exact == nil || len(res.Exact.RateMbps) != 48 {
-		t.Fatalf("exact vectors missing: %+v", res.Exact)
+	want, err := RunFleet(runner.Options{Workers: 2}, f).MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if int64(len(res.Exact.RateMbps)) != res.RateMbps.N() {
-		t.Fatalf("sketch saw %d rate samples, exact has %d", res.RateMbps.N(), len(res.Exact.RateMbps))
+	if got, _ := res.MarshalBinary(); !bytes.Equal(got, want) {
+		t.Fatal("cells folded on one cellWorld differ from RunFleet")
+	}
+	if len(rates) != f.Clients || int64(len(rates)) != res.RateMbps.N() {
+		t.Fatalf("sketch saw %d rate samples, exact has %d of %d clients", res.RateMbps.N(), len(rates), f.Clients)
+	}
+	if int64(len(startups)) != res.StartupSec.N() || len(startups) == 0 {
+		t.Fatalf("sketch saw %d startup samples, exact has %d", res.StartupSec.N(), len(startups))
 	}
 	checkSketch := func(name string, sk *stats.Sketch, samples []float64) {
 		t.Helper()
@@ -206,22 +220,12 @@ func TestFleetSketchMatchesExact(t *testing.T) {
 			t.Fatalf("%s mean: sketch %v, exact %v", name, got, want)
 		}
 	}
-	checkSketch("rate", res.RateMbps, res.Exact.RateMbps)
-	checkSketch("startup", res.StartupSec, res.Exact.StartupSec)
+	checkSketch("rate", res.RateMbps, rates)
+	checkSketch("startup", res.StartupSec, startups)
 
-	// Streaming binned utilization vs offline binning of the buffered
-	// capture: identical capture order means identical float sums.
-	exact := stats.NewBinned(f.UtilBin, f.Duration)
-	var total float64
-	for i, at := range rec.at {
-		exact.Add(at, float64(rec.size[i]))
-		total += float64(rec.size[i])
-	}
-	if !reflect.DeepEqual(exact.Bins, res.CoreUtil.Bins) {
-		t.Fatal("streaming core utilization series differs from exact offline binning")
-	}
-	if res.CoreUtil.Sum() != total {
-		t.Fatalf("core bytes: streaming %v, exact %v", res.CoreUtil.Sum(), total)
+	// Every wire byte the core links sent lands in exactly one bin.
+	if coreBytes == 0 || res.CoreUtil.Sum() != float64(coreBytes) {
+		t.Fatalf("core bytes: streaming %v, links %d", res.CoreUtil.Sum(), coreBytes)
 	}
 
 	// Concurrency integrates to a sane series: never negative, peaks

@@ -86,14 +86,10 @@ func (r *FleetResult) AppendBinary(buf []byte) []byte {
 	buf = fleetAppendI64(buf, r.Downloaded)
 	buf = fleetAppendI64(buf, int64(r.ActiveClients))
 	buf = fleetAppendI64(buf, int64(r.StarvedClients))
-	if r.Exact == nil {
-		buf = fleetAppendI64(buf, 0)
-	} else {
-		buf = fleetAppendI64(buf, 1)
-		buf = fleetAppendVec(buf, r.Exact.RateMbps)
-		buf = fleetAppendVec(buf, r.Exact.StartupSec)
-	}
-	return buf
+	// The final word once flagged per-client sample vectors that only
+	// tests asked for. It stays, always 0, so a cell record keeps the
+	// bytes it had.
+	return fleetAppendI64(buf, 0)
 }
 
 // MarshalBinary implements encoding.BinaryMarshaler.
@@ -149,17 +145,8 @@ func DecodeFleetResult(d *stats.Decoder, f Fleet) (*FleetResult, error) {
 	r.Downloaded = d.I64()
 	r.ActiveClients = int(d.I64())
 	r.StarvedClients = int(d.I64())
-	switch exact := d.I64(); {
-	case exact == 1:
-		r.Exact = &FleetExact{}
-		if r.Exact.RateMbps, err = fleetDecodeVec(d); err != nil {
-			return nil, err
-		}
-		if r.Exact.StartupSec, err = fleetDecodeVec(d); err != nil {
-			return nil, err
-		}
-	case exact != 0:
-		return nil, fmt.Errorf("scenario: fleet result encoding: bad Exact flag %d", exact)
+	if last := d.I64(); last != 0 {
+		return nil, fmt.Errorf("scenario: fleet result encoding: final word %d, want 0", last)
 	}
 	return r, d.Err()
 }

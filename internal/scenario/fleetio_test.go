@@ -14,9 +14,8 @@ import (
 )
 
 // serFleet exercises every serialized field: an adaptive mix populates
-// the playback sketches and RungSec, Exact retains the per-client
-// vectors, and a ragged tail (clients not divisible by the group size)
-// checks partial cells.
+// the playback sketches and RungSec, and a ragged tail (clients not
+// divisible by the group size) checks partial cells.
 func serFleet(clients int) Fleet {
 	return Fleet{
 		Mix:      []MixEntry{{Player: AbrBuffer, Weight: 1}, {Player: AbrRate, Weight: 2}},
@@ -24,7 +23,6 @@ func serFleet(clients int) Fleet {
 		Duration: 12 * time.Second,
 		Arrival:  Arrival{Kind: Staggered, Window: 5 * time.Second},
 		Seed:     23,
-		Exact:    true,
 	}
 }
 
@@ -53,22 +51,6 @@ func TestFleetResultRoundTrip(t *testing.T) {
 	}
 	if !bytes.Equal(re, data) {
 		t.Fatal("re-marshalling the decoded result changed the bytes")
-	}
-
-	// Without Exact the presence flag must round-trip to nil.
-	f2 := serFleet(33)
-	f2.Exact = false
-	res2 := RunFleet(runner.Options{Workers: 1}, f2)
-	data2, _ := res2.MarshalBinary()
-	got2, err := UnmarshalFleetResult(data2, f2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got2.Exact != nil {
-		t.Fatal("Exact resurrected from a run that did not retain it")
-	}
-	if !reflect.DeepEqual(got2, res2) {
-		t.Fatal("round-trip mismatch without Exact")
 	}
 }
 
@@ -110,6 +92,13 @@ func TestFleetResultCodecErrors(t *testing.T) {
 	if _, err := UnmarshalFleetResult(bad, f); err == nil {
 		t.Fatal("bad magic decoded without error")
 	}
+	// The final word once flagged per-client vectors; a record that
+	// still sets it is not one this codec writes.
+	bad = append([]byte(nil), data...)
+	bad[len(bad)-8] = 1
+	if _, err := UnmarshalFleetResult(bad, f); err == nil {
+		t.Fatal("a record whose final word is 1 decoded without error")
+	}
 }
 
 // TestFleetMergeSerializedCells is the distributed-protocol golden at
@@ -119,7 +108,6 @@ func TestFleetResultCodecErrors(t *testing.T) {
 // AND byte-identical with a single-process run.
 func TestFleetMergeSerializedCells(t *testing.T) {
 	f := detFleet()
-	f.Exact = true
 	single := RunFleet(runner.Options{Workers: 1}, f)
 	singleBytes, _ := single.MarshalBinary()
 
@@ -251,13 +239,9 @@ func FuzzUnmarshalFleetResult(f *testing.F) {
 	cell.RateMbps.Add(1e-9)
 	cell.RateMbps.Add(math.Inf(1))
 	f.Add(cell.AppendBinary(nil))
-	// The Exact flag sits where a record without Exact ends.
-	exact := cell.Exact
-	cell.Exact = nil
-	flag := len(cell.AppendBinary(nil)) - 8
-	cell.Exact = exact
+	// The final word, which once flagged per-client vectors, must be 0.
 	rec := cell.AppendBinary(nil)
-	rec[flag] = 2
+	rec[len(rec)-8] = 1
 	f.Add(rec)
 	// A nil sketch encodes as RelErr +0; -0 is not canonical. The
 	// first sketch follows the magic, Clients and Groups.

@@ -751,10 +751,6 @@ func (c *Conn) scheduleAck(seg *packet.Segment) {
 	if seg.Len() == 0 {
 		return
 	}
-	if c.cfg.NoDelayedAck {
-		c.sendAck()
-		return
-	}
 	c.unacked++
 	if c.unacked >= 2 || seg.HasFlag(packet.FlagPSH) {
 		c.sendAck()

@@ -6,10 +6,10 @@
 // probes against zero windows, and an optional RFC 5681 idle-window
 // reset.
 //
-// The segment size, initial window, RTO bounds and delayed-ACK timer
+// The segment size, initial window, RTO bounds and delayed-ACK policy
 // are package constants, one 2011-era stack for every run; a
-// connection's Config chooses only its receive buffer, ACK policy,
-// idle restart and congestion controller.
+// connection's Config chooses only its receive buffer, idle restart
+// and congestion controller.
 //
 // The stack is event-driven and single-threaded on a sim.Scheduler:
 // applications interact through non-blocking reads/writes plus
@@ -37,22 +37,21 @@ const (
 	// reports in Section 5.1.1.
 	minRTO = 120 * time.Millisecond
 	maxRTO = 60 * time.Second
-	// ackDelay is the delayed-ACK timer.
+	// ackDelay is the delayed-ACK timer. A receiver ACKs every second
+	// data segment and every PSH segment at once, and any other
+	// segment when this timer fires.
 	ackDelay = 40 * time.Millisecond
 	// defaultRecvBuf is the receive buffer when Config.RecvBuf is 0.
 	defaultRecvBuf = 256 << 10
 )
 
 // Config carries what a connection's application chooses: its receive
-// buffer, its ACK policy, the idle restart and the congestion
-// controller. Zero fields take defaults.
+// buffer, the idle restart and the congestion controller. Zero fields
+// take defaults.
 type Config struct {
 	// RecvBuf is the receive buffer capacity in bytes, which bounds
 	// the advertised window. Default 256 KiB.
 	RecvBuf int
-	// NoDelayedAck disables the every-other-segment delayed ACK policy
-	// (the zero value keeps delayed ACKs on, matching real stacks).
-	NoDelayedAck bool
 	// IdleReset, when true, applies the RFC 5681 restart: after an
 	// idle period longer than one RTO the congestion window collapses
 	// back to the initial window. The paper observes that streaming

@@ -363,21 +363,34 @@ type lossFunc func() bool
 // Drop implements netem.LossModel.
 func (f lossFunc) Drop(*rand.Rand) bool { return f() }
 
+// TestDelayedAckReducesAckCount pins the receiver's one ACK policy:
+// it ACKs every second data segment, every PSH segment at once, and a
+// lone segment when the delayed-ACK timer fires. The client reads
+// nothing (its buffer holds the whole transfer), so no window update
+// adds an ACK.
 func TestDelayedAckReducesAckCount(t *testing.T) {
-	run := func(delayed bool) int {
-		p := newPair(13, noLossProfile())
-		p.server.Listen(80, Config{}, func(c *Conn) {
-			c.SetCallbacks(Callbacks{OnConnected: func() { c.WriteZero(512 << 10) }})
-		})
-		c := p.client.Dial(Config{RecvBuf: 1 << 20, NoDelayedAck: !delayed}, packet.EP(203, 0, 113, 10, 80))
-		c.SetCallbacks(Callbacks{OnReadable: func() { c.Discard(1 << 30) }})
-		p.sch.RunUntil(30 * time.Second)
-		return p.path.Up.Sent
+	p := newPair(13, noLossProfile())
+	var data, psh int
+	p.path.Down.AddTap(tapFn(func(_ time.Duration, seg *packet.Segment) {
+		if seg.Len() > 0 {
+			data++
+			if seg.HasFlag(packet.FlagPSH) {
+				psh++
+			}
+		}
+	}))
+	p.server.Listen(80, Config{}, func(c *Conn) {
+		c.SetCallbacks(Callbacks{OnConnected: func() { c.WriteZero(512 << 10) }})
+	})
+	p.client.Dial(Config{RecvBuf: 1 << 20}, packet.EP(203, 0, 113, 10, 80))
+	p.sch.RunUntil(30 * time.Second)
+	acks := p.path.Up.Sent - 2 // the SYN and the handshake's final ACK
+	if data < 300 || psh == 0 {
+		t.Fatalf("transfer too small to test: %d data segments, %d with PSH", data, psh)
 	}
-	withDelay := run(true)
-	without := run(false)
-	if withDelay >= without {
-		t.Fatalf("delayed ACKs sent %d acks, immediate sent %d; delayed must send fewer", withDelay, without)
+	if acks < data/2 || acks > data/2+psh {
+		t.Fatalf("%d data segments (%d with PSH) drew %d ACKs, want %d..%d",
+			data, psh, acks, data/2, data/2+psh)
 	}
 }
 
