@@ -18,7 +18,15 @@ import (
 // perf-smoke gate. With -only, a selected benchmark missing from
 // either report, or a pattern that selects none, fails the gate too. The fleet per-client columns
 // divide both reports by the same client count, so the B/op gate is
-// exactly the B/op/client gate for the BenchmarkFleet rows.
+// exactly the B/op/client gate for the BenchmarkFleet rows. The
+// deterministic work counters are gated exactly, with no flag: a
+// compared row whose exactCounters differ fails the compare.
+
+// exactCounters are the b.ReportMetric units that count simulated work
+// (scheduler events, lane hops, packets per client). They do not
+// jitter, so any difference between two reports of a row means the
+// simulation did different work.
+var exactCounters = []string{"events/op", "hops/op", "pkts/client"}
 
 // loadReport reads one BENCH_<n>.json file.
 func loadReport(path string) (Report, error) {
@@ -90,12 +98,22 @@ func fmtCount(v float64) string {
 	return strconv.FormatFloat(v, 'f', -1, 64)
 }
 
+// fmtCounter prints a counter exactly, or "absent" when the report
+// does not record it.
+func fmtCounter(v float64, ok bool) string {
+	if !ok {
+		return "absent"
+	}
+	return strconv.FormatFloat(v, 'f', -1, 64)
+}
+
 // compareReports renders the delta table and reports whether any
 // benchmark's allocs/op regression exceeds failAllocsPct or its B/op
 // regression exceeds failBytesPct (a non-positive threshold never
-// fails). only, when non-nil, restricts the comparison to matching
-// benchmark names, which must then be the same, and at least one, in
-// both reports.
+// fails), or whether any compared row's exactCounters differ, a
+// counter that only one report records included. only, when non-nil,
+// restricts the comparison to matching benchmark names, which must
+// then be the same, and at least one, in both reports.
 func compareReports(oldRep, newRep Report, only *regexp.Regexp, failAllocsPct, failBytesPct float64) (string, bool) {
 	newIdx := map[string]*Result{}
 	for i := range newRep.Benchmarks {
@@ -118,7 +136,7 @@ func compareReports(oldRep, newRep Report, only *regexp.Regexp, failAllocsPct, f
 			fmtBytes(float64(o.BytesPerOp)/div), fmtBytes(float64(n.BytesPerOp)/div), delta(float64(o.BytesPerOp), float64(n.BytesPerOp)),
 			fmtCount(float64(o.AllocsPerOp)/div), fmtCount(float64(n.AllocsPerOp)/div), delta(float64(o.AllocsPerOp), float64(n.AllocsPerOp)))
 	}
-	var onlyOld, onlyNew []string
+	var onlyOld, onlyNew, counterDiffs []string
 	compared := 0
 	for i := range oldRep.Benchmarks {
 		o := &oldRep.Benchmarks[i]
@@ -136,6 +154,13 @@ func compareReports(oldRep, newRep Report, only *regexp.Regexp, failAllocsPct, f
 		if m := clientsRe.FindStringSubmatch(o.Name); m != nil {
 			if clients, err := strconv.ParseFloat(m[1], 64); err == nil && clients > 0 {
 				row("  └ per client", o, n, clients)
+			}
+		}
+		for _, unit := range exactCounters {
+			ov, inOld := o.Metrics[unit]
+			nv, inNew := n.Metrics[unit]
+			if ov != nv || inOld != inNew {
+				counterDiffs = append(counterDiffs, fmt.Sprintf("%s %s: %s -> %s", o.Name, unit, fmtCounter(ov, inOld), fmtCounter(nv, inNew)))
 			}
 		}
 		if d := pct(float64(o.AllocsPerOp), float64(n.AllocsPerOp)); !math.IsNaN(d) && d > worst {
@@ -171,6 +196,13 @@ func compareReports(oldRep, newRep Report, only *regexp.Regexp, failAllocsPct, f
 		fail = true
 	} else if only != nil && compared == 0 {
 		fmt.Fprintf(&b, "FAIL: -only matches no benchmark\n")
+		fail = true
+	}
+	for _, d := range counterDiffs {
+		fmt.Fprintf(&b, "counter changed: %s\n", d)
+	}
+	if len(counterDiffs) > 0 {
+		fmt.Fprintf(&b, "FAIL: %d deterministic counter(s) differ\n", len(counterDiffs))
 		fail = true
 	}
 	if !math.IsInf(worst, -1) {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"maps"
 	"regexp"
 	"strings"
 	"testing"
@@ -87,6 +88,50 @@ func TestCompareFailBytesThreshold(t *testing.T) {
 	better := rep(Result{Name: "BenchmarkFleet/clients=1024", NsPerOp: 1e9, BytesPerOp: 20e6, AllocsPerOp: 100})
 	if _, fail := compareReports(oldRep, better, nil, 0, 25); fail {
 		t.Fatal("B/op improvement tripped the gate")
+	}
+}
+
+// TestCompareExactCounters pins the work-counter gate: with no flag
+// set, a compared row whose events/op, hops/op or pkts/client differs
+// by one, or is recorded by one report only, fails the compare, while
+// the jittering per-client timing column may move freely.
+func TestCompareExactCounters(t *testing.T) {
+	fleet := func(metrics map[string]float64) Result {
+		return Result{Name: "BenchmarkFleet/clients=256", NsPerOp: 1e9, BytesPerOp: 1e6, AllocsPerOp: 100, Metrics: metrics}
+	}
+	base := map[string]float64{"events/op": 64313, "hops/op": 8003757, "pkts/client": 6516, "ns/op/client": 8.7e6}
+	with := func(unit string, v float64) map[string]float64 {
+		m := maps.Clone(base)
+		m[unit] = v
+		return m
+	}
+	without := func(unit string) map[string]float64 {
+		m := maps.Clone(base)
+		delete(m, unit)
+		return m
+	}
+	if table, fail := compareReports(rep(fleet(base)), rep(fleet(with("ns/op/client", 9.9e6))), nil, 0, 0); fail {
+		t.Fatalf("equal counters failed the compare:\n%s", table)
+	}
+	for _, tc := range []struct {
+		name    string
+		newMets map[string]float64
+		want    string
+	}{
+		{"events/op", with("events/op", 64314), "counter changed: BenchmarkFleet/clients=256 events/op: 64313 -> 64314"},
+		{"hops/op", with("hops/op", 8003756), "counter changed: BenchmarkFleet/clients=256 hops/op: 8003757 -> 8003756"},
+		{"pkts/client", with("pkts/client", 6517), "counter changed: BenchmarkFleet/clients=256 pkts/client: 6516 -> 6517"},
+		{"dropped", without("hops/op"), "counter changed: BenchmarkFleet/clients=256 hops/op: 8003757 -> absent"},
+	} {
+		table, fail := compareReports(rep(fleet(base)), rep(fleet(tc.newMets)), nil, 0, 0)
+		if !fail {
+			t.Errorf("%s: a changed counter passed the compare:\n%s", tc.name, table)
+		}
+		for _, want := range []string{tc.want, "FAIL: 1 deterministic counter(s) differ"} {
+			if !strings.Contains(table, want) {
+				t.Errorf("%s: missing %q:\n%s", tc.name, want, table)
+			}
+		}
 	}
 }
 

@@ -134,7 +134,7 @@ func main() {
 	out := flag.String("out", "", "output path (default BENCH_<n>.json)")
 	stamp := flag.String("stamp", "", "override generated_at (RFC3339) so reports diff reproducibly in CI")
 	note := flag.String("note", "", "free-form notes field recorded in the report")
-	compare := flag.Bool("compare", false, "compare two BENCH_<n>.json files (positional: old.json new.json) and print a delta table")
+	compare := flag.Bool("compare", false, "compare two BENCH_<n>.json files (positional: old.json new.json) and print a delta table; exit 1 if a compared row's events/op, hops/op or pkts/client differs")
 	only := flag.String("only", "", "with -compare: restrict to benchmarks matching this regex; exit 1 unless it matches at least one and each is in both reports")
 	failAllocs := flag.Float64("fail-allocs", 0, "with -compare: exit 1 if any benchmark's allocs/op regresses by more than this percent")
 	failBytes := flag.Float64("fail-bytes", 0, "with -compare: exit 1 if any benchmark's B/op (and so its per-client column) regresses by more than this percent")

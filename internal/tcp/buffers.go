@@ -131,13 +131,23 @@ func (b *sendBuffer) Slice(off int64, n int) ([]byte, bool) {
 }
 
 // oooQueue holds out-of-order segments keyed by stream offset, sorted
-// ascending. A reassembly queue is almost always a handful of entries
-// (one loss event's flight), so a sorted slice with binary search
-// replaces the per-connection map: inserts reuse the backing array
-// across the connection's whole life instead of growing bucket chains,
-// which removes the second-largest allocation of a fleet run.
+// ascending, from index head on. A reassembly queue is almost always a
+// handful of entries (one loss event's flight), so a sorted slice with
+// binary search replaces the per-connection map: inserts reuse the
+// backing array across the connection's whole life instead of growing
+// bucket chains, which removes the second-largest allocation of a fleet
+// run.
+//
+// Only entries at or above the receive point are stored. An entry the
+// receive point has passed without landing on it (a partial accept, or
+// a retransmission cut on other segment boundaries) can never be taken,
+// so take purges it: its segment goes back to the host's pool and dead
+// counts it. len still counts dead entries, so the reassembly cap
+// refuses exactly what it would if they were kept.
 type oooQueue struct {
 	entries []oooEntry
+	head    int // index of the first stored entry
+	dead    int // entries purged below the receive point
 }
 
 type oooEntry struct {
@@ -145,11 +155,15 @@ type oooEntry struct {
 	seg *packet.Segment
 }
 
-func (q *oooQueue) len() int { return len(q.entries) }
+// oooCap bounds the reassembly queue: an out-of-order segment that
+// finds len() at the cap is dropped.
+const oooCap = 4096
 
-// search returns the index of the first entry with offset >= off.
+func (q *oooQueue) len() int { return len(q.entries) - q.head + q.dead }
+
+// search returns the index of the first stored entry with offset >= off.
 func (q *oooQueue) search(off int64) int {
-	lo, hi := 0, len(q.entries)
+	lo, hi := q.head, len(q.entries)
 	for lo < hi {
 		mid := (lo + hi) / 2
 		if q.entries[mid].off < off {
@@ -161,29 +175,47 @@ func (q *oooQueue) search(off int64) int {
 	return lo
 }
 
-// put inserts seg at off, replacing any existing entry at the same
-// offset (matching the map semantics it replaces).
-func (q *oooQueue) put(off int64, seg *packet.Segment) {
+// put inserts seg at off, which lies above the receive point. An entry
+// already stored at off is replaced (the map semantics it replaces), and
+// its segment goes back to h's pool.
+func (q *oooQueue) put(off int64, seg *packet.Segment, h *Host) {
 	i := q.search(off)
 	if i < len(q.entries) && q.entries[i].off == off {
+		h.putSeg(q.entries[i].seg)
 		q.entries[i].seg = seg
 		return
+	}
+	if q.head > 0 && q.head*2 >= len(q.entries) {
+		// At least half the slots are taken or purged: compact the
+		// stored tail to the front and reuse the array, as
+		// recvBuffer.Push does.
+		n := copy(q.entries, q.entries[q.head:])
+		clear(q.entries[n:])
+		q.entries = q.entries[:n]
+		i -= q.head
+		q.head = 0
 	}
 	q.entries = append(q.entries, oooEntry{})
 	copy(q.entries[i+1:], q.entries[i:])
 	q.entries[i] = oooEntry{off: off, seg: seg}
 }
 
-// take removes and returns the entry at exactly off.
-func (q *oooQueue) take(off int64) (*packet.Segment, bool) {
-	i := q.search(off)
-	if i >= len(q.entries) || q.entries[i].off != off {
+// take purges every stored entry below off, the receive point, into h's
+// pool, then removes and returns the entry at exactly off, which can
+// only be the first one left.
+func (q *oooQueue) take(off int64, h *Host) (*packet.Segment, bool) {
+	for q.head < len(q.entries) && q.entries[q.head].off < off {
+		h.putSeg(q.entries[q.head].seg)
+		q.entries[q.head] = oooEntry{}
+		q.head++
+		q.dead++
+	}
+	if q.head == len(q.entries) || q.entries[q.head].off != off {
 		return nil, false
 	}
-	seg := q.entries[i].seg
-	copy(q.entries[i:], q.entries[i+1:])
-	q.entries[len(q.entries)-1] = oooEntry{}
-	q.entries = q.entries[:len(q.entries)-1]
+	seg := q.entries[q.head].seg
+	q.entries[q.head] = oooEntry{}
+	q.head++
 	return seg, true
 }
 

@@ -703,7 +703,7 @@ func (c *Conn) processData(seg *packet.Segment) {
 			// Drain contiguous out-of-order segments (space was
 			// reserved by the advertised window).
 			for {
-				next, ok := c.ooo.take(c.rcvNxt)
+				next, ok := c.ooo.take(c.rcvNxt, c.host)
 				if !ok {
 					break
 				}
@@ -729,9 +729,9 @@ func (c *Conn) processData(seg *packet.Segment) {
 		}
 	default: // segOff > c.rcvNxt
 		// Out of order: hold (bounded) and send an immediate dup ACK.
-		if c.ooo.len() < 4096 {
-			c.ooo.put(segOff, seg)
-			c.host.retained = true // survives Deliver; recycled on drain
+		if c.ooo.len() < oooCap {
+			c.ooo.put(segOff, seg, c.host)
+			c.host.retained = true // survives Deliver; recycled on drain, purge or replacement
 		}
 		c.sendAck()
 	}
