@@ -56,7 +56,7 @@ func BenchmarkSingleSession(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		session.Run(session.Config{
 			Video: v, Service: session.YouTube,
-			Player:  player.NewFlashPlayer("Internet Explorer"),
+			Player:  player.NewFlashPlayer(),
 			Network: netem.Research, Seed: 7,
 		})
 	}
@@ -72,7 +72,7 @@ func benchSingleSessionCC(b *testing.B, cc string) {
 	for i := 0; i < b.N; i++ {
 		session.Run(session.Config{
 			Video: v, Service: session.YouTube,
-			Player:  player.NewFlashPlayer("Internet Explorer"),
+			Player:  player.NewFlashPlayer(),
 			Network: netem.Research, Seed: 7,
 			ServerTCP: tcp.Config{CC: cc},
 		})
@@ -97,7 +97,7 @@ func BenchmarkSingleSessionPcap(b *testing.B) {
 		}
 		session.Run(session.Config{
 			Video: v, Service: session.YouTube,
-			Player:  player.NewFlashPlayer("Internet Explorer"),
+			Player:  player.NewFlashPlayer(),
 			Network: netem.Research, Seed: 7, Capture: ps,
 		})
 		if err := ps.Close(); err != nil {

@@ -25,7 +25,7 @@ func TestCcAllocParity(t *testing.T) {
 		return testing.AllocsPerRun(3, func() {
 			session.Run(session.Config{
 				Video: v, Service: session.YouTube,
-				Player:  player.NewFlashPlayer("Internet Explorer"),
+				Player:  player.NewFlashPlayer(),
 				Network: netem.Research, Seed: 7,
 				ServerTCP: tcp.Config{CC: cc},
 			})

@@ -7,8 +7,8 @@ import (
 	"repro/internal/media"
 	"repro/internal/netem"
 	"repro/internal/packet"
-	"repro/internal/player"
 	"repro/internal/runner"
+	"repro/internal/scenario"
 	"repro/internal/session"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -136,11 +136,7 @@ func AblationLoss(o Options) *AblationLossResult {
 		prof := netem.Research
 		prof.Name = "lossy"
 		prof.Loss = loss
-		cfgs[i] = session.Config{
-			Video: v, Service: session.YouTube,
-			Player: player.NewFlashPlayer("x"), Network: prof,
-			Seed: o.Seed, Duration: o.Duration,
-		}
+		cfgs[i] = sessionConfig(scenario.Flash, v, prof, o.Seed, o.Duration)
 	}
 	results := runSessions(o, cfgs)
 	for i, loss := range losses {

@@ -7,8 +7,8 @@ import (
 	"repro/internal/media"
 	"repro/internal/netem"
 	"repro/internal/packet"
-	"repro/internal/player"
 	"repro/internal/runner"
+	"repro/internal/scenario"
 	"repro/internal/session"
 	"repro/internal/stats"
 )
@@ -33,27 +33,19 @@ type AggregateRow struct {
 	ModelMean    float64 // fluid-model prediction for the same mix
 }
 
-// rateMeter buckets downstream bytes per interval to compute
-// aggregate-rate statistics at packet level.
-type rateMeter struct {
-	bucket  time.Duration
-	buckets map[int]int64
+// payloadTap bins the payload bytes a link carries before horizon, for
+// aggregate-rate statistics at packet level. Binned clamps a later
+// sample into its last bin, so the tap drops it.
+type payloadTap struct {
+	bins    *stats.Binned
+	horizon time.Duration
 }
 
 // Capture implements netem.Tap.
-func (m *rateMeter) Capture(at time.Duration, seg *packet.Segment) {
-	if seg.Len() == 0 {
-		return
+func (t payloadTap) Capture(at time.Duration, seg *packet.Segment) {
+	if at < t.horizon {
+		t.bins.Add(at, float64(seg.Len()))
 	}
-	m.buckets[int(at/m.bucket)] += int64(seg.Len())
-}
-
-func (m *rateMeter) series(from, to time.Duration) []float64 {
-	var out []float64
-	for i := int(from / m.bucket); i < int(to/m.bucket); i++ {
-		out = append(out, float64(m.buckets[i])*8/m.bucket.Seconds())
-	}
-	return out
 }
 
 // AggregateLoss runs o.N concurrent sessions per strategy through a
@@ -70,14 +62,13 @@ func AggregateLoss(o Options) *AggregateLossResult {
 	horizon := warm + o.Duration
 
 	type aggCase struct {
-		label     string
-		container media.Container
-		mk        func() player.Player
+		label string
+		kind  scenario.PlayerKind
 	}
 	cases := []aggCase{
-		{"Short ON-OFF (Flash)", media.Flash, func() player.Player { return player.NewFlashPlayer("x") }},
-		{"Long ON-OFF (Chrome)", media.HTML5, func() player.Player { return player.NewChromeHtml5() }},
-		{"No ON-OFF (Firefox)", media.HTML5, func() player.Player { return player.NewFirefoxHtml5() }},
+		{"Short ON-OFF (Flash)", scenario.Flash},
+		{"Long ON-OFF (Chrome)", scenario.ChromeHtml5},
+		{"No ON-OFF (Firefox)", scenario.FirefoxHtml5},
 	}
 	res.Artifact.Addf("%d concurrent 1.2 Mbps sessions on a shared 100 Mbps / 384 kB-queue bottleneck", n)
 	res.Artifact.Addf("%-24s %-14s %-22s %-12s", "strategy", "loss induced", "aggregate Mbps (std)", "model E[R]")
@@ -86,13 +77,13 @@ func AggregateLoss(o Options) *AggregateLossResult {
 	res.Rows = runner.Map(o.pool(), cases, func(ci int, c aggCase) AggregateRow {
 		// A tight queue makes strategy burstiness visible as drops.
 		sh := session.NewShared(session.Config{
-			Service: session.YouTube, Seed: o.Seed + int64(ci), Duration: horizon,
+			Service: c.kind.Service(), Seed: o.Seed + int64(ci), Duration: horizon,
 			Network: netem.Profile{
 				Name: "bottleneck", Down: 100 * netem.Mbps, Up: 100 * netem.Mbps,
 				RTT: 40 * time.Millisecond, Queue: 384 << 10,
 			},
 		})
-		meter := &rateMeter{bucket: time.Second, buckets: map[int]int64{}}
+		meter := payloadTap{bins: stats.NewBinned(time.Second, horizon), horizon: horizon}
 		sh.Path.Down.AddTap(meter)
 
 		// Every draw precedes the run: the video durations, then the
@@ -103,13 +94,13 @@ func AggregateLoss(o Options) *AggregateLossResult {
 				ID:           1000 + i,
 				EncodingRate: 1.2e6,
 				Duration:     time.Duration(180+sh.Rand().Intn(240)) * time.Second,
-				Container:    c.container,
+				Container:    c.kind.NativeContainer(),
 				Resolution:   "360p",
 			}
 		}
 		for _, v := range vids {
 			at := time.Duration(sh.Rand().Int63n(int64(warm)))
-			sh.Add(session.Config{Video: v, Player: c.mk(), StartAt: at})
+			sh.Add(session.Config{Video: v, Player: c.kind.New(), StartAt: at})
 		}
 		sh.Run()
 
@@ -119,7 +110,11 @@ func AggregateLoss(o Options) *AggregateLossResult {
 		if offered > 0 {
 			loss = float64(down.Dropped) / float64(offered)
 		}
-		series := meter.series(warm, horizon)
+		// The rate in bit/s of each whole 1 s bin after the warm-up.
+		var series []float64
+		for _, b := range meter.bins.Bins[warm/time.Second : horizon/time.Second] {
+			series = append(series, b*8)
+		}
 		mean := stats.Mean(series)
 		std := stats.Std(series)
 		// Fluid-model prediction for the same mix: λ = n/warm-ish is

@@ -16,8 +16,8 @@ import (
 
 	"repro/internal/media"
 	"repro/internal/netem"
-	"repro/internal/player"
 	"repro/internal/runner"
+	"repro/internal/scenario"
 	"repro/internal/session"
 	"repro/internal/trace"
 )
@@ -76,18 +76,12 @@ func runSessions(o Options, cfgs []session.Config) []*session.Result {
 	return runner.Sessions(o.pool(), cfgs)
 }
 
-// ytConfig builds one YouTube session config.
-func ytConfig(v media.Video, p player.Player, net netem.Profile, seed int64, d time.Duration) session.Config {
+// sessionConfig builds one session config: a fresh player of kind k
+// streaming v over net. The service comes from the kind, so a config
+// cannot pair a player with the other service's server.
+func sessionConfig(k scenario.PlayerKind, v media.Video, net netem.Profile, seed int64, d time.Duration) session.Config {
 	return session.Config{
-		Video: v, Service: session.YouTube, Player: p,
-		Network: net, Seed: seed, Duration: d,
-	}
-}
-
-// nfConfig builds one Netflix session config.
-func nfConfig(v media.Video, p player.Player, net netem.Profile, seed int64, d time.Duration) session.Config {
-	return session.Config{
-		Video: v, Service: session.Netflix, Player: p,
+		Video: v, Service: k.Service(), Player: k.New(),
 		Network: net, Seed: seed, Duration: d,
 	}
 }
@@ -99,11 +93,6 @@ func seriesOf(cfg *session.Config) *trace.Series {
 	s := &trace.Series{}
 	cfg.Capture = s
 	return s
-}
-
-// runYouTube executes one YouTube session.
-func runYouTube(v media.Video, p player.Player, net netem.Profile, seed int64, d time.Duration) *session.Result {
-	return session.Run(ytConfig(v, p, net, seed, d))
 }
 
 // sampleVideos picks up to n videos deterministically from a dataset.

@@ -6,7 +6,7 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/media"
 	"repro/internal/netem"
-	"repro/internal/player"
+	"repro/internal/scenario"
 	"repro/internal/session"
 	"repro/internal/stats"
 )
@@ -14,6 +14,32 @@ import (
 // netflixSample builds the NetPC/NetMob samples.
 func netflixSample(o Options) []media.Video {
 	return sampleVideos(media.NetPC(o.N*4, o.Seed+7), o.N)
+}
+
+// netflixClients is the client table of Figures 11 and 12: one series
+// label per client kind and network.
+var netflixClients = []struct {
+	label string
+	net   netem.Profile
+	kind  scenario.PlayerKind
+}{
+	{"PC/Academic", netem.Academic, scenario.SilverlightPC},
+	{"PC/Home", netem.Home, scenario.SilverlightPC},
+	{"iPad/Academic", netem.Academic, scenario.NetflixIPad},
+	{"Android/Academic", netem.Academic, scenario.NetflixAndroid},
+}
+
+// runNetflixClients streams the NetPC sample with every netflixClients
+// entry and returns the sample size and the results, client-major.
+func runNetflixClients(o Options) (videos int, results []*session.Result) {
+	vids := netflixSample(o)
+	var cfgs []session.Config
+	for si, s := range netflixClients {
+		for i, v := range vids {
+			cfgs = append(cfgs, sessionConfig(s.kind, v, s.net, o.Seed+int64(si*100+i), o.Duration))
+		}
+	}
+	return len(vids), runSessions(o, cfgs)
 }
 
 // Figure10Result holds the representative Netflix traces.
@@ -31,9 +57,9 @@ func Figure10(o Options) *Figure10Result {
 	o = o.withDefaults()
 	v := media.Video{ID: 31, EncodingRate: 3800e3, Duration: 45 * time.Minute, Container: media.Silverlight, Resolution: "adaptive"}
 	cfgs := []session.Config{
-		nfConfig(v, player.NewSilverlightPC("Internet Explorer"), netem.Academic, o.Seed, o.Duration),
-		nfConfig(v, player.NewNetflixIPad(), netem.Academic, o.Seed+1, o.Duration),
-		nfConfig(v, player.NewNetflixAndroid(), netem.Academic, o.Seed+2, o.Duration),
+		sessionConfig(scenario.SilverlightPC, v, netem.Academic, o.Seed, o.Duration),
+		sessionConfig(scenario.NetflixIPad, v, netem.Academic, o.Seed+1, o.Duration),
+		sessionConfig(scenario.NetflixAndroid, v, netem.Academic, o.Seed+2, o.Duration),
 	}
 	pcSeries, ipSeries, anSeries := seriesOf(&cfgs[0]), seriesOf(&cfgs[1]), seriesOf(&cfgs[2])
 	rs := runSessions(o, cfgs)
@@ -70,28 +96,10 @@ type Figure11Result struct {
 func Figure11(o Options) *Figure11Result {
 	o = o.withDefaults()
 	res := &Figure11Result{Buffering: map[string]*stats.CDF{}, Artifact: Artifact{Title: "Figure 11: Netflix buffering amounts"}}
-	vids := netflixSample(o)
-	series := []struct {
-		label string
-		net   netem.Profile
-		mk    func() player.Player
-	}{
-		{"PC/Academic", netem.Academic, func() player.Player { return player.NewSilverlightPC("Internet Explorer") }},
-		{"PC/Home", netem.Home, func() player.Player { return player.NewSilverlightPC("Internet Explorer") }},
-		{"iPad/Academic", netem.Academic, func() player.Player { return player.NewNetflixIPad() }},
-		{"Android/Academic", netem.Academic, func() player.Player { return player.NewNetflixAndroid() }},
-	}
-	var cfgs []session.Config
-	for si, s := range series {
-		for i, v := range vids {
-			cfgs = append(cfgs, nfConfig(v, s.mk(), s.net, o.Seed+int64(si*100+i), o.Duration))
-		}
-	}
-	results := runSessions(o, cfgs)
-	for si, s := range series {
+	n, results := runNetflixClients(o)
+	for si, s := range netflixClients {
 		var buf []float64
-		for i := range vids {
-			r := results[si*len(vids)+i]
+		for _, r := range results[si*n : (si+1)*n] {
 			buf = append(buf, mb(r.Analysis.BufferedBytes))
 		}
 		res.Buffering[s.label] = stats.NewCDF(buf)
@@ -110,28 +118,10 @@ type Figure12Result struct {
 func Figure12(o Options) *Figure12Result {
 	o = o.withDefaults()
 	res := &Figure12Result{Blocks: map[string]*stats.CDF{}, Artifact: Artifact{Title: "Figure 12: Netflix block sizes"}}
-	vids := netflixSample(o)
-	series := []struct {
-		label string
-		net   netem.Profile
-		mk    func() player.Player
-	}{
-		{"PC/Academic", netem.Academic, func() player.Player { return player.NewSilverlightPC("Internet Explorer") }},
-		{"PC/Home", netem.Home, func() player.Player { return player.NewSilverlightPC("Internet Explorer") }},
-		{"iPad/Academic", netem.Academic, func() player.Player { return player.NewNetflixIPad() }},
-		{"Android/Academic", netem.Academic, func() player.Player { return player.NewNetflixAndroid() }},
-	}
-	var cfgs []session.Config
-	for si, s := range series {
-		for i, v := range vids {
-			cfgs = append(cfgs, nfConfig(v, s.mk(), s.net, o.Seed+int64(si*100+i), o.Duration))
-		}
-	}
-	results := runSessions(o, cfgs)
-	for si, s := range series {
+	n, results := runNetflixClients(o)
+	for si, s := range netflixClients {
 		var blocks []float64
-		for i := range vids {
-			r := results[si*len(vids)+i]
+		for _, r := range results[si*n : (si+1)*n] {
 			for _, b := range r.Analysis.Blocks {
 				blocks = append(blocks, mb(b))
 			}

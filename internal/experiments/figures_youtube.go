@@ -6,7 +6,7 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/media"
 	"repro/internal/netem"
-	"repro/internal/player"
+	"repro/internal/scenario"
 	"repro/internal/session"
 	"repro/internal/stats"
 	"repro/internal/tcp"
@@ -27,7 +27,7 @@ type Figure1Result struct {
 func Figure1(o Options) *Figure1Result {
 	o = o.withDefaults()
 	v := media.Video{ID: 21, EncodingRate: 1e6, Duration: 300 * time.Second, Container: media.Flash, Resolution: "360p"}
-	r := runYouTube(v, player.NewFlashPlayer("Internet Explorer"), netem.Research, o.Seed, o.Duration)
+	r := session.Run(sessionConfig(scenario.Flash, v, netem.Research, o.Seed, o.Duration))
 	a := r.Analysis
 	res := &Figure1Result{
 		BufferingEnd:  a.BufferingEnd,
@@ -71,8 +71,8 @@ func Figure2(o Options) *Figure2Result {
 	fv := media.Video{ID: 22, EncodingRate: 1e6, Duration: 300 * time.Second, Container: media.Flash, Resolution: "360p"}
 	hv := media.Video{ID: 23, EncodingRate: 1e6, Duration: 300 * time.Second, Container: media.HTML5, Resolution: "360p"}
 	cfgs := []session.Config{
-		ytConfig(fv, player.NewFlashPlayer("Internet Explorer"), netem.Research, o.Seed, o.Duration),
-		ytConfig(hv, player.NewIEHtml5(), netem.Research, o.Seed+1, o.Duration),
+		sessionConfig(scenario.Flash, fv, netem.Research, o.Seed, o.Duration),
+		sessionConfig(scenario.IEHtml5, hv, netem.Research, o.Seed+1, o.Duration),
 	}
 	fr, hr := seriesOf(&cfgs[0]), seriesOf(&cfgs[1])
 	runSessions(o, cfgs)
@@ -167,11 +167,11 @@ func Figure3(o Options) *Figure3Result {
 	var cfgs []session.Config
 	for _, net := range netem.Profiles() {
 		for i, v := range flash {
-			cfgs = append(cfgs, ytConfig(v, player.NewFlashPlayer("Internet Explorer"), net, o.Seed+int64(i), o.Duration))
+			cfgs = append(cfgs, sessionConfig(scenario.Flash, v, net, o.Seed+int64(i), o.Duration))
 		}
 	}
 	for i, v := range html {
-		cfgs = append(cfgs, ytConfig(v, player.NewIEHtml5(), netem.Research, o.Seed+200+int64(i), o.Duration))
+		cfgs = append(cfgs, sessionConfig(scenario.IEHtml5, v, netem.Research, o.Seed+200+int64(i), o.Duration))
 	}
 	results := runSessions(o, cfgs)
 
@@ -234,7 +234,7 @@ type SteadyStateResult struct {
 	Artifact    Artifact
 }
 
-func steadyState(o Options, title string, videos []media.Video, mk func() player.Player) *SteadyStateResult {
+func steadyState(o Options, title string, videos []media.Video, kind scenario.PlayerKind) *SteadyStateResult {
 	res := &SteadyStateResult{
 		BlockCDF: map[string]*stats.CDF{},
 		AccumCDF: map[string]*stats.CDF{},
@@ -243,7 +243,7 @@ func steadyState(o Options, title string, videos []media.Video, mk func() player
 	var cfgs []session.Config
 	for _, net := range netem.Profiles() {
 		for i, v := range videos {
-			cfgs = append(cfgs, ytConfig(v, mk(), net, o.Seed+int64(i), o.Duration))
+			cfgs = append(cfgs, sessionConfig(kind, v, net, o.Seed+int64(i), o.Duration))
 		}
 	}
 	results := runSessions(o, cfgs)
@@ -289,8 +289,7 @@ func steadyState(o Options, title string, videos []media.Video, mk func() player
 func Figure4(o Options) *SteadyStateResult {
 	o = o.withDefaults()
 	videos := sampleVideos(media.YouFlash(o.N*4, o.Seed), o.N)
-	return steadyState(o, "Figure 4: steady state for Flash videos",
-		videos, func() player.Player { return player.NewFlashPlayer("Internet Explorer") })
+	return steadyState(o, "Figure 4: steady state for Flash videos", videos, scenario.Flash)
 }
 
 // Figure5 measures the HTML5-on-IE steady state (256 kB blocks,
@@ -298,8 +297,7 @@ func Figure4(o Options) *SteadyStateResult {
 func Figure5(o Options) *SteadyStateResult {
 	o = o.withDefaults()
 	videos := sampleVideos(media.YouHtml(o.N*4, o.Seed+1), o.N)
-	return steadyState(o, "Figure 5: steady state for HTML5 videos on Internet Explorer",
-		videos, func() player.Player { return player.NewIEHtml5() })
+	return steadyState(o, "Figure 5: steady state for HTML5 videos on Internet Explorer", videos, scenario.IEHtml5)
 }
 
 // Figure6Result covers the long ON-OFF strategy.
@@ -323,15 +321,15 @@ func Figure6(o Options) *Figure6Result {
 	tv := media.Video{ID: 24, EncodingRate: 1.2e6, Duration: 600 * time.Second, Container: media.HTML5, Resolution: "360p"}
 	videos := sampleVideos(media.YouHtml(o.N*4, o.Seed+2), o.N)
 	mob := sampleVideos(media.YouMob(o.N*4, o.Seed+3), o.N)
-	cfgs := []session.Config{ytConfig(tv, player.NewChromeHtml5(), netem.Research, o.Seed, o.Duration)}
+	cfgs := []session.Config{sessionConfig(scenario.ChromeHtml5, tv, netem.Research, o.Seed, o.Duration)}
 	curve := seriesOf(&cfgs[0])
 	for _, net := range netem.Profiles() {
 		for i, v := range videos {
-			cfgs = append(cfgs, ytConfig(v, player.NewChromeHtml5(), net, o.Seed+int64(i), o.Duration))
+			cfgs = append(cfgs, sessionConfig(scenario.ChromeHtml5, v, net, o.Seed+int64(i), o.Duration))
 		}
 	}
 	for i, v := range mob {
-		cfgs = append(cfgs, ytConfig(v, player.NewAndroidYouTube(), netem.Research, o.Seed+500+int64(i), o.Duration))
+		cfgs = append(cfgs, sessionConfig(scenario.AndroidYouTube, v, netem.Research, o.Seed+500+int64(i), o.Duration))
 	}
 	results := runSessions(o, cfgs)
 
@@ -408,12 +406,12 @@ func Figure7(o Options) *Figure7Result {
 	v2 := media.Video{ID: 26, EncodingRate: 0.4e6, Duration: 500 * time.Second, Container: media.HTML5, Resolution: "240p"}
 	sample := sampleVideos(media.YouMob(o.N*4, o.Seed+4), o.N)
 	cfgs := []session.Config{
-		ytConfig(v1, player.NewIPadYouTube(), netem.Research, o.Seed, o.Duration),
-		ytConfig(v2, player.NewIPadYouTube(), netem.Research, o.Seed+1, o.Duration),
+		sessionConfig(scenario.IPadYouTube, v1, netem.Research, o.Seed, o.Duration),
+		sessionConfig(scenario.IPadYouTube, v2, netem.Research, o.Seed+1, o.Duration),
 	}
 	s1, s2 := seriesOf(&cfgs[0]), seriesOf(&cfgs[1])
 	for i, v := range sample {
-		cfgs = append(cfgs, ytConfig(v, player.NewIPadYouTube(), netem.Research, o.Seed+100+int64(i), o.Duration))
+		cfgs = append(cfgs, sessionConfig(scenario.IPadYouTube, v, netem.Research, o.Seed+100+int64(i), o.Duration))
 	}
 	results := runSessions(o, cfgs)
 	res.Video1 = downloadSeries(s1, 30)
@@ -469,7 +467,7 @@ func Figure8(o Options) *Figure8Result {
 	videos := sampleVideos(media.YouHD(o.N*4, o.Seed+5), o.N)
 	cfgs := make([]session.Config, len(videos))
 	for i, v := range videos {
-		cfgs[i] = ytConfig(v, player.NewFlashPlayer("Mozilla Firefox"), netem.Research, o.Seed+int64(i), o.Duration)
+		cfgs[i] = sessionConfig(scenario.Flash, v, netem.Research, o.Seed+int64(i), o.Duration)
 	}
 	results := runSessions(o, cfgs)
 	for i, v := range videos {
@@ -532,24 +530,22 @@ func Figure9(o Options, idleReset bool) *Figure9Result {
 	apps := []struct {
 		label string
 		video media.Video
-		mk    func() player.Player
+		kind  scenario.PlayerKind
 	}{
-		{"Flash", flashV, func() player.Player { return player.NewFlashPlayer("Internet Explorer") }},
-		{"Int. Explorer", htmlV, func() player.Player { return player.NewIEHtml5() }},
-		{"Chrome", htmlV, func() player.Player { return player.NewChromeHtml5() }},
-		{"Android", htmlV, func() player.Player { return player.NewAndroidYouTube() }},
-		{"iPad", mobV, func() player.Player { return player.NewIPadYouTube() }},
+		{"Flash", flashV, scenario.Flash},
+		{"Int. Explorer", htmlV, scenario.IEHtml5},
+		{"Chrome", htmlV, scenario.ChromeHtml5},
+		{"Android", htmlV, scenario.AndroidYouTube},
+		{"iPad", mobV, scenario.IPadYouTube},
 	}
 	res.Artifact.Addf("%-15s %-14s %-14s %-8s", "Application", "median (kB)", "p90 (kB)", "samples")
 	perApp := (o.N + 3) / 4
 	var cfgs []session.Config
 	for i, app := range apps {
 		for j := 0; j < perApp; j++ {
-			cfgs = append(cfgs, session.Config{
-				Video: app.video, Service: session.YouTube, Player: app.mk(),
-				Network: netem.Research, Seed: o.Seed + int64(i*10+j), Duration: o.Duration,
-				ServerTCP: tcp.Config{IdleReset: idleReset},
-			})
+			cfg := sessionConfig(app.kind, app.video, netem.Research, o.Seed+int64(i*10+j), o.Duration)
+			cfg.ServerTCP = tcp.Config{IdleReset: idleReset}
+			cfgs = append(cfgs, cfg)
 		}
 	}
 	results := runSessions(o, cfgs)

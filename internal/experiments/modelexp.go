@@ -8,7 +8,7 @@ import (
 	"repro/internal/media"
 	"repro/internal/model"
 	"repro/internal/netem"
-	"repro/internal/player"
+	"repro/internal/scenario"
 	"repro/internal/session"
 	"repro/internal/trace"
 )
@@ -44,18 +44,18 @@ func Table2(o Options) *Table2Result {
 	cases := []struct {
 		label string
 		video media.Video
-		mk    func() player.Player
+		kind  scenario.PlayerKind
 	}{
-		{"No ON-OFF (Firefox/HTML5)", v, func() player.Player { return player.NewFirefoxHtml5() }},
-		{"Long ON-OFF (Chrome/HTML5)", v, func() player.Player { return player.NewChromeHtml5() }},
-		{"Short ON-OFF (Flash)", fv, func() player.Player { return player.NewFlashPlayer("Internet Explorer") }},
+		{"No ON-OFF (Firefox/HTML5)", v, scenario.FirefoxHtml5},
+		{"Long ON-OFF (Chrome/HTML5)", v, scenario.ChromeHtml5},
+		{"Short ON-OFF (Flash)", fv, scenario.Flash},
 	}
 	res := &Table2Result{Artifact: Artifact{Title: "Table 2: comparison of streaming strategies (interruption at 20%)"}}
 	res.Artifact.Addf("%-28s %-18s %-16s %-14s", "Strategy", "peak ahead (MB)", "unused (MB)", "downloaded")
 	cfgs := make([]session.Config, len(cases))
 	series := make([]*trace.Series, len(cases))
 	for i, c := range cases {
-		cfgs[i] = ytConfig(c.video, c.mk(), netem.Research, o.Seed+int64(i), cut)
+		cfgs[i] = sessionConfig(c.kind, c.video, netem.Research, o.Seed+int64(i), cut)
 		series[i] = seriesOf(&cfgs[i])
 	}
 	runSessions(o, cfgs)

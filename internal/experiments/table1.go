@@ -6,7 +6,7 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/media"
 	"repro/internal/netem"
-	"repro/internal/player"
+	"repro/internal/scenario"
 	"repro/internal/session"
 )
 
@@ -48,48 +48,47 @@ func Table1(o Options) *Table1Result {
 	mobV := media.Video{ID: 14, EncodingRate: 2e6, Duration: 400 * time.Second, Container: media.HTML5, Resolution: "360p"}
 	netV := media.Video{ID: 15, EncodingRate: 3800e3, Duration: 40 * time.Minute, Container: media.Silverlight, Resolution: "adaptive"}
 
+	// The browser only labels a Flash or Silverlight player (the paper
+	// found those strategies browser-independent), so the browser rows
+	// of each share one kind.
 	type spec struct {
-		service   session.ServiceKind
+		kind      scenario.PlayerKind
 		container string
 		app       string
 		video     media.Video
 		network   netem.Profile
-		mk        func() player.Player
 		want      analysis.Strategy
 	}
 	specs := []spec{
 		// YouTube Flash: short ON-OFF regardless of browser.
-		{session.YouTube, "Flash", "Internet Explorer", flashV, netem.Research, func() player.Player { return player.NewFlashPlayer("Internet Explorer") }, analysis.ShortOnOff},
-		{session.YouTube, "Flash", "Mozilla Firefox", flashV, netem.Research, func() player.Player { return player.NewFlashPlayer("Mozilla Firefox") }, analysis.ShortOnOff},
-		{session.YouTube, "Flash", "Google Chrome", flashV, netem.Research, func() player.Player { return player.NewFlashPlayer("Google Chrome") }, analysis.ShortOnOff},
+		{scenario.Flash, "Flash", "Internet Explorer", flashV, netem.Research, analysis.ShortOnOff},
+		{scenario.Flash, "Flash", "Mozilla Firefox", flashV, netem.Research, analysis.ShortOnOff},
+		{scenario.Flash, "Flash", "Google Chrome", flashV, netem.Research, analysis.ShortOnOff},
 		// YouTube HTML5: per-application.
-		{session.YouTube, "HTML5", "Internet Explorer", htmlV, netem.Research, func() player.Player { return player.NewIEHtml5() }, analysis.ShortOnOff},
-		{session.YouTube, "HTML5", "Mozilla Firefox", htmlV, netem.Research, func() player.Player { return player.NewFirefoxHtml5() }, analysis.NoOnOff},
-		{session.YouTube, "HTML5", "Google Chrome", htmlV, netem.Research, func() player.Player { return player.NewChromeHtml5() }, analysis.LongOnOff},
+		{scenario.IEHtml5, "HTML5", "Internet Explorer", htmlV, netem.Research, analysis.ShortOnOff},
+		{scenario.FirefoxHtml5, "HTML5", "Mozilla Firefox", htmlV, netem.Research, analysis.NoOnOff},
+		{scenario.ChromeHtml5, "HTML5", "Google Chrome", htmlV, netem.Research, analysis.LongOnOff},
 		// YouTube Flash HD: bulk transfer in every browser.
-		{session.YouTube, "Flash HD", "Internet Explorer", hdV, netem.Research, func() player.Player { return player.NewFlashPlayer("Internet Explorer") }, analysis.NoOnOff},
-		{session.YouTube, "Flash HD", "Mozilla Firefox", hdV, netem.Research, func() player.Player { return player.NewFlashPlayer("Mozilla Firefox") }, analysis.NoOnOff},
-		{session.YouTube, "Flash HD", "Google Chrome", hdV, netem.Research, func() player.Player { return player.NewFlashPlayer("Google Chrome") }, analysis.NoOnOff},
+		{scenario.Flash, "Flash HD", "Internet Explorer", hdV, netem.Research, analysis.NoOnOff},
+		{scenario.Flash, "Flash HD", "Mozilla Firefox", hdV, netem.Research, analysis.NoOnOff},
+		{scenario.Flash, "Flash HD", "Google Chrome", hdV, netem.Research, analysis.NoOnOff},
 		// YouTube native apps.
-		{session.YouTube, "HTML5", "iOS (native)", mobV, netem.Research, func() player.Player { return player.NewIPadYouTube() }, analysis.MultipleOnOff},
-		{session.YouTube, "HTML5", "Android (native)", htmlV, netem.Research, func() player.Player { return player.NewAndroidYouTube() }, analysis.LongOnOff},
+		{scenario.IPadYouTube, "HTML5", "iOS (native)", mobV, netem.Research, analysis.MultipleOnOff},
+		{scenario.AndroidYouTube, "HTML5", "Android (native)", htmlV, netem.Research, analysis.LongOnOff},
 		// Netflix Silverlight on PCs: short, browser-independent.
-		{session.Netflix, "Silverlight", "Internet Explorer", netV, netem.Academic, func() player.Player { return player.NewSilverlightPC("Internet Explorer") }, analysis.ShortOnOff},
-		{session.Netflix, "Silverlight", "Mozilla Firefox", netV, netem.Academic, func() player.Player { return player.NewSilverlightPC("Mozilla Firefox") }, analysis.ShortOnOff},
-		{session.Netflix, "Silverlight", "Google Chrome", netV, netem.Academic, func() player.Player { return player.NewSilverlightPC("Google Chrome") }, analysis.ShortOnOff},
+		{scenario.SilverlightPC, "Silverlight", "Internet Explorer", netV, netem.Academic, analysis.ShortOnOff},
+		{scenario.SilverlightPC, "Silverlight", "Mozilla Firefox", netV, netem.Academic, analysis.ShortOnOff},
+		{scenario.SilverlightPC, "Silverlight", "Google Chrome", netV, netem.Academic, analysis.ShortOnOff},
 		// Netflix native apps.
-		{session.Netflix, "Silverlight", "iOS (native)", netV, netem.Academic, func() player.Player { return player.NewNetflixIPad() }, analysis.ShortOnOff},
-		{session.Netflix, "Silverlight", "Android (native)", netV, netem.Academic, func() player.Player { return player.NewNetflixAndroid() }, analysis.LongOnOff},
+		{scenario.NetflixIPad, "Silverlight", "iOS (native)", netV, netem.Academic, analysis.ShortOnOff},
+		{scenario.NetflixAndroid, "Silverlight", "Android (native)", netV, netem.Academic, analysis.LongOnOff},
 	}
 
 	res := &Table1Result{Artifact: Artifact{Title: "Table 1: streaming strategies by service, container and application"}}
 	res.Artifact.Addf("%-9s %-12s %-20s %-14s %-14s", "Service", "Container", "Application", "Paper", "Reproduced")
 	cfgs := make([]session.Config, len(specs))
 	for i, s := range specs {
-		cfgs[i] = session.Config{
-			Video: s.video, Service: s.service, Player: s.mk(),
-			Network: s.network, Seed: o.Seed + int64(i), Duration: o.Duration,
-		}
+		cfgs[i] = sessionConfig(s.kind, s.video, s.network, o.Seed+int64(i), o.Duration)
 	}
 	results := runSessions(o, cfgs)
 	for i, s := range specs {
@@ -98,7 +97,7 @@ func Table1(o Options) *Table1Result {
 		// depending on which pull sizes dominate the 180 s window;
 		// the paper itself files it under "Multiple".
 		cell := Table1Cell{
-			Service: s.service.String(), Container: s.container, App: s.app,
+			Service: s.kind.Service().String(), Container: s.container, App: s.app,
 			Want: s.want, Got: got,
 		}
 		res.Cells = append(res.Cells, cell)

@@ -25,50 +25,24 @@ type Request struct {
 	Headers map[string]string
 }
 
-// Range returns the parsed Range header (start, end inclusive) and
-// whether one was present. Only the single-range "bytes=a-b" and
-// open-ended "bytes=a-" forms are supported.
-func (r *Request) Range() (start, end int64, ok bool) {
-	h, present := r.Headers["range"]
-	if !present {
-		return 0, 0, false
-	}
-	h = strings.TrimPrefix(h, "bytes=")
-	parts := strings.SplitN(h, "-", 2)
-	if len(parts) != 2 {
-		return 0, 0, false
-	}
-	start, err := strconv.ParseInt(parts[0], 10, 64)
-	if err != nil {
-		return 0, 0, false
-	}
-	if parts[1] == "" {
-		return start, -1, true
-	}
-	end, err = strconv.ParseInt(parts[1], 10, 64)
-	if err != nil {
-		return 0, 0, false
-	}
-	return start, end, true
-}
-
 // ResolveRange resolves the request's Range header against a resource
-// of size bytes. It supports the full single-range grammar the
-// per-rendition resources serve: "bytes=a-b" (end clamped to EOF),
-// "bytes=a-" (open-ended) and "bytes=-n" (suffix: the last n bytes).
-// hasRange is false when no Range header is present; ok is false when
-// one is present but unsatisfiable (start at or past EOF, a malformed
-// spec, or an empty suffix) — the 416 case.
+// of size bytes. It supports the single-range grammar:
+// "bytes=a-b" (end clamped to EOF), "bytes=a-" (open-ended) and
+// "bytes=-n" (suffix: the last n bytes). hasRange is false when no
+// Range header is present; ok is false when one is present but
+// unsatisfiable (start at or past EOF, an end before the start, a
+// malformed spec, or an empty suffix) — the 416 case.
 func (r *Request) ResolveRange(size int64) (start, n int64, hasRange, ok bool) {
 	h, present := r.Headers["range"]
 	if !present {
 		return 0, 0, false, false
 	}
-	// Suffix form ("bytes=-n") is the one shape Range() cannot carry;
-	// everything else delegates to it so the grammar lives in one
-	// place.
-	if a, b, found := strings.Cut(strings.TrimPrefix(h, "bytes="), "-"); found && a == "" {
-		want, err := strconv.ParseInt(b, 10, 64)
+	first, last, found := strings.Cut(strings.TrimPrefix(h, "bytes="), "-")
+	if !found {
+		return 0, 0, true, false
+	}
+	if first == "" { // suffix: the last n bytes
+		want, err := strconv.ParseInt(last, 10, 64)
 		if err != nil || want <= 0 {
 			return 0, 0, true, false
 		}
@@ -80,13 +54,14 @@ func (r *Request) ResolveRange(size int64) (start, n int64, hasRange, ok bool) {
 		}
 		return size - want, want, true, true
 	}
-	s, e, valid := r.Range()
-	if !valid || s < 0 || s >= size {
+	s, err := strconv.ParseInt(first, 10, 64)
+	if err != nil || s >= size {
 		return 0, 0, true, false
 	}
 	end := size - 1
-	if e >= 0 {
-		if e < s {
+	if last != "" {
+		e, err := strconv.ParseInt(last, 10, 64)
+		if err != nil || e < s {
 			return 0, 0, true, false
 		}
 		if e < end {

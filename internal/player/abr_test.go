@@ -138,7 +138,7 @@ func TestLegacyNetflixSnapsToCustomLadder(t *testing.T) {
 		Resolution: "adaptive",
 	}.WithLadder(1e6, 2e6)
 	r := abrRig(5, 20, v, true)
-	p := NewSilverlightPC("x")
+	p := NewSilverlightPC()
 	p.Start(r.env, v)
 	r.sch.RunUntil(60 * time.Second)
 	if p.Downloaded() == 0 {

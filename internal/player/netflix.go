@@ -43,11 +43,11 @@ type NetflixClient struct {
 // NewSilverlightPC builds Netflix in a browser via Silverlight:
 // buffering downloads every ladder rung (~50 MB, Figure 11a), steady
 // state fetches one fragment at a time over fresh connections (short
-// ON-OFF, blocks < 2.5 MB, Figure 12a). The browser name is a label
-// only — the paper found the strategy browser-independent.
-func NewSilverlightPC(browser string) *NetflixClient {
+// ON-OFF, blocks < 2.5 MB, Figure 12a). The paper found the strategy
+// browser-independent, so Internet Explorer stands for every browser.
+func NewSilverlightPC() *NetflixClient {
 	return &NetflixClient{
-		name:   "Silverlight (" + browser + ")",
+		name:   "Silverlight (Internet Explorer)",
 		ladder: media.NetflixLadder, chosen: media.NetflixLadder[len(media.NetflixLadder)-1],
 		bufFrags: 4, steadySecs: 60, fragsPerGo: 1,
 		newConnPer: true, adaptive: true, recvBuf: 2 << 20,

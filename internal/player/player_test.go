@@ -39,9 +39,9 @@ func htmlVideo() media.Video {
 
 func TestPlayerNames(t *testing.T) {
 	players := []Player{
-		NewFlashPlayer("Internet Explorer"), NewIEHtml5(), NewFirefoxHtml5(),
+		NewFlashPlayer(), NewIEHtml5(), NewFirefoxHtml5(),
 		NewChromeHtml5(), NewAndroidYouTube(), NewIPadYouTube(),
-		NewSilverlightPC("Google Chrome"), NewNetflixIPad(), NewNetflixAndroid(),
+		NewSilverlightPC(), NewNetflixIPad(), NewNetflixAndroid(),
 	}
 	seen := map[string]bool{}
 	for _, p := range players {
@@ -59,7 +59,7 @@ func TestPlayerNames(t *testing.T) {
 func TestFlashPlayerConsumesEverythingOffered(t *testing.T) {
 	v := media.Video{ID: 1, EncodingRate: 1e6, Duration: 60 * time.Second, Container: media.Flash, Resolution: "360p"}
 	r := newRig(1, []media.Video{v}, false)
-	p := NewFlashPlayer("x")
+	p := NewFlashPlayer()
 	p.Start(r.env, v)
 	r.sch.RunUntil(3 * time.Minute)
 	want := v.Size() + int64(media.FLVHeaderSize)
@@ -143,7 +143,7 @@ func TestIPadUsesManyConnections(t *testing.T) {
 func TestNetflixPCBuffersAllRungs(t *testing.T) {
 	v := media.Video{ID: 2, EncodingRate: 3800e3, Duration: 30 * time.Minute, Container: media.Silverlight}
 	r := newRig(6, []media.Video{v}, true)
-	p := NewSilverlightPC("x")
+	p := NewSilverlightPC()
 	p.Start(r.env, v)
 	r.sch.RunUntil(60 * time.Second)
 	// Buffering fetches 4 fragments of each rung + 60 s of the top
@@ -172,7 +172,7 @@ func TestNetflixIPadSubsetLadder(t *testing.T) {
 	if len(n.ladder) >= len(media.NetflixLadder) {
 		t.Fatal("iPad must buffer a ladder subset")
 	}
-	pc := NewSilverlightPC("x")
+	pc := NewSilverlightPC()
 	if len(pc.ladder) != len(media.NetflixLadder) {
 		t.Fatal("PC must buffer every rung")
 	}

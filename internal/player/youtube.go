@@ -9,13 +9,13 @@ import (
 	"repro/internal/tcp"
 )
 
-// NewFlashPlayer builds the Flash plugin inside the given browser: it
+// NewFlashPlayer builds the Flash plugin in Internet Explorer: it
 // reads greedily, so the wire pattern is entirely the server's pacing
-// (short ON-OFF at default resolutions, bulk for HD). The browser name
-// only labels the results — the paper found the strategy independent
-// of the browser for Flash (Table 1).
-func NewFlashPlayer(browser string) *Puller {
-	return &Puller{name: "Flash (" + browser + ")", recvBuf: 512 << 10}
+// (short ON-OFF at default resolutions, bulk for HD). The paper found
+// the strategy independent of the browser for Flash (Table 1), so one
+// browser stands for all.
+func NewFlashPlayer() *Puller {
+	return &Puller{name: "Flash (Internet Explorer)", recvBuf: 512 << 10}
 }
 
 // NewIEHtml5 builds Internet Explorer's HTML5 player: a 10–15 MB

@@ -53,7 +53,7 @@ func TestSessionsDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 	build := func() []session.Config {
 		return []session.Config{
-			{Video: videos[0], Service: session.YouTube, Player: player.NewFlashPlayer("Internet Explorer"), Network: netem.Research, Seed: 11, Duration: 45 * time.Second},
+			{Video: videos[0], Service: session.YouTube, Player: player.NewFlashPlayer(), Network: netem.Research, Seed: 11, Duration: 45 * time.Second},
 			{Video: videos[1], Service: session.YouTube, Player: player.NewIEHtml5(), Network: netem.Residence, Seed: 12, Duration: 45 * time.Second},
 			{Video: videos[2], Service: session.YouTube, Player: player.NewChromeHtml5(), Network: netem.Home, Seed: 13, Duration: 45 * time.Second},
 		}
@@ -166,11 +166,11 @@ func mixedBatch(n int) []session.Config {
 		}
 		switch i / 2 % 3 {
 		case 0:
-			c.Video, c.Player = flash, player.NewFlashPlayer("Firefox")
+			c.Video, c.Player = flash, player.NewFlashPlayer()
 		case 1:
 			c.Video, c.Player = html5, player.NewFirefoxHtml5()
 		default:
-			c.Video, c.Player, c.Service = netflix, player.NewSilverlightPC("Internet Explorer"), session.Netflix
+			c.Video, c.Player, c.Service = netflix, player.NewSilverlightPC(), session.Netflix
 		}
 		cfgs[i] = c
 	}

@@ -169,19 +169,9 @@ func (f Fleet) withDefaults() Fleet {
 		f.UtilBin = time.Second
 	}
 	f.Tree = f.Tree.WithDefaults()
-	if f.Video.EncodingRate == 0 {
-		f.Video = media.Video{
-			EncodingRate: 1.75e6,
-			Duration:     420 * time.Second,
-			Resolution:   "360p",
-		}
-	}
-	if f.Video.ID == 0 {
-		f.Video.ID = 9000
-	}
-	if f.Video.Duration <= 0 {
-		f.Video.Duration = 420 * time.Second
-	}
+	// The template's container is a placeholder: fleetVideo gives each
+	// client its own kind's.
+	f.Video = defaultVideo(f.Video, media.Flash)
 	if f.Name == "" {
 		f.Name = fmt.Sprintf("fleet x%d %s", f.Clients, f.MixString())
 	}
@@ -461,6 +451,31 @@ func fleetCellSeed(seed int64, firstClient int) int64 {
 	return seed + 1000003*int64(firstClient)
 }
 
+// fleetStats points at a result's sketches and binned series: the one
+// list of them that merge, newFleetResult, AppendBinary,
+// DecodeFleetResult and checkCellGeometry walk. It is in encoding
+// order: the first qoeSketches sketches, then (after RungSec) the
+// series, then the burst sketches. Fixed-size arrays of field pointers
+// keep it off the heap.
+type fleetStats struct {
+	sketches [8]**stats.Sketch
+	series   [4]**stats.Binned
+}
+
+// qoeSketches is how many of fleetStats.sketches are QoE sketches.
+const qoeSketches = 6
+
+// statFields lists r's sketches and binned series (see fleetStats).
+func (r *FleetResult) statFields() fleetStats {
+	return fleetStats{
+		sketches: [8]**stats.Sketch{
+			&r.RateMbps, &r.StartupSec, &r.RebufCount, &r.RebufSec,
+			&r.SwitchCount, &r.FetchedMbps, &r.AggBurst, &r.CoreBurst,
+		},
+		series: [4]**stats.Binned{&r.CoreUtil, &r.AggUtil, &r.AccessUtil, &r.ConcurrencyDeltas},
+	}
+}
+
 // merge folds sh — the next cell in global cell order — into r. Every
 // operation is either exact (sketch bin addition, integer sums) or a
 // float left-fold in a fixed order, so any execution that folds cells
@@ -469,24 +484,19 @@ func fleetCellSeed(seed int64, firstClient int) int64 {
 func (r *FleetResult) merge(sh *FleetResult) {
 	r.Clients += sh.Clients
 	r.Groups += sh.Groups
-	r.RateMbps.Merge(sh.RateMbps)
-	r.StartupSec.Merge(sh.StartupSec)
-	r.RebufCount.Merge(sh.RebufCount)
-	r.RebufSec.Merge(sh.RebufSec)
-	r.SwitchCount.Merge(sh.SwitchCount)
-	r.FetchedMbps.Merge(sh.FetchedMbps)
+	to, from := r.statFields(), sh.statFields()
+	for i, sk := range to.sketches {
+		(*sk).Merge(*from.sketches[i])
+	}
+	for i, b := range to.series {
+		(*b).Merge(*from.series[i])
+	}
 	for len(r.RungSec) < len(sh.RungSec) {
 		r.RungSec = append(r.RungSec, 0)
 	}
 	for i, sec := range sh.RungSec {
 		r.RungSec[i] += sec
 	}
-	r.CoreUtil.Merge(sh.CoreUtil)
-	r.AggUtil.Merge(sh.AggUtil)
-	r.AccessUtil.Merge(sh.AccessUtil)
-	r.ConcurrencyDeltas.Merge(sh.ConcurrencyDeltas)
-	r.AggBurst.Merge(sh.AggBurst)
-	r.CoreBurst.Merge(sh.CoreBurst)
 	r.CoreOffered += sh.CoreOffered
 	r.CoreDropped += sh.CoreDropped
 	r.AggDropped += sh.AggDropped
@@ -514,21 +524,15 @@ func (r *FleetResult) finalize() {
 // exact, so the accumulator path produces the same bytes the old
 // adopt-first-cell fold did.
 func newFleetResult(f Fleet) *FleetResult {
-	return &FleetResult{
-		Fleet:             f,
-		RateMbps:          stats.NewSketch(stats.DefaultSketchErr),
-		StartupSec:        stats.NewSketch(stats.DefaultSketchErr),
-		RebufCount:        stats.NewSketch(stats.DefaultSketchErr),
-		RebufSec:          stats.NewSketch(stats.DefaultSketchErr),
-		SwitchCount:       stats.NewSketch(stats.DefaultSketchErr),
-		FetchedMbps:       stats.NewSketch(stats.DefaultSketchErr),
-		CoreUtil:          stats.NewBinned(f.UtilBin, f.Duration),
-		AggUtil:           stats.NewBinned(f.UtilBin, f.Duration),
-		AccessUtil:        stats.NewBinned(f.UtilBin, f.Duration),
-		ConcurrencyDeltas: stats.NewBinned(f.UtilBin, f.Duration),
-		AggBurst:          stats.NewSketch(stats.DefaultSketchErr),
-		CoreBurst:         stats.NewSketch(stats.DefaultSketchErr),
+	r := &FleetResult{Fleet: f}
+	st := r.statFields()
+	for _, sk := range st.sketches {
+		*sk = stats.NewSketch(stats.DefaultSketchErr)
 	}
+	for _, b := range st.series {
+		*b = stats.NewBinned(f.UtilBin, f.Duration)
+	}
+	return r
 }
 
 // fleetWave bounds how many per-cell results exist at once: cells run

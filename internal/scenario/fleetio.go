@@ -63,20 +63,17 @@ func (r *FleetResult) AppendBinary(buf []byte) []byte {
 	buf = fleetAppendI64(buf, fleetResultMagic)
 	buf = fleetAppendI64(buf, int64(r.Clients))
 	buf = fleetAppendI64(buf, int64(r.Groups))
-	for _, sk := range []*stats.Sketch{
-		r.RateMbps, r.StartupSec, r.RebufCount, r.RebufSec,
-		r.SwitchCount, r.FetchedMbps,
-	} {
-		buf = sk.AppendBinary(buf)
+	st := r.statFields()
+	for _, sk := range st.sketches[:qoeSketches] {
+		buf = (*sk).AppendBinary(buf)
 	}
 	buf = fleetAppendVec(buf, r.RungSec)
-	for _, b := range []*stats.Binned{
-		r.CoreUtil, r.AggUtil, r.AccessUtil, r.ConcurrencyDeltas,
-	} {
-		buf = b.AppendBinary(buf)
+	for _, b := range st.series {
+		buf = (*b).AppendBinary(buf)
 	}
-	buf = r.AggBurst.AppendBinary(buf)
-	buf = r.CoreBurst.AppendBinary(buf)
+	for _, sk := range st.sketches[qoeSketches:] {
+		buf = (*sk).AppendBinary(buf)
+	}
 	buf = fleetAppendI64(buf, int64(r.CoreOffered))
 	buf = fleetAppendI64(buf, int64(r.CoreDropped))
 	buf = fleetAppendI64(buf, int64(r.AggDropped))
@@ -112,10 +109,8 @@ func DecodeFleetResult(d *stats.Decoder, f Fleet) (*FleetResult, error) {
 	r.Clients = int(d.I64())
 	r.Groups = int(d.I64())
 	var err error
-	for _, sk := range []**stats.Sketch{
-		&r.RateMbps, &r.StartupSec, &r.RebufCount, &r.RebufSec,
-		&r.SwitchCount, &r.FetchedMbps,
-	} {
+	st := r.statFields()
+	for _, sk := range st.sketches[:qoeSketches] {
 		if *sk, err = stats.DecodeSketch(d); err != nil {
 			return nil, err
 		}
@@ -123,18 +118,15 @@ func DecodeFleetResult(d *stats.Decoder, f Fleet) (*FleetResult, error) {
 	if r.RungSec, err = fleetDecodeVec(d); err != nil {
 		return nil, err
 	}
-	for _, b := range []**stats.Binned{
-		&r.CoreUtil, &r.AggUtil, &r.AccessUtil, &r.ConcurrencyDeltas,
-	} {
+	for _, b := range st.series {
 		if *b, err = stats.DecodeBinned(d); err != nil {
 			return nil, err
 		}
 	}
-	if r.AggBurst, err = stats.DecodeSketch(d); err != nil {
-		return nil, err
-	}
-	if r.CoreBurst, err = stats.DecodeSketch(d); err != nil {
-		return nil, err
+	for _, sk := range st.sketches[qoeSketches:] {
+		if *sk, err = stats.DecodeSketch(d); err != nil {
+			return nil, err
+		}
 	}
 	r.CoreOffered = int(d.I64())
 	r.CoreDropped = int(d.I64())
@@ -264,18 +256,14 @@ func MergeFleetCellStreams(f Fleet, readers ...io.Reader) (*FleetResult, error) 
 // Duration). Folding anything else would mix bins of different
 // meaning, or panic inside Merge.
 func checkCellGeometry(r *FleetResult, geom *stats.Binned) error {
-	for _, sk := range []*stats.Sketch{
-		r.RateMbps, r.StartupSec, r.RebufCount, r.RebufSec,
-		r.SwitchCount, r.FetchedMbps, r.AggBurst, r.CoreBurst,
-	} {
-		if sk == nil || sk.RelErr != stats.DefaultSketchErr {
+	st := r.statFields()
+	for _, skp := range st.sketches {
+		if sk := *skp; sk == nil || sk.RelErr != stats.DefaultSketchErr {
 			return fmt.Errorf("sketch relative error differs from the fleet's %v", stats.DefaultSketchErr)
 		}
 	}
-	for _, b := range []*stats.Binned{
-		r.CoreUtil, r.AggUtil, r.AccessUtil, r.ConcurrencyDeltas,
-	} {
-		if b == nil || b.Width != geom.Width || len(b.Bins) != len(geom.Bins) {
+	for _, bp := range st.series {
+		if b := *bp; b == nil || b.Width != geom.Width || len(b.Bins) != len(geom.Bins) {
 			return fmt.Errorf("binned series geometry differs from the fleet's %d bins of %v", len(geom.Bins), geom.Width)
 		}
 	}

@@ -55,13 +55,13 @@ var playerTable = []struct {
 	adaptive  bool
 	mk        func() player.Player
 }{
-	{Flash, "flash", session.YouTube, media.Flash, false, func() player.Player { return player.NewFlashPlayer("Internet Explorer") }},
+	{Flash, "flash", session.YouTube, media.Flash, false, func() player.Player { return player.NewFlashPlayer() }},
 	{IEHtml5, "ie", session.YouTube, media.HTML5, false, func() player.Player { return player.NewIEHtml5() }},
 	{FirefoxHtml5, "firefox", session.YouTube, media.HTML5, false, func() player.Player { return player.NewFirefoxHtml5() }},
 	{ChromeHtml5, "chrome", session.YouTube, media.HTML5, false, func() player.Player { return player.NewChromeHtml5() }},
 	{AndroidYouTube, "android-yt", session.YouTube, media.HTML5, false, func() player.Player { return player.NewAndroidYouTube() }},
 	{IPadYouTube, "ipad-yt", session.YouTube, media.HTML5, false, func() player.Player { return player.NewIPadYouTube() }},
-	{SilverlightPC, "silverlight", session.Netflix, media.Silverlight, false, func() player.Player { return player.NewSilverlightPC("Internet Explorer") }},
+	{SilverlightPC, "silverlight", session.Netflix, media.Silverlight, false, func() player.Player { return player.NewSilverlightPC() }},
 	{NetflixIPad, "netflix-ipad", session.Netflix, media.Silverlight, false, func() player.Player { return player.NewNetflixIPad() }},
 	{NetflixAndroid, "netflix-android", session.Netflix, media.Silverlight, false, func() player.Player { return player.NewNetflixAndroid() }},
 	{AbrFixed, "abr-fixed", session.Netflix, media.Silverlight, true, func() player.Player {

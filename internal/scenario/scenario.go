@@ -78,20 +78,7 @@ func (s Spec) withDefaults() Spec {
 	if s.Seed == 0 {
 		s.Seed = 1
 	}
-	if s.Video.EncodingRate == 0 {
-		s.Video = media.Video{
-			EncodingRate: 1.75e6,
-			Duration:     420 * time.Second,
-			Container:    s.Player.NativeContainer(),
-			Resolution:   "360p",
-		}
-	}
-	if s.Video.ID == 0 {
-		s.Video.ID = 9000
-	}
-	if s.Video.Duration <= 0 {
-		s.Video.Duration = 420 * time.Second
-	}
+	s.Video = defaultVideo(s.Video, s.Player.NativeContainer())
 	// An adaptive player needs a ladder to switch across; the default
 	// is the paper-era Netflix ladder.
 	if s.Player.Adaptive() && len(s.Video.Renditions) == 0 {
@@ -101,6 +88,22 @@ func (s Spec) withDefaults() Spec {
 		s.Name = fmt.Sprintf("%s/%s x%d", s.Profile.Name, s.Player, s.Sessions)
 	}
 	return s
+}
+
+// defaultVideo fills the zero fields of a content template: a zero
+// EncodingRate selects the 1.75 Mbps, 420 s, 360p default in container
+// c, a zero ID becomes 9000 and a non-positive Duration 420 s.
+func defaultVideo(v media.Video, c media.Container) media.Video {
+	if v.EncodingRate == 0 {
+		v = media.Video{EncodingRate: 1.75e6, Duration: 420 * time.Second, Container: c, Resolution: "360p"}
+	}
+	if v.ID == 0 {
+		v.ID = 9000
+	}
+	if v.Duration <= 0 {
+		v.Duration = 420 * time.Second
+	}
+	return v
 }
 
 // Validate rejects specs that cannot run.
@@ -125,6 +128,26 @@ func (s Spec) video(i int) media.Video {
 	return v
 }
 
+// config maps the resolved spec onto session i's config: its video, a
+// fresh player, start offset at and seed, on the spec's profile,
+// horizon, server and dynamics. Configs and RunShared both build their
+// sessions here.
+func (s Spec) config(i int, at time.Duration, seed int64) session.Config {
+	return session.Config{
+		Video:        s.video(i),
+		Service:      s.Service(),
+		Player:       s.Player.New(),
+		Network:      s.Profile,
+		Duration:     s.Duration,
+		StartAt:      at,
+		Seed:         seed,
+		ServerTCP:    s.ServerTCP,
+		DownDynamics: s.Down,
+		UpDynamics:   s.Up,
+		SeriesBin:    s.SeriesBin,
+	}
+}
+
 // Configs expands the spec into independent-path session configs:
 // one network per session (the paper's methodology), arrival offsets
 // as StartAt, a derived seed per session, and the spec's dynamics on
@@ -135,19 +158,7 @@ func (s Spec) Configs() []session.Config {
 	starts := s.Arrival.Times(s.Sessions, rng)
 	cfgs := make([]session.Config, s.Sessions)
 	for i := range cfgs {
-		cfgs[i] = session.Config{
-			Video:        s.video(i),
-			Service:      s.Service(),
-			Player:       s.Player.New(),
-			Network:      s.Profile,
-			Duration:     s.Duration,
-			StartAt:      starts[i],
-			Seed:         rng.Int63(),
-			ServerTCP:    s.ServerTCP,
-			DownDynamics: s.Down,
-			UpDynamics:   s.Up,
-			SeriesBin:    s.SeriesBin,
-		}
+		cfgs[i] = s.config(i, starts[i], rng.Int63())
 	}
 	return cfgs
 }
@@ -189,25 +200,12 @@ func RunShared(s Spec) *SharedResult {
 	if err := s.Validate(); err != nil {
 		panic("scenario: " + err.Error())
 	}
-	base := session.Config{
-		Service:      s.Service(),
-		Network:      s.Profile,
-		Duration:     s.Duration,
-		Seed:         s.Seed,
-		ServerTCP:    s.ServerTCP,
-		DownDynamics: s.Down,
-		UpDynamics:   s.Up,
-		SeriesBin:    s.SeriesBin,
-	}
-	sh := session.NewShared(base)
-	// Arrival offsets come from the simulation's own rng, drawn before
-	// any player starts.
+	// NewShared reads the run-wide fields of a session's config, Add the
+	// per-client ones. Arrival offsets come from the simulation's own
+	// rng, drawn before any player starts.
+	sh := session.NewShared(s.config(0, 0, s.Seed))
 	for i, at := range s.Arrival.Times(s.Sessions, sh.Rand()) {
-		c := base
-		c.Video = s.video(i)
-		c.Player = s.Player.New()
-		c.StartAt = at
-		sh.Add(c)
+		sh.Add(s.config(i, at, s.Seed))
 	}
 	res := &SharedResult{Spec: s, Outcomes: sh.Run()}
 

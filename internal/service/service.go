@@ -104,105 +104,63 @@ func (y *YouTube) AddVideo(v media.Video) { y.cat.Add(v) }
 // listener registration survives — it lives on the host.
 func (y *YouTube) ResetCatalog() { y.cat.Reset() }
 
-// handle serves /videoplayback/<id> (the legacy single-bitrate
-// resource, server-paced for Flash at default resolutions) and
-// /videoplayback/<id>/<kbps> (a per-rendition resource at one ladder
-// rung, always client-driven — the DASH-over-ranges surface the ABR
-// player pulls byte ranges from).
+// handle serves /videoplayback/<id>, the legacy single-bitrate
+// resource, and /videoplayback/<id>/<kbps>, one rung of the rendition
+// ladder as its own byte-addressable resource (the DASH-over-ranges
+// surface the ABR player pulls byte ranges from). Both honour the
+// Range grammar of httpx.Request.ResolveRange: 206 for a satisfiable
+// range (suffix ranges and ends past EOF included), 416 for an
+// unsatisfiable one, 200 for the whole file. Only a whole legacy
+// Flash file at a default resolution is server-paced; rate control at
+// a rendition is the client's request schedule.
 func (y *YouTube) handle(req *httpx.Request, w httpx.ResponseWriter) {
-	rest := strings.TrimPrefix(req.Path, "/videoplayback/")
-	if idStr, kbpsStr, isRendition := strings.Cut(rest, "/"); isRendition {
-		y.handleRendition(req, w, idStr, kbpsStr)
-		return
+	idStr, kbpsStr, isRendition := strings.Cut(strings.TrimPrefix(req.Path, "/videoplayback/"), "/")
+	id, err := strconv.Atoi(idStr)
+	var v media.Video
+	ok := false
+	switch {
+	case err != nil:
+	case isRendition:
+		if kbps, err := strconv.Atoi(kbpsStr); err == nil {
+			v, ok = y.cat.Rendition(id, float64(kbps)*1000)
+		}
+	default:
+		v, ok = y.cat.Get(id)
 	}
-	id, err := strconv.Atoi(rest)
-	if err != nil {
-		w.WriteHeader(404, map[string]string{"Content-Length": "0"})
-		return
-	}
-	v, ok := y.cat.Get(id)
 	if !ok {
 		w.WriteHeader(404, map[string]string{"Content-Length": "0"})
 		return
 	}
 	header := media.HeaderFor(v)
 	fileSize := int64(len(header)) + v.Size()
-
-	start, end, hasRange := req.Range()
-	if hasRange {
-		if end < 0 || end >= fileSize {
-			end = fileSize - 1
-		}
-		if start < 0 || start > end {
-			w.WriteHeader(404, map[string]string{"Content-Length": "0"})
-			return
-		}
-		n := end - start + 1
-		w.WriteHeader(206, map[string]string{
-			"Content-Length": strconv.FormatInt(n, 10),
-			"Content-Range":  fmt.Sprintf("bytes %d-%d/%d", start, end, fileSize),
-			"Content-Type":   contentType(v),
-		})
-		writeFileSlice(w, header, start, n)
-		return
-	}
-
-	w.WriteHeader(200, map[string]string{
-		"Content-Length": strconv.FormatInt(fileSize, 10),
-		"Content-Type":   contentType(v),
-	})
-	if v.Container == media.Flash && v.Resolution != "720p" {
-		y.servePaced(w, v, header, fileSize)
-		return
-	}
-	// HD and WebM: dump the whole file; any rate limiting is the
-	// client's problem (or nobody's — Figure 8).
-	w.Write(header)
-	w.WriteZero(int(fileSize) - len(header))
-}
-
-// handleRendition serves one rung of the rendition ladder as its own
-// byte-addressable resource. No server pacing ever applies — rate
-// control at a rendition endpoint is the client's request schedule —
-// and the full Range grammar is honoured: suffix ranges, ranges
-// clamped at EOF, 416 for unsatisfiable ones.
-func (y *YouTube) handleRendition(req *httpx.Request, w httpx.ResponseWriter, idStr, kbpsStr string) {
-	id, err1 := strconv.Atoi(idStr)
-	kbps, err2 := strconv.Atoi(kbpsStr)
-	if err1 != nil || err2 != nil {
-		w.WriteHeader(404, map[string]string{"Content-Length": "0"})
-		return
-	}
-	rv, ok := y.cat.Rendition(id, float64(kbps)*1000)
-	if !ok {
-		w.WriteHeader(404, map[string]string{"Content-Length": "0"})
-		return
-	}
-	header := media.HeaderFor(rv)
-	fileSize := int64(len(header)) + rv.Size()
 	start, n, hasRange, rangeOK := req.ResolveRange(fileSize)
-	if hasRange && !rangeOK {
+	switch {
+	case hasRange && !rangeOK:
 		w.WriteHeader(416, map[string]string{
 			"Content-Length": "0",
 			"Content-Range":  fmt.Sprintf("bytes */%d", fileSize),
 		})
-		return
-	}
-	if hasRange {
+	case hasRange:
 		w.WriteHeader(206, map[string]string{
 			"Content-Length": strconv.FormatInt(n, 10),
 			"Content-Range":  fmt.Sprintf("bytes %d-%d/%d", start, start+n-1, fileSize),
-			"Content-Type":   contentType(rv),
+			"Content-Type":   contentType(v),
 		})
 		writeFileSlice(w, header, start, n)
-		return
+	default:
+		w.WriteHeader(200, map[string]string{
+			"Content-Length": strconv.FormatInt(fileSize, 10),
+			"Content-Type":   contentType(v),
+		})
+		if !isRendition && v.Container == media.Flash && v.Resolution != "720p" {
+			y.servePaced(w, v, header, fileSize)
+			return
+		}
+		// HD, WebM and renditions: dump the whole file; any rate
+		// limiting is the client's problem (or nobody's — Figure 8).
+		w.Write(header)
+		w.WriteZero(int(fileSize) - len(header))
 	}
-	w.WriteHeader(200, map[string]string{
-		"Content-Length": strconv.FormatInt(fileSize, 10),
-		"Content-Type":   contentType(rv),
-	})
-	w.Write(header)
-	w.WriteZero(int(fileSize) - len(header))
 }
 
 // servePaced implements the Flash strategy: initial burst then 64 kB

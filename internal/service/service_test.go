@@ -102,6 +102,14 @@ func TestYouTubeRangeRequests(t *testing.T) {
 	if resp3 == nil || resp3.ContentLength != fileSize-7000000 {
 		t.Fatalf("open range: %+v", resp3)
 	}
+	// Suffix range: the last 512 bytes.
+	resp4, got4, _ := w.get(VideoPath(v.ID), map[string]string{"Range": "bytes=-512"}, 1<<20)
+	if resp4 == nil || resp4.Status != 206 || resp4.ContentLength != 512 || got4 != 512 {
+		t.Fatalf("suffix range: %+v, %d bytes", resp4, got4)
+	}
+	if cr, want := resp4.Headers["content-range"], fmt.Sprintf("bytes %d-%d/%d", fileSize-512, fileSize-1, fileSize); cr != want {
+		t.Fatalf("suffix Content-Range %q, want %q", cr, want)
+	}
 }
 
 func TestYouTube404s(t *testing.T) {
@@ -115,9 +123,19 @@ func TestYouTube404s(t *testing.T) {
 	if resp2 == nil || resp2.Status != 404 {
 		t.Fatalf("bogus path: %+v", resp2)
 	}
-	// Invalid range on an existing video.
-	y := NewYouTube(w.server, tcp.Config{}, nil)
-	_ = y
+	// An unsatisfiable range on an existing video: 416 naming the size,
+	// with an empty body.
+	w = newWorld(4)
+	v := flashVideo()
+	NewYouTube(w.server, tcp.Config{}, []media.Video{v})
+	fileSize := v.Size() + int64(media.FLVHeaderSize)
+	resp3, got, _ := w.get(VideoPath(v.ID), map[string]string{"Range": fmt.Sprintf("bytes=%d-", fileSize)}, 1<<20)
+	if resp3 == nil || resp3.Status != 416 || resp3.ContentLength != 0 || got != 0 {
+		t.Fatalf("past-EOF range: %+v, %d bytes", resp3, got)
+	}
+	if cr, want := resp3.Headers["content-range"], fmt.Sprintf("bytes */%d", fileSize); cr != want {
+		t.Fatalf("416 Content-Range %q, want %q", cr, want)
+	}
 }
 
 func TestYouTubePacingRate(t *testing.T) {

@@ -50,7 +50,7 @@ func FuzzStreamPcap(f *testing.F) {
 		}
 		Run(Config{
 			Video: flashVideo(), Service: YouTube,
-			Player: player.NewFlashPlayer("x"), Network: netem.Residence, Seed: 3,
+			Player: player.NewFlashPlayer(), Network: netem.Residence, Seed: 3,
 			Duration: 150 * time.Millisecond, Capture: ps,
 		})
 		if err := ps.Close(); err != nil {

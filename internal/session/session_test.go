@@ -37,7 +37,7 @@ func netflixVideo() media.Video {
 func TestFlashShortOnOff(t *testing.T) {
 	r := Run(Config{
 		Video: flashVideo(), Service: YouTube,
-		Player: player.NewFlashPlayer("Internet Explorer"), Network: netem.Research, Seed: 1,
+		Player: player.NewFlashPlayer(), Network: netem.Research, Seed: 1,
 	})
 	a := r.Analysis
 	if a.Strategy != analysis.ShortOnOff {
@@ -119,7 +119,7 @@ func TestFirefoxNoOnOff(t *testing.T) {
 func TestFlashHDNoOnOff(t *testing.T) {
 	r := Run(Config{
 		Video: hdVideo(), Service: YouTube,
-		Player: player.NewFlashPlayer("Mozilla Firefox"), Network: netem.Research, Seed: 4,
+		Player: player.NewFlashPlayer(), Network: netem.Research, Seed: 4,
 	})
 	a := r.Analysis
 	if a.Strategy != analysis.NoOnOff {
@@ -188,7 +188,7 @@ func TestNetflixPCShortOnOff(t *testing.T) {
 	for seed := int64(8); seed <= 10; seed++ {
 		r := Run(Config{
 			Video: netflixVideo(), Service: Netflix,
-			Player: player.NewSilverlightPC("Internet Explorer"), Network: netem.Academic, Seed: seed,
+			Player: player.NewSilverlightPC(), Network: netem.Academic, Seed: seed,
 		})
 		a = r.Analysis
 		if a.Strategy != analysis.ShortOnOff {
@@ -250,7 +250,7 @@ func TestSessionDeterministic(t *testing.T) {
 	run := func() (int64, int) {
 		r := Run(Config{
 			Video: flashVideo(), Service: YouTube,
-			Player: player.NewFlashPlayer("x"), Network: netem.Residence, Seed: 42,
+			Player: player.NewFlashPlayer(), Network: netem.Residence, Seed: 42,
 			Duration: 60 * time.Second,
 		})
 		return r.Analysis.TotalBytes, r.Packets
@@ -270,7 +270,7 @@ func TestSessionPcapExport(t *testing.T) {
 	}
 	r := Run(Config{
 		Video: flashVideo(), Service: YouTube,
-		Player: player.NewFlashPlayer("x"), Network: netem.Research, Seed: 11,
+		Player: player.NewFlashPlayer(), Network: netem.Research, Seed: 11,
 		Duration: 30 * time.Second, Capture: ps,
 	})
 	if err := ps.Close(); err != nil {
@@ -312,7 +312,7 @@ func TestSnaplenCaptureAnalyzesLikeFull(t *testing.T) {
 	}
 	Run(Config{
 		Video: flashVideo(), Service: YouTube,
-		Player: player.NewFlashPlayer("x"), Network: netem.Residence, Seed: 3,
+		Player: player.NewFlashPlayer(), Network: netem.Residence, Seed: 3,
 		Duration: 60 * time.Second, Capture: trace.Fanout(fullSink, cutSink),
 	})
 	for _, s := range []*trace.PcapSink{fullSink, cutSink} {
@@ -356,7 +356,7 @@ func TestPooledPcapSinkMatchesRecording(t *testing.T) {
 	rec := &trace.Trace{}
 	r := Run(Config{
 		Video: flashVideo(), Service: YouTube,
-		Player: player.NewFlashPlayer("x"), Network: netem.Residence, Seed: 14,
+		Player: player.NewFlashPlayer(), Network: netem.Residence, Seed: 14,
 		Duration: 45 * time.Second, Capture: trace.Fanout(ps, rec),
 	})
 	if err := ps.Close(); err != nil {
@@ -379,7 +379,7 @@ func TestLossyNetworkStillClassifies(t *testing.T) {
 	// ON-OFF and show retransmissions (Section 5.1.1's artefacts).
 	r := Run(Config{
 		Video: flashVideo(), Service: YouTube,
-		Player: player.NewFlashPlayer("x"), Network: netem.Residence, Seed: 12,
+		Player: player.NewFlashPlayer(), Network: netem.Residence, Seed: 12,
 	})
 	a := r.Analysis
 	if a.Strategy != analysis.ShortOnOff {
@@ -396,13 +396,13 @@ func TestLossyNetworkStillClassifies(t *testing.T) {
 func TestStartAtDelaysPlayer(t *testing.T) {
 	base := Run(Config{
 		Video: flashVideo(), Service: YouTube,
-		Player: player.NewFlashPlayer("x"), Network: netem.Research, Seed: 5,
+		Player: player.NewFlashPlayer(), Network: netem.Research, Seed: 5,
 		Duration: 60 * time.Second,
 	})
 	rec := &trace.Trace{}
 	late := Run(Config{
 		Video: flashVideo(), Service: YouTube,
-		Player: player.NewFlashPlayer("x"), Network: netem.Research, Seed: 5,
+		Player: player.NewFlashPlayer(), Network: netem.Research, Seed: 5,
 		Duration: 60 * time.Second, StartAt: 30 * time.Second, Capture: rec,
 	})
 	if len(rec.Records) == 0 {
@@ -422,7 +422,7 @@ func TestDynamicsReachSession(t *testing.T) {
 	tr := &trace.Trace{}
 	cfg := Config{
 		Video: hdVideo(), Service: YouTube,
-		Player: player.NewFlashPlayer("x"), Network: netem.Research, Seed: 9,
+		Player: player.NewFlashPlayer(), Network: netem.Research, Seed: 9,
 		Duration: 60 * time.Second, Capture: tr,
 	}
 	cfg.DownDynamics = netem.Dynamics{}.Then(netem.OutageStep(20*time.Second, 5*time.Second))
@@ -536,7 +536,7 @@ func TestSessionSurfacesQoEAndRenditionCycles(t *testing.T) {
 	// buffer even though its wire behaviour is untouched.
 	legacy := Run(Config{
 		Video: flashVideo(), Service: YouTube,
-		Player:  player.NewFlashPlayer("Internet Explorer"),
+		Player:  player.NewFlashPlayer(),
 		Network: netem.Research, Seed: 13, Duration: 60 * time.Second,
 	})
 	if !legacy.QoE.Started || legacy.QoE.StartupDelay <= 0 {
@@ -582,12 +582,12 @@ func TestRunReleasesWorld(t *testing.T) {
 		name string
 		cfgs []Config
 	}{
-		{"flash", []Config{{Video: flashVideo(), Service: YouTube, Player: player.NewFlashPlayer("Firefox"), Network: netem.Research, Seed: 1}}},
+		{"flash", []Config{{Video: flashVideo(), Service: YouTube, Player: player.NewFlashPlayer(), Network: netem.Research, Seed: 1}}},
 		{"ipad", []Config{{Video: html5Video(), Service: YouTube, Player: player.NewIPadYouTube(), Network: netem.Research, Seed: 2}}},
-		{"silverlight-pc", []Config{{Video: netflixVideo(), Service: Netflix, Player: player.NewSilverlightPC("Internet Explorer"), Network: netem.Academic, Seed: 3}}},
+		{"silverlight-pc", []Config{{Video: netflixVideo(), Service: Netflix, Player: player.NewSilverlightPC(), Network: netem.Academic, Seed: 3}}},
 		{"abr", []Config{{Video: adaptive, Service: Netflix, Player: player.NewABRPlayer(player.ABRConfig{}), Network: netem.Residence, Seed: 4}}},
 		{"shared-3", []Config{
-			{Video: flashVideo(), Service: YouTube, Player: player.NewFlashPlayer("Chrome"), Network: netem.Residence, Seed: 5},
+			{Video: flashVideo(), Service: YouTube, Player: player.NewFlashPlayer(), Network: netem.Residence, Seed: 5},
 			{Video: html5Video(), Service: YouTube, Player: player.NewFirefoxHtml5(), StartAt: 2 * time.Second},
 			{Video: html5Video(), Service: YouTube, Player: player.NewChromeHtml5(), StartAt: 4 * time.Second},
 		}},

@@ -301,8 +301,7 @@ func (c *Conn) sendSYNACK() {
 }
 
 func (c *Conn) armSYNTimer() {
-	c.stopTimer(&c.synTimer)
-	c.synTimer = c.host.sch.TimerAfterTask(c.rto, c, connOpSYN)
+	c.synTimer = c.host.sch.RearmAfterTask(c.synTimer, c.rto, c, connOpSYN)
 }
 
 func (c *Conn) onSYNTimer() {
@@ -448,7 +447,7 @@ func (c *Conn) processAck(seg *packet.Segment) {
 	oldWnd := c.sndWnd
 	c.sndWnd = seg.Window
 	if c.sndWnd > 0 {
-		c.stopTimer(&c.persistTimer)
+		c.persistTimer.Stop() // keeps the handle for an in-place re-arm
 	}
 
 	switch {
@@ -491,7 +490,6 @@ func (c *Conn) processAck(seg *packet.Segment) {
 		}
 	}
 	if finConsumed && c.finSent && c.sndUna == c.finAt && c.state != StateClosed {
-		c.stopTimer(&c.rtoTimer)
 		c.teardown()
 	}
 }
@@ -655,7 +653,7 @@ func (c *Conn) onRTO() {
 
 func (c *Conn) armPersist() {
 	interval := max(c.rto, time.Second)
-	c.persistTimer = c.host.sch.TimerAfterTask(interval, c, connOpPersist)
+	c.persistTimer = c.host.sch.RearmAfterTask(c.persistTimer, interval, c, connOpPersist)
 }
 
 func (c *Conn) onPersist() {
