@@ -236,7 +236,6 @@ type ClientConn struct {
 	onResponse func(*Response)
 	onBody     func(avail int)
 
-	buf       []byte
 	inBody    bool
 	bodyLeft  int64
 	connected bool

@@ -57,8 +57,11 @@ func (f Flow) String() string { return f.Src.String() + " -> " + f.Dst.String() 
 // Segment is one TCP segment. Payload holds the bytes that are known,
 // PayloadLen the length when it exceeds them: a segment Parsed from a
 // snaplen-truncated capture record keeps the captured prefix in Payload
-// and the IP header's length in PayloadLen, and a synthetic segment may
-// carry a length and no bytes at all. Marshal fills the gap with zeros.
+// and the IP header's length in PayloadLen, and the simulated TCP sends
+// zero media bytes as a length: its segments carry the bytes up to the
+// end of the last application write they hold, nil from inside a zero
+// body, and their full length in PayloadLen. Marshal fills the gap with
+// zeros.
 type Segment struct {
 	Flow
 	Seq        uint32

@@ -3,13 +3,12 @@ package tcp
 import "repro/internal/packet"
 
 // Byte buffers shared by sender and receiver sides. Bulk media bytes
-// are zero-filled: WriteZero appends windows onto a shared read-only
-// zero page, so a 200 MB simulated video costs a few dozen slice
-// headers rather than 200 MB of heap.
-
-const zeroPageSize = 256 << 10
-
-var zeroPage = make([]byte, zeroPageSize)
+// are zeros, and a run of zeros travels as a length: a chunk with nil
+// data stands for that many zero bytes, WriteZero extends the tail run,
+// and a segment cut from inside a run carries no payload bytes, only
+// its length (packet.Segment's PayloadLen form; the wire serializer
+// zero-fills it). A whole simulated video body costs one chunk slot on
+// the sender and one on the receiver, whatever its size.
 
 // sendBuffer stores the outgoing byte stream indexed by absolute
 // stream offset so retransmissions can re-slice any unacknowledged
@@ -25,6 +24,9 @@ type sendBuffer struct {
 	end    int64 // stream offset one past the last byte
 }
 
+// sendChunk is one application write starting at stream offset off,
+// or a run of zeros when data is nil. Chunks are contiguous, so a
+// chunk ends where the next one starts, or at the end of the stream.
 type sendChunk struct {
 	off  int64
 	data []byte
@@ -41,93 +43,98 @@ func (b *sendBuffer) Append(data []byte) {
 	if len(data) == 0 {
 		return
 	}
+	b.push(data)
+	b.end += int64(len(data))
+}
+
+// AppendZero adds n zero bytes. A zero run at the tail simply grows:
+// it ends at the end of the stream.
+func (b *sendBuffer) AppendZero(n int) {
+	if n <= 0 {
+		return
+	}
+	if t := len(b.chunks) - 1; t < b.head || b.chunks[t].data != nil {
+		b.push(nil)
+	}
+	b.end += int64(n)
+}
+
+// push starts a chunk at the end of the stream.
+func (b *sendBuffer) push(data []byte) {
 	if b.head > 0 && b.head*2 >= len(b.chunks) {
 		// At least half the slots are released: compact the live tail
 		// to the front and reuse the array. Amortized O(1), as in
-		// recvBuffer.Push.
+		// recvBuffer.push.
 		n := copy(b.chunks, b.chunks[b.head:])
 		clear(b.chunks[n:])
 		b.chunks = b.chunks[:n]
 		b.head = 0
 	}
 	b.chunks = append(b.chunks, sendChunk{off: b.end, data: data})
-	b.end += int64(len(data))
 }
 
-// AppendZero adds n zero bytes backed by the shared zero page.
-func (b *sendBuffer) AppendZero(n int) {
-	for n > 0 {
-		take := n
-		if take > zeroPageSize {
-			take = zeroPageSize
-		}
-		b.Append(zeroPage[:take])
-		n -= take
+// chunkEnd returns the stream offset one past chunk i.
+func (b *sendBuffer) chunkEnd(i int) int64 {
+	if i+1 < len(b.chunks) {
+		return b.chunks[i+1].off
 	}
+	return b.end
 }
 
 // Release drops storage for bytes below offset off (they were acked).
 func (b *sendBuffer) Release(off int64) {
-	for b.head < len(b.chunks) && b.chunks[b.head].off+int64(len(b.chunks[b.head].data)) <= off {
+	for b.head < len(b.chunks) && b.chunkEnd(b.head) <= off {
 		b.chunks[b.head] = sendChunk{}
 		b.head++
 	}
 	b.start = off
 }
 
-// Slice returns up to n bytes starting at absolute offset off. The
-// returned slice aliases buffer storage when the range lies in one
-// chunk (the common case) and is copied when it spans chunks. ok is
-// false when off is out of range.
-func (b *sendBuffer) Slice(off int64, n int) ([]byte, bool) {
+// Slice returns the range of up to n bytes starting at absolute offset
+// off as its length and its known bytes: every byte from off up to the
+// end of the last application write in the range. The rest of the
+// range is zeros, so a range inside a zero run has no known bytes. The
+// known bytes alias buffer storage when one chunk holds them (the
+// common case) and are copied when they span chunks. ok is false when
+// off is out of range.
+func (b *sendBuffer) Slice(off int64, n int) (known []byte, length int, ok bool) {
 	if off < b.start || off >= b.end || n <= 0 {
-		return nil, false
+		return nil, 0, false
 	}
-	if avail := b.end - off; int64(n) > avail {
-		n = int(avail)
-	}
-	// Binary search for the chunk containing off.
+	end := min(off+int64(n), b.end)
+	// Binary search for the chunk holding off: the last one starting
+	// at or before it.
 	lo, hi := b.head, len(b.chunks)
 	for lo < hi {
-		mid := (lo + hi) / 2
-		c := b.chunks[mid]
-		if off < c.off {
-			hi = mid
-		} else if off >= c.off+int64(len(c.data)) {
+		if mid := (lo + hi) / 2; b.chunks[mid].off <= off {
 			lo = mid + 1
 		} else {
-			lo = mid
-			break
+			hi = mid
 		}
 	}
-	c := b.chunks[lo]
-	rel := int(off - c.off)
-	if rel+n <= len(c.data) {
-		return c.data[rel : rel+n], true
-	}
-	// Spans chunks. Bulk media spans zero-page chunks on both sides:
-	// the copy would be all zeros, so alias the shared zero page
-	// instead of allocating one (the dominant allocation of a fleet
-	// run otherwise).
-	if n <= zeroPageSize {
-		zero := true
-		for i := lo; i < len(b.chunks) && b.chunks[i].off < off+int64(n); i++ {
-			if d := b.chunks[i].data; len(d) == 0 || &d[0] != &zeroPage[0] {
-				zero = false
-				break
-			}
-		}
-		if zero {
-			return zeroPage[:n], true
+	first, last := lo-1, -1 // last: the last chunk in range that holds bytes
+	for i := first; i < len(b.chunks) && b.chunks[i].off < end; i++ {
+		if b.chunks[i].data != nil {
+			last = i
 		}
 	}
-	out := make([]byte, 0, n)
-	out = append(out, c.data[rel:]...)
-	for i := lo + 1; i < len(b.chunks) && len(out) < n; i++ {
-		take := min(n-len(out), len(b.chunks[i].data))
-		out = append(out, b.chunks[i].data[:take]...)
+	length = int(end - off)
+	if last < 0 {
+		return nil, length, true
 	}
-	return out, true
+	lc := b.chunks[last]
+	knownEnd := min(end, b.chunkEnd(last))
+	if last == first {
+		return lc.data[off-lc.off : knownEnd-lc.off], length, true
+	}
+	known = make([]byte, knownEnd-off)
+	for i := first; i <= last; i++ {
+		if c := b.chunks[i]; c.data != nil {
+			from := max(off, c.off)
+			copy(known[from-off:], c.data[from-c.off:])
+		}
+	}
+	return known, length, true
 }
 
 // oooQueue holds out-of-order segments keyed by stream offset, sorted
@@ -223,13 +230,19 @@ func (q *oooQueue) take(off int64, h *Host) (*packet.Segment, bool) {
 // reads them. Capacity is enforced by the advertised window, not here.
 // Consumed chunk slots are reclaimed by index so the backing array is
 // reused across the whole connection instead of growing behind a
-// marching front (a steady 180 s session pushes tens of thousands of
-// chunks through here).
+// marching front (a long session pushes a header and a zero run per
+// response through here).
 type recvBuffer struct {
-	chunks   [][]byte
+	chunks   []recvChunk
 	head     int // index of the first unconsumed chunk
 	headOff  int // bytes of chunks[head] already consumed
 	buffered int
+}
+
+// recvChunk is n received bytes, zeros when data is nil.
+type recvChunk struct {
+	data []byte
+	n    int
 }
 
 // Len returns the number of readable bytes.
@@ -237,9 +250,26 @@ func (b *recvBuffer) Len() int { return b.buffered }
 
 // Push appends received payload (aliased, not copied).
 func (b *recvBuffer) Push(data []byte) {
-	if len(data) == 0 {
+	if len(data) > 0 {
+		b.push(recvChunk{data: data, n: len(data)})
+	}
+}
+
+// PushZero appends n zero bytes, extending the tail chunk when it is
+// already a zero run.
+func (b *recvBuffer) PushZero(n int) {
+	if n <= 0 {
 		return
 	}
+	if t := len(b.chunks) - 1; t >= b.head && b.chunks[t].data == nil {
+		b.chunks[t].n += n
+		b.buffered += n
+		return
+	}
+	b.push(recvChunk{n: n})
+}
+
+func (b *recvBuffer) push(c recvChunk) {
 	if b.head > 0 && b.head*2 >= len(b.chunks) {
 		// At least half the slots are consumed: compact the live tail
 		// to the front and reuse the array. Amortized O(1) — each
@@ -247,63 +277,61 @@ func (b *recvBuffer) Push(data []byte) {
 		// last one — and it keeps a permanently backlogged connection
 		// (slow reader, fast sender) from growing a dead-slot prefix.
 		n := copy(b.chunks, b.chunks[b.head:])
-		for i := n; i < len(b.chunks); i++ {
-			b.chunks[i] = nil
-		}
+		clear(b.chunks[n:])
 		b.chunks = b.chunks[:n]
 		b.head = 0
 	}
-	b.chunks = append(b.chunks, data)
-	b.buffered += len(data)
+	b.chunks = append(b.chunks, c)
+	b.buffered += c.n
+}
+
+// consume advances the read point by up to n bytes, copying them into
+// p when p is not nil, and returns the count consumed.
+func (b *recvBuffer) consume(p []byte, n int) int {
+	done := 0
+	for done < n && b.head < len(b.chunks) {
+		c := b.chunks[b.head]
+		take := min(c.n-b.headOff, n-done)
+		if p != nil {
+			fill(p[done:done+take], c.data, b.headOff)
+		}
+		b.headOff += take
+		done += take
+		if b.headOff == c.n {
+			b.chunks[b.head] = recvChunk{}
+			b.head++
+			b.headOff = 0
+		}
+	}
+	b.buffered -= done
+	return done
+}
+
+// fill copies data[from:] into p, or zeros when data is nil (a zero run).
+func fill(p, data []byte, from int) {
+	if data == nil {
+		clear(p)
+	} else {
+		copy(p, data[from:])
+	}
 }
 
 // Discard consumes up to n bytes without materializing them, returning
 // the number consumed. Players use this for bulk media bytes.
-func (b *recvBuffer) Discard(n int) int {
-	consumed := 0
-	for n > 0 && b.head < len(b.chunks) {
-		head := b.chunks[b.head]
-		avail := len(head) - b.headOff
-		take := min(avail, n)
-		b.headOff += take
-		consumed += take
-		n -= take
-		if b.headOff == len(head) {
-			b.chunks[b.head] = nil
-			b.head++
-			b.headOff = 0
-		}
-	}
-	b.buffered -= consumed
-	return consumed
-}
+func (b *recvBuffer) Discard(n int) int { return b.consume(nil, n) }
 
 // Read copies up to len(p) bytes into p. HTTP header parsing uses this.
-func (b *recvBuffer) Read(p []byte) int {
-	read := 0
-	for read < len(p) && b.head < len(b.chunks) {
-		head := b.chunks[b.head]
-		n := copy(p[read:], head[b.headOff:])
-		b.headOff += n
-		read += n
-		if b.headOff == len(head) {
-			b.chunks[b.head] = nil
-			b.head++
-			b.headOff = 0
-		}
-	}
-	b.buffered -= read
-	return read
-}
+func (b *recvBuffer) Read(p []byte) int { return b.consume(p, len(p)) }
 
 // Peek copies up to len(p) bytes without consuming them.
 func (b *recvBuffer) Peek(p []byte) int {
 	read := 0
 	off := b.headOff
 	for i := b.head; read < len(p) && i < len(b.chunks); i++ {
-		head := b.chunks[i]
-		n := copy(p[read:], head[off:])
-		read += n
+		c := b.chunks[i]
+		take := min(c.n-off, len(p)-read)
+		fill(p[read:read+take], c.data, off)
+		read += take
 		off = 0
 	}
 	return read

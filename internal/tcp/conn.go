@@ -191,7 +191,7 @@ func (c *Conn) Abort() {
 	if c.state == StateClosed {
 		return
 	}
-	seg := c.mkSegment(packet.FlagRST|packet.FlagACK, c.sndNxt, nil)
+	seg := c.mkSegment(packet.FlagRST|packet.FlagACK, c.sndNxt, nil, 0)
 	c.host.send(seg)
 	c.teardown()
 }
@@ -263,7 +263,9 @@ func (c *Conn) advWindow() int {
 	return w
 }
 
-func (c *Conn) mkSegment(flags uint8, off int64, payload []byte) *packet.Segment {
+// mkSegment builds a segment at stream offset off carrying n payload
+// bytes, of which known holds the leading ones; the rest are zeros.
+func (c *Conn) mkSegment(flags uint8, off int64, known []byte, n int) *packet.Segment {
 	w := c.advWindow()
 	c.lastAdvW = w
 	seg := c.host.newSeg()
@@ -272,7 +274,8 @@ func (c *Conn) mkSegment(flags uint8, off int64, payload []byte) *packet.Segment
 	seg.Ack = c.ackOf()
 	seg.Flags = flags
 	seg.Window = w
-	seg.Payload = payload
+	seg.Payload = known
+	seg.PayloadLen = n
 	return seg
 }
 
@@ -557,7 +560,7 @@ func (c *Conn) trySend() {
 // derived from the maxSent high-water mark (an RTO rollback replays
 // offsets below it through the normal send path).
 func (c *Conn) transmitData(off int64, n int) {
-	payload, ok := c.sndBuf.Slice(off, n)
+	known, length, ok := c.sndBuf.Slice(off, n)
 	if !ok {
 		return
 	}
@@ -567,7 +570,7 @@ func (c *Conn) transmitData(off int64, n int) {
 	if off+int64(n) == c.sndBuf.Len() {
 		flags |= packet.FlagPSH
 	}
-	c.host.send(c.mkSegment(flags, off, payload))
+	c.host.send(c.mkSegment(flags, off, known, length))
 	c.Stats.SegmentsSent++
 	c.Stats.BytesSent += int64(n)
 	c.lastSendAt = c.host.sch.Now()
@@ -593,7 +596,7 @@ func (c *Conn) transmitData(off int64, n int) {
 }
 
 func (c *Conn) transmitFIN() {
-	seg := c.mkSegment(packet.FlagFIN|packet.FlagACK, c.finAt, nil)
+	seg := c.mkSegment(packet.FlagFIN|packet.FlagACK, c.finAt, nil, 0)
 	c.host.send(seg)
 	c.Stats.SegmentsSent++
 	c.lastSendAt = c.host.sch.Now()
@@ -662,11 +665,11 @@ func (c *Conn) onPersist() {
 		return
 	}
 	// Zero-window probe in the classic keepalive style: one
-	// already-acknowledged byte at snd.una-1. The receiver treats
-	// it as a duplicate and replies with an ACK carrying its
-	// current window, reviving the transfer even when the real
-	// window update was lost.
-	seg := c.mkSegment(packet.FlagACK, c.sndUna-1, zeroPage[:1])
+	// already-acknowledged byte at snd.una-1, sent as a zero. The
+	// receiver treats it as a duplicate and replies with an ACK
+	// carrying its current window, reviving the transfer even when
+	// the real window update was lost.
+	seg := c.mkSegment(packet.FlagACK, c.sndUna-1, nil, 1)
 	c.host.send(seg)
 	c.armPersist()
 }
@@ -736,13 +739,18 @@ func (c *Conn) processData(seg *packet.Segment) {
 }
 
 // acceptPayload pushes take bytes of the segment payload starting at
-// skip into the receive buffer.
+// skip into the receive buffer: the known bytes among them, then the
+// zeros past the known ones as a run.
 func (c *Conn) acceptPayload(seg *packet.Segment, skip, take int) {
 	if take <= 0 {
 		return
 	}
 	c.Stats.BytesReceived += int64(take)
-	c.rcvBuf.Push(seg.Payload[skip : skip+take])
+	known := max(min(len(seg.Payload)-skip, take), 0)
+	if known > 0 {
+		c.rcvBuf.Push(seg.Payload[skip : skip+known])
+	}
+	c.rcvBuf.PushZero(take - known)
 }
 
 func (c *Conn) scheduleAck(seg *packet.Segment) {
@@ -765,7 +773,7 @@ func (c *Conn) sendAck() {
 	if c.state == StateClosed {
 		return
 	}
-	seg := c.mkSegment(packet.FlagACK, c.sndNxt, nil)
+	seg := c.mkSegment(packet.FlagACK, c.sndNxt, nil, 0)
 	c.host.send(seg)
 }
 

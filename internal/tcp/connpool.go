@@ -5,6 +5,9 @@ package tcp
 // side, and rebuilding those structs (send/receive chunk slices,
 // reassembly queue, congestion controller) per cell is the largest
 // steady-state allocation a recycled cell world would otherwise pay.
+// The chunk slices it keeps stay short: a media body is one zero run
+// on each side, so a conn holds a few slots per response whatever the
+// body's size.
 // The pool is attached per host with SetConnPool; both ends of a
 // topology share one pool, and the simulation is single-threaded, so
 // no locking. Without a pool a host allocates fresh Conns exactly as
