@@ -17,7 +17,7 @@ package packet
 // Only the struct is recycled: payload byte slices keep their backing
 // arrays, so receive buffers and reassemblers may alias Payload freely.
 // A Pool is not safe for concurrent use; every simulation owns its own
-// (the runner gives each parallel session a private one).
+// (each session.World holds one, which all its hosts share).
 type Pool struct {
 	free  []*Segment
 	slabs [][]Segment // every slab ever allocated, retained for Reset

@@ -13,10 +13,10 @@ import (
 
 // World is what every simulation in this repository runs on: one
 // scheduler, one server with its YouTube or Netflix front end, the
-// segment and connection pools every stack shares, and client slots
-// numbered by the address plan (ClientAddrOf). It owns no topology:
-// the caller links Server and each client host into one — a Shared
-// run's Path, a fleet cell's Tree.
+// segment pool every stack shares, and client slots numbered by the
+// address plan (ClientAddrOf). It owns no topology: the caller links
+// Server and each client host into one — a Shared run's Path, a fleet
+// cell's Tree.
 //
 // A run takes four steps: NewWorld (or Reset), link Server into the
 // topology, Add the clients in slot order and link the host each Add
@@ -32,9 +32,8 @@ type World struct {
 	Sch    *sim.Scheduler
 	Server *tcp.Host
 
-	segPool  *packet.Pool
-	connPool *tcp.ConnPool
-	catalog  interface {
+	segPool *packet.Pool
+	catalog interface {
 		AddVideo(media.Video)
 		ResetCatalog()
 	}
@@ -58,13 +57,11 @@ type slot struct {
 func NewWorld(seed int64, svc ServiceKind, serverTCP tcp.Config) *World {
 	sch := sim.NewScheduler(seed)
 	w := &World{
-		Sch:      sch,
-		Server:   tcp.NewHost(sch, ServerAddr[0], ServerAddr[1], ServerAddr[2], ServerAddr[3]),
-		segPool:  &packet.Pool{},
-		connPool: &tcp.ConnPool{},
+		Sch:     sch,
+		Server:  tcp.NewHost(sch, ServerAddr[0], ServerAddr[1], ServerAddr[2], ServerAddr[3]),
+		segPool: &packet.Pool{},
 	}
 	w.Server.SetSegmentPool(w.segPool)
-	w.Server.SetConnPool(w.connPool)
 	if svc == Netflix {
 		w.catalog = service.NewNetflix(w.Server, serverTCP, nil)
 	} else {
@@ -76,13 +73,13 @@ func NewWorld(seed int64, svc ServiceKind, serverTCP tcp.Config) *World {
 // Reset rewinds the world to its just-built state under a new seed,
 // for the next population: the recycling contract. Every layer
 // rewinds its own part — the scheduler drains its queues and re-seeds
-// its rng, the server's conns and then every host's, in slot order,
-// return to the pool in the order a fresh world creates them, the
-// packet pool re-carves its slabs, the catalog empties — and a
-// recycled run replays exactly the calls a fresh one makes, so the
-// scheduler's (time, seq) event order and every byte match a fresh
-// world's. Hosts, their links and the server's listener and accept
-// hook survive; the caller resets its topology in the same pass.
+// its rng, the server and every client host scrub their own conns in
+// place for reuse, the packet pool re-carves its slabs, the catalog
+// empties — and a recycled run replays exactly the calls a fresh one
+// makes, so the scheduler's (time, seq) event order and every byte
+// match a fresh world's. Hosts, their links and the server's listener
+// and accept hook survive; the caller resets its topology in the same
+// pass.
 func (w *World) Reset(seed int64) {
 	w.Sch.Reset(seed)
 	w.Server.Reset(ServerAddr[0], ServerAddr[1], ServerAddr[2], ServerAddr[3])
@@ -96,8 +93,8 @@ func (w *World) Reset(seed int64) {
 }
 
 // Add puts client i of the address plan into the next slot: a host on
-// the world's pools, the video in the catalog, and the player, which
-// Run starts at start. The caller sets the host's egress link and
+// the world's segment pool, the video in the catalog, and the player,
+// which Run starts at start. The caller sets the host's egress link and
 // routes the client's address to it.
 func (w *World) Add(i int, v media.Video, p player.Player, start time.Duration) *tcp.Host {
 	addr := ClientAddrOf(i)
@@ -105,7 +102,6 @@ func (w *World) Add(i int, v media.Video, p player.Player, start time.Duration) 
 	if j == len(w.hosts) {
 		h := tcp.NewHost(w.Sch, addr[0], addr[1], addr[2], addr[3])
 		h.SetSegmentPool(w.segPool)
-		h.SetConnPool(w.connPool)
 		w.hosts = append(w.hosts, h)
 		w.envs = append(w.envs, player.Env{Sch: w.Sch, Host: h, Server: packet.Endpoint{Addr: ServerAddr, Port: 80}})
 	} else {

@@ -15,8 +15,8 @@ import "repro/internal/packet"
 // range. Chunks below the acknowledged offset are released by index,
 // and their slots are reclaimed the way recvBuffer reclaims consumed
 // ones, so the chunk array is reused for the connection's whole life
-// (and across lives, through ConnPool) instead of growing behind a
-// marching front.
+// (and across lives, when its host recycles the conn) instead of
+// growing behind a marching front.
 type sendBuffer struct {
 	chunks []sendChunk
 	head   int   // index of the first unreleased chunk
@@ -138,12 +138,13 @@ func (b *sendBuffer) Slice(off int64, n int) (known []byte, length int, ok bool)
 }
 
 // oooQueue holds out-of-order segments keyed by stream offset, sorted
-// ascending, from index head on. A reassembly queue is almost always a
-// handful of entries (one loss event's flight), so a sorted slice with
-// binary search replaces the per-connection map: inserts reuse the
-// backing array across the connection's whole life instead of growing
-// bucket chains, which removes the second-largest allocation of a fleet
-// run.
+// ascending, from index head on. A reassembly queue holds one loss
+// event's flight: a few entries in congestion avoidance, hundreds after
+// a slow-start overshoot. A sorted slice with binary search replaces
+// the per-connection map: inserts reuse the backing array across the
+// connection's whole life, and across the lives of a recycled conn,
+// instead of growing bucket chains, which removes the second-largest
+// allocation of a fleet run.
 //
 // Only entries at or above the receive point are stored. An entry the
 // receive point has passed without landing on it (a partial accept, or

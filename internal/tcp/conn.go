@@ -95,11 +95,7 @@ func newConn(h *Host, cfg Config, local, peer packet.Endpoint) *Conn {
 	c.rttSampleOff = -1
 	c.finAt = -1
 	c.lastAdvW = cfg.RecvBuf
-	// A recycled conn keeps its controller when the kind matches; Init
-	// fully resets it either way.
-	if c.cc == nil || c.cc.Name() != resolvedCC(cfg.CC) {
-		c.cc = newCongestionControl(cfg)
-	}
+	c.cc = newCongestionControl(cfg)
 	c.cc.Init(h.sch.Now())
 	return c
 }

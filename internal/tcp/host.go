@@ -21,9 +21,9 @@ type Host struct {
 	nextPort  uint16
 	nextISS   uint32
 
-	// Segment pooling (streaming-capture sessions only; see
-	// SetSegmentPool). retained marks the in-delivery segment as held
-	// beyond Deliver (out-of-order queue).
+	// Segment pooling (every World attaches one; see SetSegmentPool).
+	// retained marks the in-delivery segment as held beyond Deliver
+	// (out-of-order queue).
 	pool     *packet.Pool
 	retained bool
 
@@ -31,11 +31,11 @@ type Host struct {
 	// connection (see SetAcceptConfig).
 	acceptCfg func(peer packet.Endpoint, cfg Config) Config
 
-	// Conn recycling (see SetConnPool). created tracks every conn drawn
-	// while a pool is attached, in creation order, so Reset returns
-	// them deterministically.
-	connPool *ConnPool
-	created  []*Conn
+	// created holds every conn the host has made, in creation order;
+	// the first used of them have been handed out since the last Reset
+	// (see takeConn).
+	created []*Conn
+	used    int
 }
 
 type listener struct {
@@ -83,6 +83,64 @@ func (h *Host) putSeg(s *packet.Segment) {
 	if h.pool != nil {
 		h.pool.Put(s)
 	}
+}
+
+// takeConn returns a blank Conn: the next one this host made before
+// its last Reset, in creation order, or a new one. A host recycles only
+// its own conns, so each keeps the arrays its own traffic grew: a
+// client's reassembly queue, a server's send buffer.
+func (h *Host) takeConn() *Conn {
+	if h.used == len(h.created) {
+		h.created = append(h.created, &Conn{})
+	}
+	c := h.created[h.used]
+	h.used++
+	return c
+}
+
+// Reset returns the host to the state NewHost produces with the given
+// address, scrubbing every conn handed out since the last Reset for
+// takeConn to hand out again. Listeners, the accept hook, the segment
+// pool and the egress link survive — they are per-world wiring,
+// installed once. The scheduler must be Reset in the same pass so no
+// connection timer survives into the next run.
+func (h *Host) Reset(a, b, c, d byte) {
+	h.addr = [4]byte{a, b, c, d}
+	clear(h.conns)
+	h.last = nil
+	for _, cn := range h.created[:h.used] {
+		cn.scrub()
+	}
+	h.used = 0
+	h.nextPort = 40000
+	h.nextISS = 10000
+	h.retained = false
+}
+
+// scrub zeroes every field of c but the capacities of its send,
+// receive and reassembly arrays. Segments parked in the reassembly
+// queue are dropped; the packet pool that owns them reclaims them
+// wholesale on its own Reset.
+func (c *Conn) scrub() {
+	snd, rcv, ooo := c.sndBuf.chunks, c.rcvBuf.chunks, c.ooo.entries
+	clear(snd)
+	clear(rcv)
+	clear(ooo)
+	*c = Conn{}
+	c.sndBuf.chunks, c.rcvBuf.chunks, c.ooo.entries = snd[:0], rcv[:0], ooo[:0]
+}
+
+// Release zeroes every conn the host has made, buffers and controller
+// included, and forgets them all, so an application that outlives the
+// run holds only empty Conns, which reach neither the host, its
+// scheduler nor its segment pool. The host must not be used again.
+func (h *Host) Release() {
+	for _, c := range h.created {
+		*c = Conn{}
+	}
+	h.created, h.used = nil, 0
+	clear(h.conns)
+	h.last = nil
 }
 
 // Scheduler exposes the event loop for applications built on the host.

@@ -58,13 +58,11 @@ func TestHostDemuxInterleaved(t *testing.T) {
 }
 
 // TestHostResetForgetsLastConn: after Reset, a non-SYN segment of a
-// flow from before the reset must reach no conn, even when the conn
-// struct it last went to has been recycled, through the shared pool,
-// into a conn with the same endpoints on another host.
+// flow from before the reset must reach no conn, even though the conn
+// struct it last went to has been recycled, on the re-addressed host,
+// into the conn Dial returns next.
 func TestHostResetForgetsLastConn(t *testing.T) {
 	p := newPair(1, noLossProfile())
-	pool := &ConnPool{}
-	p.client.SetConnPool(pool)
 	p.server.Listen(80, Config{}, nil)
 	old := p.client.Dial(Config{}, testServerEP)
 	p.sch.RunUntil(time.Second) // the SYN-ACK goes to old through the map
@@ -74,16 +72,63 @@ func TestHostResetForgetsLastConn(t *testing.T) {
 	stale := packet.Flow{Src: old.peer, Dst: old.local}
 
 	p.client.Reset(10, 0, 0, 9)
-	other := NewHost(p.sch, 10, 0, 0, 1) // the client's old address
-	other.SetConnPool(pool)
-	other.SetLink(p.path.Up)
-	recycled := other.Dial(Config{}, testServerEP)
-	if recycled != old || recycled.local != stale.Dst || recycled.peer != stale.Src {
-		t.Fatal("the pool did not recycle the old conn into one with the old endpoints")
+	recycled := p.client.Dial(Config{}, testServerEP)
+	if recycled != old {
+		t.Fatal("the host did not recycle its old conn")
 	}
 	p.client.Deliver(&packet.Segment{Flow: stale, Flags: packet.FlagRST | packet.FlagACK})
 	if recycled.ConnState() != StateSynSent {
-		t.Fatalf("a segment of a pre-Reset flow reached a recycled conn on another host: state %v", recycled.ConnState())
+		t.Fatalf("a segment of a pre-Reset flow reached the recycled conn: state %v", recycled.ConnState())
+	}
+}
+
+// TestHostRecyclesOwnConns: Reset scrubs a host's conns in place, and
+// the next Dial hands the same struct out again with its arrays' capacity
+// kept, while another host on the path never gets it.
+func TestHostRecyclesOwnConns(t *testing.T) {
+	p := newPair(1, noLossProfile())
+	p.server.Listen(80, Config{}, nil)
+	c := p.client.Dial(Config{}, testServerEP)
+	p.sch.RunUntil(time.Second)
+	c.Write([]byte("GET / HTTP/1.1\r\n\r\n"))
+	p.sch.RunUntil(2 * time.Second)
+	if c.ConnState() != StateEstablished || c.sndNxt == 0 {
+		t.Fatalf("request not sent: state %v, sndNxt %d", c.ConnState(), c.sndNxt)
+	}
+	for i := range 5 { // past a 100-byte hole: each waits for reassembly
+		p.client.Deliver(dataFrom(c, int64(100+i*100), 100, 'x'))
+	}
+	if c.ooo.len() != 5 {
+		t.Fatalf("reassembly queue holds %d segments, want 5", c.ooo.len())
+	}
+	grown := cap(c.ooo.entries)
+
+	p.client.Reset(10, 0, 0, 1)
+	scrubbed := *c
+	scrubbed.sndBuf.chunks, scrubbed.rcvBuf.chunks, scrubbed.ooo.entries = nil, nil, nil
+	if !reflect.ValueOf(scrubbed).IsZero() {
+		t.Fatalf("Reset left state in the conn beyond its slice capacities: %+v", scrubbed)
+	}
+	if n := len(c.sndBuf.chunks) + len(c.rcvBuf.chunks) + len(c.ooo.entries); n != 0 {
+		t.Fatalf("Reset left %d slots in use", n)
+	}
+	for _, e := range c.ooo.entries[:cap(c.ooo.entries)] {
+		if e != (oooEntry{}) {
+			t.Fatalf("Reset left a reassembly entry in the array: %+v", e)
+		}
+	}
+
+	other := NewHost(p.sch, 10, 0, 0, 2)
+	other.SetLink(p.path.Up)
+	if other.Dial(Config{}, testServerEP) == c {
+		t.Fatal("another host got this host's conn")
+	}
+	again := p.client.Dial(Config{}, testServerEP)
+	if again != c {
+		t.Fatal("Dial after Reset made a new conn instead of recycling the host's own")
+	}
+	if got := cap(again.ooo.entries); got != grown {
+		t.Fatalf("recycled conn's reassembly capacity %d, want %d", got, grown)
 	}
 }
 
@@ -127,14 +172,14 @@ func BenchmarkHostDeliver(b *testing.B) {
 	}
 }
 
-// TestHostReleaseZeroesConns: after a transfer between pooled hosts,
-// Release leaves every conn each host created equal to Conn{}, buffers
-// and controller included, and the host remembers none of them.
+// TestHostReleaseZeroesConns: after a transfer between hosts sharing
+// a segment pool, Release leaves every conn each host created equal to
+// Conn{}, buffers and controller included, and the host remembers none
+// of them.
 func TestHostReleaseZeroesConns(t *testing.T) {
 	p := newPair(3, noLossProfile())
-	conns, segs := &ConnPool{}, &packet.Pool{}
+	segs := &packet.Pool{}
 	for _, h := range []*Host{p.client, p.server} {
-		h.SetConnPool(conns)
 		h.SetSegmentPool(segs)
 	}
 	const total = 256 << 10
