@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"time"
 )
 
@@ -25,56 +26,57 @@ import (
 // Lane identifies a registered lane; RunTask receives it as its op.
 type Lane int32
 
-// laneKey is one lane's earliest record. An empty lane's key is noKey,
-// which orders after every real record.
-type laneKey struct {
-	at  time.Duration
-	seq uint64
-}
-
-var noKey = laneKey{at: math.MaxInt64, seq: math.MaxUint64}
-
-func keyLess(a, b *laneKey) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
-}
-
 // The lane heads are merged by a winner tree over every registered
-// lane. lkeys holds each lane's head, padded with noKey to m entries
-// for a power of two m; ltree[m+l] is lane l, each inner node i holds
-// the lane whose head is the earlier of its children 2i and 2i+1, and
-// ltree[1] is the lane with the earliest head of all. Changing one
-// head replays its leaf-to-root path, one comparison per level, and
-// stops where another lane keeps winning.
+// lane. ltree holds 2m laneNodes for a power of two m >= the lane
+// count: leaf m+l is lane l's head, and each inner node i holds a copy
+// of the earlier of its children 2i and 2i+1, so ltree[1] is the
+// earliest head of all. A lane with no records, and each padding leaf,
+// holds emptyHead, which orders after every real record. Changing one
+// head writes its leaf and replays the leaf-to-root path: each level
+// compares the value just computed with its sibling alone, without a
+// branch, and writes the earlier one to the parent.
+
+// laneNode is one node of the lane tree: the head (at, seq) of lane.
+type laneNode struct {
+	at   time.Duration
+	seq  uint64
+	lane Lane
+}
+
+var emptyHead = laneNode{at: math.MaxInt64, seq: math.MaxUint64}
 
 // AddLane registers task as a lane with no records and returns its id.
 // Registrations last for the scheduler's lifetime, across Reset.
 func (s *Scheduler) AddLane(task Task) Lane {
 	l := Lane(len(s.lanes))
 	s.lanes = append(s.lanes, task)
-	if m := len(s.lkeys); len(s.lanes) > m {
-		m = max(2*m, 2)
-		for len(s.lkeys) < m {
-			s.lkeys = append(s.lkeys, noKey)
+	if m := len(s.ltree) / 2; len(s.lanes) > m {
+		// Double the leaves: the old ones, heads included, then padding.
+		t := make([]laneNode, 4*m)
+		copy(t[2*m:], s.ltree[m:])
+		for i := 3 * m; i < len(t); i++ {
+			t[i] = emptyHead
 		}
-		s.ltree = make([]Lane, 2*m)
-		for i := range m {
-			s.ltree[m+i] = Lane(i)
+		for i := 2*m - 1; i > 0; i-- {
+			t[i] = earlierNode(t[2*i], t[2*i+1])
 		}
-		for i := m - 1; i > 0; i-- {
-			s.ltree[i] = s.earlier(s.ltree[2*i], s.ltree[2*i+1])
-		}
+		s.ltree = t
 	}
 	return l
 }
 
-// earlier returns whichever of lanes a and b has the earlier head.
-func (s *Scheduler) earlier(a, b Lane) Lane {
-	if keyLess(&s.lkeys[b], &s.lkeys[a]) {
-		return b
-	}
+// earlierNode returns whichever of a and b holds the earlier head, a
+// when they tie. It compares (at, seq) as one 128-bit number by a
+// borrow chain, which orders the keys as signed times would because
+// no head lies before time zero (SetLaneHead rejects one before now),
+// and turns the borrow into a mask, so it takes no branch.
+func earlierNode(a, b laneNode) laneNode {
+	_, borrow := bits.Sub64(b.seq, a.seq, 0)
+	_, borrow = bits.Sub64(uint64(b.at), uint64(a.at), borrow)
+	mask := -borrow // all ones when b is earlier
+	a.at ^= (a.at ^ b.at) & time.Duration(mask)
+	a.seq ^= (a.seq ^ b.seq) & mask
+	a.lane ^= (a.lane ^ b.lane) & Lane(mask)
 	return a
 }
 
@@ -85,46 +87,34 @@ func (s *Scheduler) SetLaneHead(l Lane, at time.Duration, seq uint64) {
 	if at < s.now {
 		panic(fmt.Sprintf("sim: lane head at %v before now %v", at, s.now))
 	}
-	if s.lkeys[l] == noKey {
+	i := len(s.ltree)/2 + int(l)
+	if s.ltree[i] == emptyHead {
 		s.lbusy++
 	}
-	s.lkeys[l] = laneKey{at: at, seq: seq}
-	s.replay(l)
+	s.replay(i, laneNode{at: at, seq: seq, lane: l})
 }
 
 // ClearLaneHead reports that lane l holds no records. Clearing an empty
 // lane is a no-op.
 func (s *Scheduler) ClearLaneHead(l Lane) {
-	if s.lkeys[l] == noKey {
+	i := len(s.ltree)/2 + int(l)
+	if s.ltree[i] == emptyHead {
 		return
 	}
 	s.lbusy--
-	s.lkeys[l] = noKey
-	s.replay(l)
+	s.replay(i, emptyHead)
 }
 
-// replay recomputes the winners on lane l's path to the root after its
-// head changed.
-func (s *Scheduler) replay(l Lane) {
+// replay writes head to leaf i and recomputes every node on its path to
+// the root. Each node's other child is untouched, so one comparison per
+// level, against the sibling, gives the parent.
+func (s *Scheduler) replay(i int, head laneNode) {
 	t := s.ltree
-	for i := len(s.lkeys) + int(l); i > 1; {
-		w := s.earlier(t[i&^1], t[i|1])
-		i >>= 1
-		if t[i] == w && w != l {
-			return
-		}
-		t[i] = w
+	t[i] = head
+	for ; i > 1; i >>= 1 {
+		head = earlierNode(head, t[i^1])
+		t[i>>1] = head
 	}
-}
-
-// laneTop returns the earliest lane head; noKey when no lane holds
-// records.
-func (s *Scheduler) laneTop() (Lane, *laneKey) {
-	if s.lbusy == 0 {
-		return -1, &noKey
-	}
-	l := s.ltree[1]
-	return l, &s.lkeys[l]
 }
 
 // dueBy reports whether a live event or a lane head at or before

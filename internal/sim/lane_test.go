@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -12,7 +13,7 @@ import (
 // The reference is refSched with every record scheduled as such an
 // event, and runLaneWorkload drives both through the same randomized
 // script of events, timers, timer stops and re-arms, Stop calls and
-// record pushes onto a few lanes.
+// record pushes onto lanes, from one lane to a fleet cell's 68.
 
 // testLane keeps its records sorted by (at, seq) the way netem.Link
 // keeps its flights: pushes append, and a push earlier than the tail
@@ -93,20 +94,23 @@ func (r *refSched) push(lane int, at time.Duration, fn func()) {
 
 func (r *refSched) stop() { r.halt = true }
 
-const testLanes = 4
+// cellLanes is one fleet cell's lane count: 4 tier links plus 2 per
+// client for 32 clients. Its tree pads the lanes to 128 leaves, 7
+// levels deep.
+const cellLanes = 68
 
-// runLaneWorkload drives d through a deterministic random script. Lane
-// times sit on a coarse grid so that heads of different lanes, and
-// heads and events, often share an instant and only the seq orders
-// them. Each lane's pushes are monotone apart from an occasional
-// earlier insert. A few callbacks call Stop, so Run and RunUntil end
-// early and resume; the trace records the clock and Pending at every
-// return.
-func runLaneWorkload(d laneSched, seed int64, n int) []traceEntry {
+// runLaneWorkload drives d, which has lanes lanes, through a
+// deterministic random script. Lane times sit on a coarse grid so that
+// heads of different lanes, and heads and events, often share an
+// instant and only the seq orders them. Each lane's pushes are monotone
+// apart from an occasional earlier insert. A few callbacks call Stop,
+// so Run and RunUntil end early and resume; the trace records the clock
+// and Pending at every return.
+func runLaneWorkload(d laneSched, seed int64, n, lanes int) []traceEntry {
 	rng := rand.New(rand.NewSource(seed))
 	var trace []traceEntry
 	var timers []wlTimer
-	var tail [testLanes]time.Duration // latest record time pushed per lane
+	tail := make([]time.Duration, lanes) // latest record time pushed per lane
 	id := 0
 	const grid = 250 * time.Microsecond
 	delay := func() time.Duration {
@@ -142,7 +146,7 @@ func runLaneWorkload(d laneSched, seed int64, n int) []traceEntry {
 			case r < 6:
 				d.stop()
 			case r < 14 && live: // push records onto a lane
-				lane := rng.Intn(testLanes)
+				lane := rng.Intn(lanes)
 				for k := rng.Intn(3); k >= 0; k-- {
 					at := max(tail[lane], now.Truncate(grid)) + grid*time.Duration(rng.Intn(3))
 					if rng.Intn(8) == 0 {
@@ -167,7 +171,7 @@ func runLaneWorkload(d laneSched, seed int64, n int) []traceEntry {
 		case 1:
 			d.after(delay(), fire(id))
 		default:
-			d.push(i%testLanes, grid*time.Duration(rng.Intn(16)), fire(id))
+			d.push(i%lanes, grid*time.Duration(rng.Intn(16)), fire(id))
 		}
 	}
 	mark := func() {
@@ -187,32 +191,71 @@ func runLaneWorkload(d laneSched, seed int64, n int) []traceEntry {
 // TestLaneEquivalence pins the lane merge: records retired through
 // lanes interleave with events, timers and each other exactly as
 // ordinary events with the same seqs fire in the reference scheduler,
-// including where Stop ends a run mid-instant.
+// including where Stop ends a run mid-instant. It runs on a one-leaf
+// tree, on full and just-grown small trees, and at cell scale.
 func TestLaneEquivalence(t *testing.T) {
 	n := 48
 	seeds := 24
 	if testing.Short() {
 		seeds = 6
 	}
-	for seed := int64(1); seed <= int64(seeds); seed++ {
-		ref := runLaneWorkload(&refSched{}, seed, n)
-		got := runLaneWorkload(newRealLaneSched(testLanes), seed, n)
-		diffTraces(t, seed, ref, got)
+	for _, lanes := range []int{1, 4, 5, cellLanes} {
+		t.Run(fmt.Sprintf("lanes=%d", lanes), func(t *testing.T) {
+			for seed := int64(1); seed <= int64(seeds); seed++ {
+				ref := runLaneWorkload(&refSched{}, seed, n, lanes)
+				got := runLaneWorkload(newRealLaneSched(lanes), seed, n, lanes)
+				diffTraces(t, seed, ref, got)
+			}
+		})
 	}
 }
 
-// FuzzLaneEquivalence lets the fuzzer hunt for scripts where a lane
-// record runs out of the reference's (time, seq) order.
+// FuzzLaneEquivalence lets the fuzzer hunt for scripts, on 1 to 80
+// lanes, where a lane record runs out of the reference's (time, seq)
+// order.
 func FuzzLaneEquivalence(f *testing.F) {
-	f.Add(int64(1), uint8(16))
-	f.Add(int64(42), uint8(64))
-	f.Add(int64(-7), uint8(3))
-	f.Fuzz(func(t *testing.T, seed int64, n uint8) {
+	f.Add(int64(1), uint8(16), uint8(3))
+	f.Add(int64(42), uint8(64), uint8(cellLanes-1))
+	f.Add(int64(-7), uint8(3), uint8(0))
+	f.Fuzz(func(t *testing.T, seed int64, n, lanes uint8) {
 		size := int(n%96) + 1
-		ref := runLaneWorkload(&refSched{}, seed, size)
-		got := runLaneWorkload(newRealLaneSched(testLanes), seed, size)
+		nl := int(lanes%80) + 1
+		ref := runLaneWorkload(&refSched{}, seed, size, nl)
+		got := runLaneWorkload(newRealLaneSched(nl), seed, size, nl)
 		diffTraces(t, seed, ref, got)
 	})
+}
+
+// TestAddLaneKeepsHeads: registering a lane carries every head already
+// reported into the grown tree. Lanes register one at a time, and each
+// pushes a record earlier than every record pushed so far and one at a
+// shared later instant, so lanes hold heads each time the tree doubles,
+// up to 128 leaves at the 65th lane. Every record must retire, in
+// (at, seq) order.
+func TestAddLaneKeepsHeads(t *testing.T) {
+	const lanes = 70
+	s := NewScheduler(1)
+	type key struct {
+		at  time.Duration
+		seq uint64
+	}
+	var ran []key
+	retire := func() { ran = append(ran, key{s.Now(), s.EventSeq()}) }
+	for i := range lanes {
+		l := &testLane{s: s}
+		l.id = s.AddLane(l)
+		l.push(time.Duration(lanes-i)*time.Millisecond, retire)
+		l.push(2*lanes*time.Millisecond, retire)
+	}
+	s.Run()
+	if len(ran) != 2*lanes || s.Retires != 2*lanes {
+		t.Fatalf("retired %d records (Retires %d), want %d", len(ran), s.Retires, 2*lanes)
+	}
+	for i := 1; i < len(ran); i++ {
+		if a, b := ran[i-1], ran[i]; b.at < a.at || b.at == a.at && b.seq <= a.seq {
+			t.Fatalf("retire %d at (%v, %d) after (%v, %d)", i, b.at, b.seq, a.at, a.seq)
+		}
+	}
 }
 
 // TestLaneEquivalenceAfterReset: a scheduler Reset while every lane
@@ -220,17 +263,17 @@ func FuzzLaneEquivalence(f *testing.F) {
 // heads exactly as a fresh scheduler's does.
 func TestLaneEquivalenceAfterReset(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
-		d := newRealLaneSched(testLanes)
+		d := newRealLaneSched(4)
 		for i := range 40 {
-			d.push(i%testLanes, time.Duration(40-i)*time.Millisecond, func() {})
+			d.push(i%4, time.Duration(40-i)*time.Millisecond, func() {})
 		}
 		d.s.RunUntil(15 * time.Millisecond)
 		d.s.Reset(1)
 		for _, l := range d.lanes {
 			l.recs = l.recs[:0]
 		}
-		ref := runLaneWorkload(&refSched{}, seed, 48)
-		got := runLaneWorkload(d, seed, 48)
+		ref := runLaneWorkload(&refSched{}, seed, 48, 4)
+		got := runLaneWorkload(d, seed, 48, 4)
 		diffTraces(t, seed, ref, got)
 	}
 }
@@ -299,4 +342,41 @@ func TestRunUntilStopKeepsClock(t *testing.T) {
 	if s.Now() != 20*time.Millisecond {
 		t.Fatalf("clock = %v, want 20ms", s.Now())
 	}
+}
+
+// BenchmarkLaneRetire is a synthetic layer bench of the lane merge on a
+// cell-sized tree: one op is one retire on 68 lanes, the retiring lane
+// reporting its next head, plus one record pushed onto a
+// pseudo-randomly chosen lane, up to 1 ms later and not before that
+// lane's tail. Two records per lane are in flight on average. Its
+// traffic is not calibrated to a cell: the retiring lane stays ahead
+// after about 43% of its retires, where the fleets' lanes stay ahead
+// after 13-19%. A warm-up run grows every lane's storage first, so even
+// one op reports the steady state's allocations.
+func BenchmarkLaneRetire(b *testing.B) {
+	d := newRealLaneSched(cellLanes)
+	x, left := uint64(1), 10000
+	var retire func()
+	retire = func() {
+		if left--; left <= 0 {
+			d.s.Stop()
+		}
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		l := d.lanes[x%cellLanes]
+		at := d.s.Now() + time.Duration(x>>32%1000)*time.Microsecond
+		if n := len(l.recs); n > 0 {
+			at = max(at, l.recs[n-1].at)
+		}
+		l.push(at, retire)
+	}
+	for i := range 2 * cellLanes {
+		d.push(i%cellLanes, time.Duration(i)*time.Microsecond, retire)
+	}
+	d.s.Run()
+	left = b.N
+	b.ReportAllocs()
+	b.ResetTimer()
+	d.s.Run()
 }

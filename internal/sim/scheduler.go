@@ -118,11 +118,10 @@ type Scheduler struct {
 	rng     *rand.Rand
 	stopped bool
 
-	// Lanes (see lane.go): registered tasks by id, their heads, the
-	// winner tree over the heads, and how many lanes hold records.
+	// Lanes (see lane.go): registered tasks by id, the winner tree
+	// over their heads, and how many lanes hold records.
 	lanes []Task
-	lkeys []laneKey
-	ltree []Lane
+	ltree []laneNode
 	lbusy int
 
 	// Events counts queue events run and Retires lane records retired
@@ -134,7 +133,8 @@ type Scheduler struct {
 // NewScheduler returns a scheduler whose clock starts at zero and whose
 // random source is seeded with seed.
 func NewScheduler(seed int64) *Scheduler {
-	return &Scheduler{rng: rand.New(rand.NewSource(seed))}
+	// The lane tree starts with one leaf, which is also its root.
+	return &Scheduler{rng: rand.New(rand.NewSource(seed)), ltree: []laneNode{emptyHead, emptyHead}}
 }
 
 // Reset returns the scheduler to the state NewScheduler(seed) produces
@@ -159,11 +159,9 @@ func (s *Scheduler) Reset(seed int64) {
 	s.free = s.free[:0]
 	s.rng.Seed(seed)
 	s.stopped = false
-	// Every inner node of the lane tree still names a lane of its own
-	// subtree, and once every head is empty any such lane is a winner,
-	// so the tree needs no rebuild.
-	for l := range s.lkeys {
-		s.lkeys[l] = noKey
+	// Inner nodes carry copies of heads, so every node is rewritten.
+	for i := range s.ltree {
+		s.ltree[i] = emptyHead
 	}
 	s.lbusy = 0
 	s.Events = 0
@@ -389,7 +387,7 @@ func (s *Scheduler) siftDown(ev event) {
 // (the RTO behind a link's ACKs) then settles once per re-arm interval
 // instead of once per retire.
 func (s *Scheduler) next() (l Lane, at time.Duration, ok bool) {
-	l, h := s.laneTop()
+	h := &s.ltree[1]
 	for len(s.heap) > 0 {
 		ev := &s.heap[0]
 		if h.at < ev.at || h.at == ev.at && h.seq < ev.seq {
@@ -410,7 +408,10 @@ func (s *Scheduler) next() (l Lane, at time.Duration, ok bool) {
 		}
 		return -1, ev.at, true
 	}
-	return l, h.at, l >= 0
+	if s.lbusy == 0 {
+		return -1, 0, false
+	}
+	return h.lane, h.at, true
 }
 
 // step runs the earliest pending event or lane record unless it lies
@@ -425,7 +426,7 @@ func (s *Scheduler) step(deadline time.Duration) bool {
 	}
 	s.now = at
 	if l >= 0 {
-		s.cur = s.lkeys[l].seq
+		s.cur = s.ltree[1].seq
 		s.Retires++
 		s.lanes[l].RunTask(int32(l))
 	} else {
